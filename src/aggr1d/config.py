@@ -7,7 +7,6 @@ form so catalogue runs are reproducible byte for byte.  Schema:
       "label": "example1",
       "potential": {"name": "exp_pointy"},            # or abs_half, abs_scaled{+sigma}
       "velocity_law": {"name": "atan", "k": 50.0, "scale": 0.6366197723675814},
-      "mode": "nonlinear",                            # or "linear"
       "domain": [-2.5, 2.5],
       "n_cells": 1000,
       "gamma": 0.9,
@@ -21,6 +20,11 @@ form so catalogue runs are reproducible byte for byte.  Schema:
       "converge_particles": 512,                      # oracle size for `converge`
       "levels": [100, 200, 400]                       # `converge` refinement levels
     }
+
+The identity law (the default) is the linear aggregation equation; every
+law runs through the same velocity engine.  A legacy ``"mode"`` key is
+still read: ``"nonlinear"`` is accepted with any law, ``"linear"`` only
+with the identity law.
 """
 
 from __future__ import annotations
@@ -52,7 +56,6 @@ class SimConfig:
     law_name: str = "identity"
     law_k: float | None = None
     law_scale: float | None = None
-    mode: str = "linear"
     domain: tuple[float, float] = (-2.5, 2.5)
     n_cells: int = 1000
     gamma: float = 0.9
@@ -72,17 +75,15 @@ class SimConfig:
             raise ConfigError("n_cells must be at least 10")
         if not (0.0 < self.gamma <= 1.0):
             raise ConfigError("gamma must lie in (0, 1]")
-        if self.t_end < 0.0:
-            raise ConfigError("t_end must be nonnegative")
-        if self.mode not in ("linear", "nonlinear"):
-            raise ConfigError("mode must be 'linear' or 'nonlinear'")
+        if not (math.isfinite(self.t_end) and self.t_end >= 0.0):
+            raise ConfigError("t_end must be finite and nonnegative")
         try:
             pot = self.make_potential()
             self.make_law()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if self.mode == "nonlinear" and pot.decomposition is None:
-            raise ConfigError("nonlinear mode needs a potential with a kink decomposition")
+        if pot.decomposition is None:
+            raise ConfigError("the velocity engine needs a potential with a kink decomposition")
         return self
 
     def make_potential(self) -> PointyPotential:
@@ -121,7 +122,6 @@ class SimConfig:
             "label": self.label,
             "potential": pot,
             "velocity_law": law,
-            "mode": self.mode,
             "domain": list(self.domain),
             "n_cells": self.n_cells,
             "gamma": self.gamma,
@@ -139,6 +139,7 @@ class SimConfig:
         try:
             pot = doc.get("potential", {"name": "abs_half"})
             law = doc.get("velocity_law", {"name": "identity"})
+            _check_legacy_mode(doc.get("mode"), str(law["name"]))
             init = _initial_from_dict(doc.get("initial", {"kind": "builtin", "name": "init1"}))
             domain = doc.get("domain", [-2.5, 2.5])
             cfg = cls(
@@ -148,7 +149,6 @@ class SimConfig:
                 law_name=str(law["name"]),
                 law_k=_opt_float(law.get("k")),
                 law_scale=_opt_float(law.get("scale")),
-                mode=str(doc.get("mode", "linear")),
                 domain=(float(domain[0]), float(domain[1])),
                 n_cells=int(doc.get("n_cells", 1000)),
                 gamma=float(doc.get("gamma", 0.9)),
@@ -163,6 +163,16 @@ class SimConfig:
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed config: {exc}") from exc
         return cfg.validate()
+
+
+def _check_legacy_mode(mode, law_name: str) -> None:
+    """Accept a ``mode`` key from older configs when the law agrees with it."""
+    if mode is None or mode == "nonlinear":
+        return
+    if mode != "linear":
+        raise ConfigError("mode must be 'linear' or 'nonlinear'")
+    if law_name != "identity":
+        raise ConfigError(f"mode 'linear' is the identity law; it contradicts velocity_law {law_name!r}")
 
 
 def _opt_float(v):
@@ -205,8 +215,8 @@ def example_preset(number: int) -> SimConfig:
     1: exponential pointy potential, a(x) = (2/pi) atan(50 x), two bumps —
        each bump collapses fast, the two peaks then merge and freeze.
     2: W = -|x|/250, same atan law, two bumps — blow-up at the center.
-    3: W = -|x|/250, linear speed, three bumps — the center bump sharpens
-       before the outer ones.
+    3: W = -|x|/250, identity law (linear speed), three bumps — the center
+       bump sharpens before the outer ones.
     """
     base = SimConfig(
         domain=(-2.5, 2.5),
@@ -223,7 +233,6 @@ def example_preset(number: int) -> SimConfig:
             law_name="atan",
             law_k=50.0,
             law_scale=_ATAN_SCALE,
-            mode="nonlinear",
             t_end=3.0,
             sample_times=tuple(np.round(np.arange(0.0, 3.01, 0.25), 10)),
             initial=builtin_initial("init1"),
@@ -237,7 +246,6 @@ def example_preset(number: int) -> SimConfig:
             law_name="atan",
             law_k=50.0,
             law_scale=_ATAN_SCALE,
-            mode="nonlinear",
             t_end=15.0,
             sample_times=tuple(np.round(np.arange(0.0, 15.01, 1.0), 10)),
             initial=builtin_initial("init1"),
@@ -249,7 +257,6 @@ def example_preset(number: int) -> SimConfig:
             potential_name="abs_scaled",
             potential_sigma=1.0 / 250.0,
             law_name="identity",
-            mode="linear",
             t_end=500.0,
             sample_times=tuple(np.round(np.arange(0.0, 500.01, 25.0), 10)),
             initial=builtin_initial("init2"),

@@ -9,10 +9,8 @@ repeated runs of the same config produce bit-identical CSV files.
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
 import json
-import os
 import time as _time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -116,7 +114,7 @@ def cmd_simulate(cfg: SimConfig) -> RunArtifacts:
     law = cfg.make_law()
     state0 = fv.project_initial(_initial_for_fv(cfg), grid)
     t0 = _time.perf_counter()
-    snapshots, diag = fv.run(state0, pot, law, cfg.mode, cfg.t_end, cfg.gamma, cfg.sample_times)
+    snapshots, diag = fv.run(state0, pot, law, cfg.t_end, cfg.gamma, cfg.sample_times)
     runtime = _time.perf_counter() - t0
     files = []
     for k, (t, m) in enumerate(snapshots):
@@ -136,8 +134,7 @@ def cmd_simulate(cfg: SimConfig) -> RunArtifacts:
 
 def _particle_system(cfg: SimConfig, n: int) -> particles.ParticleSystem:
     x, m = sample_particles(cfg.initial, n, cfg.domain)
-    law = cfg.make_law() if cfg.mode == "nonlinear" else None
-    return particles.ParticleSystem(x=x, m=m, time=0.0, mode=cfg.mode, pot=cfg.make_potential(), law=law)
+    return particles.ParticleSystem(x=x, m=m, time=0.0, pot=cfg.make_potential(), law=cfg.make_law())
 
 
 def cmd_particles(cfg: SimConfig) -> RunArtifacts:
@@ -183,7 +180,7 @@ def cmd_compare(cfg: SimConfig) -> CompareResult:
     law = cfg.make_law()
     state0 = fv.project_initial(_initial_for_fv(cfg), grid)
     t0 = _time.perf_counter()
-    fv_snaps, _ = fv.run(state0, pot, law, cfg.mode, cfg.t_end, cfg.gamma, times)
+    fv_snaps, _ = fv.run(state0, pot, law, cfg.t_end, cfg.gamma, times)
     ps = _particle_system(cfg, n=cfg.compare_particles)
     series = []
     for t, fv_m in fv_snaps:
@@ -203,21 +200,11 @@ def cmd_compare(cfg: SimConfig) -> CompareResult:
     return CompareResult(times=[t for t, _ in series], w1=[w for _, w in series], artifacts=artifacts)
 
 
-def _max_workers(n_jobs: int) -> int:
-    cap = os.environ.get("AGGR_THREADS", "").strip()
-    if cap:
-        try:
-            return max(1, min(n_jobs, int(cap)))
-        except ValueError as exc:
-            raise ConfigError(f"AGGR_THREADS must be an integer: {cap!r}") from exc
-    return max(1, min(n_jobs, os.cpu_count() or 1))
-
-
 def cmd_converge(cfg: SimConfig) -> ConvergenceReport:
     """Grid-refinement study against a particle oracle at t_end.
 
     Levels must be at least three, increasing, each dividing the next;
-    levels run concurrently (``AGGR_THREADS`` caps the pool).
+    rows come out coarse to fine.
     """
     cfg.validate()
     levels = list(cfg.levels)
@@ -235,17 +222,14 @@ def cmd_converge(cfg: SimConfig) -> ConvergenceReport:
     oracle = particles.advance_to(oracle, cfg.t_end)
     oracle_final = particles.snapshot(oracle)
 
-    def run_level(n_cells: int) -> ConvergenceRow:
+    rows = []
+    for n_cells in levels:
         t0 = _time.perf_counter()
         grid = cfg.make_grid(n_cells)
         state0 = fv.project_initial(_initial_for_fv(cfg), grid)
-        snaps, _ = fv.run(state0, pot, law, cfg.mode, cfg.t_end, cfg.gamma, [cfg.t_end])
+        snaps, _ = fv.run(state0, pot, law, cfg.t_end, cfg.gamma, [cfg.t_end])
         err = wasserstein1(snaps[-1][1], oracle_final)
-        return ConvergenceRow(dx=grid.dx, n_cells=n_cells, w1_error=err, runtime_s=_time.perf_counter() - t0)
-
-    with concurrent.futures.ThreadPoolExecutor(max_workers=_max_workers(len(levels))) as pool:
-        rows = list(pool.map(run_level, levels))
-    rows.sort(key=lambda r: r.dx, reverse=True)
+        rows.append(ConvergenceRow(dx=grid.dx, n_cells=n_cells, w1_error=err, runtime_s=_time.perf_counter() - t0))
     ratios = [b.w1_error / a.w1_error for a, b in zip(rows, rows[1:])]
     path = out / "convergence.csv"
     lines = ["dx,n_cells,w1_error,ratio"]

@@ -11,11 +11,9 @@ exactly and the cumulative mass function is total-variation diminishing.
 The update is evaluated in that convex-combination form (not as a flux
 difference) so positivity survives floating point.
 
-Cell speeds come in two flavours.  Linear: the direct convolution sum
-a_i = sum_{j != i} W'(x_i - x_j) rho_j dx with the diagonal excluded.
-Nonlinear: a divided difference of the antiderivative A between interface
-values of the cumulative primitive gradient s = d/dx (W * rho), obtained
-from the conservation relation per cell
+Cell speeds are a divided difference of the antiderivative A of the speed
+law between interface values of the cumulative primitive gradient
+s = d/dx (W * rho), obtained from the conservation relation per cell
 
     s_{i+1/2} - s_{i-1/2} = dx * (nu_i - c * rho_i),
 
@@ -23,9 +21,12 @@ where nu_i discretizes (w * rho)(x_i) through a kernel built from exact
 cell integrals of w.  The left anchor of the cumulative solve is the
 value of W' * rho left of the grid: the -infinity limit
 (c/2 - int w / 2) * mass plus an in-grid correction for the w-mass that
-the grid-limited nu sum cannot see.  With this anchor the midpoint rule
-(a = id) reproduces the direct linear sum to machine precision on any
-grid, and for even data the interface gradients are exactly antisymmetric.
+the grid-limited nu sum cannot see.  With this anchor the identity law
+a = id, whose divided difference is the interface midpoint, reproduces the
+direct sum a_i = sum_{j != i} W'(x_i - x_j) rho_j dx of the linear
+aggregation equation to machine precision on any grid, so the linear
+equation needs no engine of its own; and for even data the interface
+gradients are exactly antisymmetric.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ __all__ = [
     "DiagnosticsReport",
     "SchemeError",
     "project_initial",
-    "linear_velocity",
     "build_nu_kernel",
     "compute_nu",
     "solve_s_gradient",
@@ -132,10 +132,11 @@ class FVState:
 
 @dataclass(frozen=True)
 class VelocityField:
-    """Per-cell speeds, with the nonlinear intermediates cached when available.
+    """Per-cell speeds with the intermediates they were computed from.
 
     ``s_grad`` holds the n+1 interface gradients s_{i-1/2}, i = 0..n;
-    ``nu`` the per-cell w-convolution.  Both are None on the linear path.
+    ``nu`` the per-cell w-convolution.  Both are None for a field built
+    from given speeds, which carries no gradients to check.
     """
 
     a_cell: np.ndarray
@@ -200,23 +201,6 @@ def project_initial(initial, grid: Grid) -> FVState:
         raise ValueError("atomic initial data must carry unit mass")
     rho /= total
     return FVState(grid=grid, rho=rho, time=0.0, step_index=0)
-
-
-def _wprime_matrix(pot: PointyPotential, grid: Grid) -> np.ndarray:
-    x = grid.centers
-    wp = np.asarray(pot.wprime_eval(x[:, None] - x[None, :]), dtype=float)
-    np.fill_diagonal(wp, 0.0)
-    return wp
-
-
-def linear_velocity(state: FVState, pot: PointyPotential, wprime_matrix: np.ndarray | None = None) -> VelocityField:
-    """Direct convolution speeds a_i = sum_{j != i} W'(x_i - x_j) rho_j dx.
-
-    The O(N^2) matrix depends only on the grid; callers stepping in a loop
-    pass it precomputed.
-    """
-    wp = _wprime_matrix(pot, state.grid) if wprime_matrix is None else wprime_matrix
-    return VelocityField(a_cell=wp @ (state.rho * state.grid.dx))
 
 
 def build_nu_kernel(pot: PointyPotential, grid: Grid) -> NuKernel:
@@ -322,9 +306,9 @@ def velocity_from_gradients(law: VelocityLaw, s: np.ndarray) -> np.ndarray:
 def nonlinear_velocity(
     state: FVState, pot: PointyPotential, law: VelocityLaw, kernel: NuKernel | None = None
 ) -> VelocityField:
-    """Nonlinear cell speeds; nu and the interface gradients ride along."""
+    """Cell speeds for any speed law; nu and the interface gradients ride along."""
     if pot.decomposition is None:
-        raise ValueError("nonlinear velocity requires a kink decomposition")
+        raise ValueError("the velocity engine requires a kink decomposition")
     if kernel is None:
         kernel = build_nu_kernel(pot, state.grid)
     nu = compute_nu(state, kernel)
@@ -378,7 +362,7 @@ def entropy_residual(state: FVState, vel: VelocityField, pot: PointyPotential) -
     nonnegative state; a positive value flags a corrupted gradient field.
     """
     if vel.s_grad is None or vel.nu is None:
-        raise ValueError("entropy residual needs the nonlinear velocity intermediates")
+        raise ValueError("entropy residual needs the interface gradients and nu")
     c = pot.decomposition.c
     s = vel.s_grad
     res = ((s[1:] - s[:-1]) / state.grid.dx - vel.nu) / c
@@ -438,8 +422,7 @@ class DiagnosticsReport:
 
     def write_csv(self, path) -> None:
         lines = ["step,time,mass,min_rho,max_abs_a,moment1,support_cells,tv_cumulative,entropy_residual"]
-        for i in range(len(self.time)):
-            width = self.support_cells[i]
+        for i, width in enumerate(self.support_cells):
             lines.append(
                 f"{self.step_index[i]},{self.time[i]:.17g},{self.mass[i]:.17g},"
                 f"{self.min_rho[i]:.17g},{self.max_abs_a[i]:.17g},{self.moment1[i]:.17g},"
@@ -462,8 +445,7 @@ def snapshot_measure(state: FVState) -> DiscreteMeasure:
 def run(
     state0: FVState,
     pot: PointyPotential,
-    law: VelocityLaw | None,
-    mode: str,
+    law: VelocityLaw,
     t_end: float,
     gamma: float,
     sample_times=(),
@@ -478,18 +460,9 @@ def run(
     """
     if t_end < 0.0:
         raise ValueError("t_end must be nonnegative")
-    if mode not in ("linear", "nonlinear"):
-        raise ValueError(f"unknown mode {mode!r}")
-    a_inf = velocity_sup_bound(pot, law, mode)
+    a_inf = velocity_sup_bound(pot, law)
     dt_cfl = cfl_dt(a_inf, state0.grid.dx, gamma, dt_cap=max(t_end, 1.0))
-
-    kernel = build_nu_kernel(pot, state0.grid) if mode == "nonlinear" else None
-    wp = _wprime_matrix(pot, state0.grid) if mode == "linear" else None
-
-    def velocity(state: FVState) -> VelocityField:
-        if mode == "linear":
-            return linear_velocity(state, pot, wprime_matrix=wp)
-        return nonlinear_velocity(state, pot, law, kernel=kernel)
+    kernel = build_nu_kernel(pot, state0.grid)
 
     targets = sorted({float(t) for t in sample_times if 0.0 <= t <= t_end} | {float(t_end)})
     time_tol = 1e-9 * max(1.0, t_end)
@@ -499,9 +472,8 @@ def run(
     state = state0
     max_steps = int(t_end / dt_cfl) * 4 + 10_000
     while True:
-        vel = velocity(state)
-        ent = entropy_residual(state, vel, pot) if mode == "nonlinear" else float("nan")
-        diag.record(state, vel, ent)
+        vel = nonlinear_velocity(state, pot, law, kernel=kernel)
+        diag.record(state, vel, entropy_residual(state, vel, pot))
         while targets and state.time >= targets[0] - time_tol:
             snapshots.append((targets[0], snapshot_measure(state)))
             targets.pop(0)

@@ -1,15 +1,18 @@
 """Sticky-particle dynamics: the high-accuracy oracle for the grid scheme.
 
 Atoms (x_i, m_i) follow the pairwise ODE between collisions and merge
-irreversibly on contact, conserving mass.  In the linear regime the speed
-of particle i is the convolution of W' with the other atoms (the self term
-is excluded exactly); in the nonlinear regime the speed comes from the jump
-of A(u) across the atom, where u = W' * rho has one-sided traces
+irreversibly on contact, conserving mass.  The speed of particle i comes
+from the jump of A(u) across the atom, where u = W' * rho has one-sided
+traces
 
     u(x_i+) = -c * sum_{j<=i} m_j + sum_j m_j wtilde(x_i - x_j)
     u(x_i-) = u(x_i+) + c * m_i
 
-and m_i x_i' = -(A(u(x_i+)) - A(u(x_i-))) / c.
+and m_i x_i' = -(A(u(x_i+)) - A(u(x_i-))) / c.  For the identity law this
+jump quotient is the trace midpoint (u(x_i+) + u(x_i-)) / 2, which is the
+linear speed sum_{j != i} m_j W'(x_i - x_j) with the self term excluded
+exactly; it is evaluated in that form, since the quotient would cancel for
+light particles.
 
 Integration is classical RK4 with a step capped both at 0.01 and at a
 quarter of the minimal time-to-contact estimate gap_min / (4 v_max);
@@ -33,8 +36,6 @@ __all__ = [
     "TrajectoryEvent",
     "TrajectoryLog",
     "snapshot",
-    "linear_velocities",
-    "nonlinear_velocities",
     "velocities",
     "advance_to",
 ]
@@ -46,14 +47,13 @@ BISECT_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ParticleSystem:
-    """Ordered distinct particles with a dynamics mode attached."""
+    """Ordered distinct particles with the potential and speed law they follow."""
 
     x: np.ndarray
     m: np.ndarray
     time: float
-    mode: str  # "linear" | "nonlinear"
     pot: PointyPotential
-    law: VelocityLaw | None = None
+    law: VelocityLaw
 
     def __post_init__(self):
         x = np.atleast_1d(np.asarray(self.x, dtype=float)).copy()
@@ -64,10 +64,8 @@ class ParticleSystem:
             raise ValueError("particle masses must be positive")
         if x.size > 1 and np.any(np.diff(x) <= 0.0):
             raise ValueError("particle positions must be strictly increasing")
-        if self.mode not in ("linear", "nonlinear"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "nonlinear" and (self.pot.decomposition is None or self.law is None):
-            raise ValueError("nonlinear mode requires a kink decomposition and a velocity law")
+        if self.pot.decomposition is None:
+            raise ValueError("particle speeds require a kink decomposition")
         x.setflags(write=False)
         m.setflags(write=False)
         object.__setattr__(self, "x", x)
@@ -101,26 +99,6 @@ def snapshot(ps: ParticleSystem) -> DiscreteMeasure:
     return DiscreteMeasure(ps.x, ps.m)
 
 
-def _linear_vel_direct(x: np.ndarray, m: np.ndarray, pot: PointyPotential) -> np.ndarray:
-    """Pairwise sum over all distinct particle pairs, O(n^2)."""
-    diff = x[:, None] - x[None, :]
-    wp = np.asarray(pot.wprime_eval(diff), dtype=float)
-    np.fill_diagonal(wp, 0.0)
-    return wp @ m
-
-
-def _linear_vel(x: np.ndarray, m: np.ndarray, pot: PointyPotential) -> np.ndarray:
-    dec = pot.decomposition
-    if dec is not None and dec.w0 == 0.0:
-        # pure kink W' = -(c/2) sgn: the pairwise sum collapses to
-        # (c/2) * (mass right - mass left), exact and O(n)
-        csum = np.cumsum(m)
-        left = csum - m
-        right = csum[-1] - csum
-        return 0.5 * dec.c * (right - left)
-    return _linear_vel_direct(x, m, pot)
-
-
 def _wtilde_sums(x: np.ndarray, m: np.ndarray, dec) -> np.ndarray:
     """sum_j m_j wtilde(x_i - x_j) for every i."""
     if dec.w0 == 0.0:
@@ -145,32 +123,17 @@ def _nonlinear_vel(x: np.ndarray, m: np.ndarray, pot: PointyPotential, law: Velo
     c = dec.c
     u_plus = -c * np.cumsum(m) + _wtilde_sums(x, m, dec)
     u_minus = u_plus + c * m
+    if law.is_identity:
+        return 0.5 * (u_plus + u_minus)
     return -(law.a_antideriv(u_plus) - law.a_antideriv(u_minus)) / (c * m)
 
 
-def linear_velocities(ps: ParticleSystem):
-    """Speeds x_i' = sum_{j != i} m_j W'(x_i - x_j); zero for a lone particle."""
-    if ps.mode != "linear":
-        raise ValueError("linear_velocities requires mode='linear'")
-    if ps.n == 1:
-        return np.zeros(1)
-    return _linear_vel(ps.x, ps.m, ps.pot)
-
-
-def nonlinear_velocities(ps: ParticleSystem):
+def velocities(ps: ParticleSystem):
     """Jump speeds m_i x_i' = -[A(u)]_{x_i} with one-sided traces of u = W'*rho."""
-    if ps.mode != "nonlinear":
-        raise ValueError("nonlinear_velocities requires mode='nonlinear'")
     return _nonlinear_vel(ps.x, ps.m, ps.pot, ps.law)
 
 
-def velocities(ps: ParticleSystem):
-    return linear_velocities(ps) if ps.mode == "linear" else nonlinear_velocities(ps)
-
-
 def _vel_fn(ps: ParticleSystem):
-    if ps.mode == "linear":
-        return lambda x, m: _linear_vel(x, m, ps.pot)
     return lambda x, m: _nonlinear_vel(x, m, ps.pot, ps.law)
 
 
@@ -187,7 +150,7 @@ def _merge_contacts(x, m, tol):
 
     The merged particle sits at the mass-weighted mean of the run (the
     common contact point up to the gap tolerance), with the summed mass;
-    in the linear regime this preserves the center of mass exactly.
+    under the identity law this preserves the center of mass exactly.
     """
     if x.size <= 1 or np.min(np.diff(x)) > tol:
         return x, m, False

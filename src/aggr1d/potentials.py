@@ -1,8 +1,8 @@
 """Pointy interaction potentials and velocity nonlinearities.
 
 The whole solver family is driven by an even, Lipschitz, lambda-concave
-potential W with a kink at the origin.  For nonlinear transport speeds the
-kink must be resolved explicitly: W'' = -c*delta_0 + w in the sense of
+potential W with a kink at the origin.  The velocity engine resolves the
+kink explicitly, for every speed law: W'' = -c*delta_0 + w in the sense of
 distributions, with w continuous and integrable.  This module collects the
 potential together with every derived constant the schemes need (lambda,
 the Lipschitz bound, the (c, w) data, the antiderivative A of the speed
@@ -62,8 +62,10 @@ class KinkDecomposition:
 class PointyPotential:
     """Even Lipschitz potential with one-sided Lipschitz derivative.
 
-    ``wprime_eval`` is only ever called away from the origin; the velocity
-    formulas exclude the diagonal term exactly, so W'(0) never matters.
+    ``wprime_eval`` is W' away from the origin.  The engines never call it:
+    they work from the kink decomposition, and direct pairwise sums over
+    ``wprime_eval`` (self term excluded, so W'(0) never matters) serve as
+    their independent reference.
 
     lam is the concavity constant: W(x) - lam/2 x^2 concave, equivalently
     W'(x) - W'(y) <= lam*(x - y) for x > y away from 0.
@@ -181,27 +183,23 @@ def make_velocity_law(name: str, k: float | None = None, scale: float | None = N
     raise ValueError(f"unknown velocity law {name!r}")
 
 
-def velocity_sup_bound(pot: PointyPotential, law: VelocityLaw | None, mode: str) -> float:
+def velocity_sup_bound(pot: PointyPotential, law: VelocityLaw) -> float:
     """Uniform bound on the transport speed, the a_inf of the CFL condition.
 
-    Linear mode: the convolution W'*rho of a probability measure is bounded
-    by the Lipschitz constant of W.
+    Identity law: the speed is the convolution W'*rho, which for a
+    probability measure is bounded by the Lipschitz constant of W.
 
-    Nonlinear mode: the discrete primitive gradient that feeds a(.) never
+    Other laws: the discrete primitive gradient that feeds a(.) never
     leaves [-R, R] with R = |u_inf| + w0 + c (anchor value plus the total
     variation the cumulative solve can accumulate: w-part at most w0, kink
     part at most c for unit mass), so the speed is bounded by the larger
     endpoint value of the nondecreasing a.
     """
-    if mode == "linear":
+    dec = pot.decomposition
+    if dec is None:
+        raise ValueError("the velocity engine requires a kink decomposition")
+    if law.is_identity:
         return pot.lip
-    if mode == "nonlinear":
-        dec = pot.decomposition
-        if dec is None:
-            raise ValueError("nonlinear mode requires a kink decomposition")
-        if law is None:
-            raise ValueError("nonlinear mode requires a velocity law")
-        u_inf = 0.5 * dec.c - float(dec.w_left_integral(0.0))
-        reach = abs(u_inf) + dec.w0 + dec.c
-        return float(max(abs(law.a_eval(-reach)), abs(law.a_eval(reach))))
-    raise ValueError(f"unknown mode {mode!r}")
+    u_inf = 0.5 * dec.c - float(dec.w_left_integral(0.0))
+    reach = abs(u_inf) + dec.w0 + dec.c
+    return float(max(abs(law.a_eval(-reach)), abs(law.a_eval(reach))))

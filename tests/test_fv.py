@@ -13,7 +13,6 @@ from aggr1d.fv import (
     compute_nu,
     cumulative_tv,
     entropy_residual,
-    linear_velocity,
     nonlinear_velocity,
     project_initial,
     run,
@@ -24,6 +23,7 @@ from aggr1d.fv import (
 from aggr1d.initial import builtin_initial
 from aggr1d.measure import DiscreteMeasure
 from aggr1d.potentials import make_builtin_potential, make_velocity_law, velocity_sup_bound
+from direct_sums import cell_speeds
 
 ABS_HALF = make_builtin_potential("abs_half")
 EXP_POINTY = make_builtin_potential("exp_pointy")
@@ -86,20 +86,20 @@ def test_project_atom_outside_grid():
         project_initial(DiscreteMeasure([7.0], [1.0]), g)
 
 
-# ---------------------------------------------------------------- linear velocity
+# ---------------------------------------------------------------- identity law (linear speeds)
 
 
 def test_linear_velocity_two_pulses():
     g = Grid(x_min=0.0, dx=1.0, n_cells=4)
     st = FVState(grid=g, rho=np.array([0.5, 0.0, 0.0, 0.5]))
-    a = linear_velocity(st, ABS_HALF).a_cell
+    a = nonlinear_velocity(st, ABS_HALF, IDENTITY).a_cell
     np.testing.assert_allclose(a, [0.25, 0.0, 0.0, -0.25], atol=0)
 
 
 def test_linear_velocity_single_cell_diagonal_excluded():
     g = Grid(x_min=0.0, dx=1.0, n_cells=3)
     st = FVState(grid=g, rho=np.array([0.0, 1.0, 0.0]))
-    a = linear_velocity(st, ABS_HALF).a_cell
+    a = nonlinear_velocity(st, ABS_HALF, IDENTITY).a_cell
     assert a[1] == 0.0
 
 
@@ -112,7 +112,7 @@ def test_linear_velocity_antisymmetric_for_even_data():
             rho = np.concatenate([half[::-1], half])
             rho /= rho.sum() * g.dx
             st = FVState(grid=g, rho=rho)
-            a = linear_velocity(st, pot).a_cell
+            a = nonlinear_velocity(st, pot, IDENTITY).a_cell
             assert np.max(np.abs(a + a[::-1])) <= 1e-12
 
 
@@ -201,14 +201,14 @@ def test_s_gradient_zero_state_constant():
 
 def test_linear_nonlinear_equivalence_random_states():
     # identity law: the divided difference is the interface midpoint, which
-    # telescopes to the direct convolution sum exactly
+    # telescopes to the direct pairwise sum exactly
     rng = np.random.default_rng(71)
     g = Grid.from_domain(-3.0, 3.0, 200)
     for pot in (ABS_HALF, EXP_POINTY):
         worst = 0.0
         for _ in range(25):
             st = random_state(rng, g)
-            a_lin = linear_velocity(st, pot).a_cell
+            a_lin = cell_speeds(st, pot)
             a_non = nonlinear_velocity(st, pot, IDENTITY).a_cell
             worst = max(worst, float(np.max(np.abs(a_lin - a_non))))
         assert worst <= 1e-12
@@ -255,7 +255,7 @@ def test_cfl_dt_zero_bound():
 def test_step_hand_computed():
     g = Grid(x_min=0.0, dx=1.0, n_cells=4)
     st = FVState(grid=g, rho=np.array([0.5, 0.0, 0.0, 0.5]))
-    new = step(st, linear_velocity(st, ABS_HALF), 1.0)
+    new = step(st, nonlinear_velocity(st, ABS_HALF, IDENTITY), 1.0)
     np.testing.assert_allclose(new.rho, [0.375, 0.125, 0.125, 0.375], atol=0)
     assert new.time == 1.0
     assert new.step_index == 1
@@ -274,7 +274,7 @@ def test_step_isolated_dirac_is_stationary():
     rho = np.zeros(11)
     rho[5] = 1.0 / g.dx
     st = FVState(grid=g, rho=rho)
-    vel = linear_velocity(st, ABS_HALF)
+    vel = nonlinear_velocity(st, ABS_HALF, IDENTITY)
     new = step(st, vel, cfl_dt(0.5, g.dx, 0.9))
     np.testing.assert_array_equal(new.rho, st.rho)
 
@@ -293,7 +293,7 @@ def test_step_positivity_exact():
     st = random_state(rng, g)
     dt = cfl_dt(0.5, g.dx, 1.0)
     for _ in range(200):
-        vel = linear_velocity(st, ABS_HALF)
+        vel = nonlinear_velocity(st, ABS_HALF, IDENTITY)
         st = step(st, vel, dt)
         assert float(np.min(st.rho)) >= 0.0
 
@@ -347,7 +347,7 @@ def test_cumulative_tv_nonincreasing_over_steps():
     states = [st]
     dt = cfl_dt(0.5, g.dx, 0.9)
     for _ in range(60):
-        st = step(st, linear_velocity(st, ABS_HALF), dt)
+        st = step(st, nonlinear_velocity(st, ABS_HALF, IDENTITY), dt)
         states.append(st)
     tv = cumulative_tv(states)
     assert all(b <= a + 1e-12 for a, b in zip(tv, tv[1:]))
@@ -366,7 +366,7 @@ def test_cumulative_tv_grid_mismatch():
 def test_run_t_end_zero_returns_initial():
     g = Grid.from_domain(-2.5, 2.5, 100)
     st = project_initial(builtin_initial("init1").density, g)
-    snaps, diag = run(st, ABS_HALF, IDENTITY, "linear", 0.0, 0.9)
+    snaps, diag = run(st, ABS_HALF, IDENTITY, 0.0, 0.9)
     assert len(snaps) == 1
     assert snaps[0][0] == 0.0
     assert abs(snaps[0][1].total_mass - 1.0) <= 1e-12
@@ -376,7 +376,7 @@ def test_run_t_end_zero_returns_initial():
 def test_run_mass_trace_constant():
     g = Grid.from_domain(-2.5, 2.5, 400)
     st = project_initial(builtin_initial("init1").density, g)
-    _, diag = run(st, ABS_HALF, IDENTITY, "linear", 1.5, 0.9)
+    _, diag = run(st, ABS_HALF, IDENTITY, 1.5, 0.9)
     drift = np.abs(np.asarray(diag.mass) - diag.mass[0])
     assert float(np.max(drift)) <= 1e-12
 
@@ -385,15 +385,15 @@ def test_run_long_horizon_mass_on_fine_grid():
     # |mass - 1| stays below 1e-12 through t = 10 on 1000 cells
     g = Grid.from_domain(-7.5, 7.5, 1000)
     st = project_initial(builtin_initial("init1").density, g)
-    _, diag = run(st, ABS_HALF, IDENTITY, "linear", 10.0, 0.9)
+    _, diag = run(st, ABS_HALF, IDENTITY, 10.0, 0.9)
     assert float(np.max(np.abs(np.asarray(diag.mass) - 1.0))) <= 1e-12
 
 
 def test_run_first_moment_bound():
     g = Grid.from_domain(-2.5, 2.5, 400)
     st = project_initial(builtin_initial("init1").density, g)
-    _, diag = run(st, ABS_HALF, IDENTITY, "linear", 1.5, 0.9)
-    a_inf = velocity_sup_bound(ABS_HALF, IDENTITY, "linear")
+    _, diag = run(st, ABS_HALF, IDENTITY, 1.5, 0.9)
+    a_inf = velocity_sup_bound(ABS_HALF, IDENTITY)
     m1 = np.asarray(diag.moment1)
     t = np.asarray(diag.time)
     assert np.max(m1 - (m1[0] + a_inf * t)) <= 1e-10
@@ -402,8 +402,8 @@ def test_run_first_moment_bound():
 def test_run_velocity_bound_and_positivity():
     g = Grid.from_domain(-2.5, 2.5, 300)
     st = project_initial(builtin_initial("init1").density, g)
-    snaps, diag = run(st, EXP_POINTY, ATAN, "nonlinear", 1.0, 0.9, sample_times=[0.5, 1.0])
-    a_inf = velocity_sup_bound(EXP_POINTY, ATAN, "nonlinear")
+    snaps, diag = run(st, EXP_POINTY, ATAN, 1.0, 0.9, sample_times=[0.5, 1.0])
+    a_inf = velocity_sup_bound(EXP_POINTY, ATAN)
     assert max(diag.max_abs_a) <= a_inf + 1e-12
     assert min(diag.min_rho) >= 0.0
     assert max(diag.entropy_residual) <= 1e-12
@@ -415,7 +415,7 @@ def test_run_support_growth_per_step():
     # init2's right tail would trip the boundary guard on [-2.5, 2.5]
     g = Grid.from_domain(-3.0, 3.0, 300)
     st = project_initial(builtin_initial("init2").density, g)
-    _, diag = run(st, ABS_HALF, IDENTITY, "linear", 1.0, 0.9)
+    _, diag = run(st, ABS_HALF, IDENTITY, 1.0, 0.9)
     lo = diag.support_lo
     hi = diag.support_hi
     assert all(b >= a - 1 for a, b in zip(lo, lo[1:]))
@@ -430,35 +430,53 @@ def test_run_aborts_when_mass_reaches_boundary():
     rho[2] = 0.0
     st = FVState(grid=g, rho=rho / (rho.sum() * g.dx))
     with pytest.raises(SchemeError):
-        run(st, ABS_HALF, IDENTITY, "linear", 1.0, 0.9)
+        run(st, ABS_HALF, IDENTITY, 1.0, 0.9)
 
 
-@pytest.mark.parametrize("mode", ["linear", "nonlinear"])
-def test_run_symmetry_preservation_thousand_steps(mode):
-    # even data, odd W' and odd a: the profile stays even.  Checked with the
-    # identity law; the stiff atan(50.) law amplifies rounding-seeded
-    # asymmetry through a' ~ 32 during blow-up, which no floating-point
-    # evaluation order avoids.
-    pot = ABS_HALF if mode == "linear" else EXP_POINTY
+@pytest.mark.parametrize("equation", ["linear", "nonlinear"])
+def test_run_symmetry_preservation_thousand_steps(equation):
+    # even data, odd W' and odd a: the profile stays even.  The linear
+    # equation is the identity law (midpoint branch); the nonlinear one uses
+    # a mild atan law (divided-difference branch).  The stiff atan(50.) law
+    # amplifies rounding-seeded asymmetry through a' ~ 32 during blow-up,
+    # which no floating-point evaluation order avoids.
+    law = IDENTITY if equation == "linear" else make_velocity_law("atan", k=1.0, scale=1.0)
     g = Grid.from_domain(-2.5, 2.5, 200)
-    st = project_initial(builtin_initial("init1").density, g)
-    dt = cfl_dt(velocity_sup_bound(pot, IDENTITY, mode), g.dx, 0.9)
-    kern = build_nu_kernel(pot, g) if mode == "nonlinear" else None
-    asym = 0.0
-    for _ in range(1000):
-        if mode == "nonlinear":
-            vel = nonlinear_velocity(st, pot, IDENTITY, kernel=kern)
-        else:
-            vel = linear_velocity(st, pot)
-        st = step(st, vel, dt)
-        asym = max(asym, float(np.max(np.abs(st.rho - st.rho[::-1]))) * g.dx)
-    assert asym <= 1e-12
+    for pot in (ABS_HALF, EXP_POINTY):
+        st = project_initial(builtin_initial("init1").density, g)
+        dt = cfl_dt(velocity_sup_bound(pot, law), g.dx, 0.9)
+        kern = build_nu_kernel(pot, g)
+        asym = 0.0
+        for _ in range(1000):
+            st = step(st, nonlinear_velocity(st, pot, law, kernel=kern), dt)
+            asym = max(asym, float(np.max(np.abs(st.rho - st.rho[::-1]))) * g.dx)
+        assert asym <= 1e-12
+
+
+def test_run_preset3_keeps_lip_step_count():
+    # the identity law steps under a_inf = lip: 460 steps for preset 3 at
+    # 1000 cells (the general-law reach bound would triple them), and the
+    # engine still agrees with the direct sum on the final, concentrated state
+    from aggr1d.config import example_preset
+
+    cfg = example_preset(3)
+    pot = cfg.make_potential()
+    st = project_initial(cfg.initial.density, cfg.make_grid())
+    snaps, diag = run(st, pot, cfg.make_law(), cfg.t_end, cfg.gamma, cfg.sample_times)
+    assert diag.step_index[-1] == 460
+    assert max(diag.max_abs_a) <= pot.lip + 1e-15
+    g = st.grid
+    final = snaps[-1][1]
+    rho = np.zeros(g.n_cells)
+    rho[np.rint((final.positions - g.x_min) / g.dx).astype(int)] = final.masses / g.dx
+    end = FVState(grid=g, rho=rho)
+    assert np.max(np.abs(nonlinear_velocity(end, pot, IDENTITY).a_cell - cell_speeds(end, pot))) <= 1e-12
 
 
 def test_diagnostics_csv_format(tmp_path):
     g = Grid.from_domain(-2.5, 2.5, 100)
     st = project_initial(builtin_initial("init1").density, g)
-    _, diag = run(st, ABS_HALF, IDENTITY, "linear", 0.3, 0.9)
+    _, diag = run(st, ABS_HALF, IDENTITY, 0.3, 0.9)
     path = tmp_path / "diag.csv"
     diag.write_csv(path)
     lines = path.read_text().strip().splitlines()

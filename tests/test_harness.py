@@ -66,8 +66,9 @@ def test_config_validation_errors():
         SimConfig(n_cells=5).validate()
     with pytest.raises(ConfigError):
         SimConfig(gamma=1.5).validate()
-    with pytest.raises(ConfigError):
-        SimConfig(mode="quadratic").validate()
+    for t_end in (math.nan, math.inf, -1.0):
+        with pytest.raises(ConfigError):
+            SimConfig(t_end=t_end).validate()
     with pytest.raises(ConfigError):
         SimConfig(potential_name="abs_scaled", potential_sigma=-2.0).validate()
 
@@ -77,7 +78,6 @@ def _atoms_config(tmp_path, atoms, t_end=5.0, label="atoms", **kw):
     return SimConfig(
         label=label,
         potential_name="abs_half",
-        mode="linear",
         domain=(-2.5, 2.5),
         n_cells=100,
         t_end=t_end,
@@ -191,7 +191,6 @@ def test_cmd_compare_past_merge_time(tmp_path):
         law_name="identity",
         law_k=None,
         law_scale=None,
-        mode="linear",
         n_cells=300,
         t_end=6.0,
         sample_times=(1.0, 2.0, 4.0, 6.0),
@@ -238,7 +237,6 @@ def test_cmd_converge_small_study(tmp_path):
     cfg = SimConfig(
         label="conv",
         potential_name="abs_half",
-        mode="linear",
         domain=(-2.5, 2.5),
         n_cells=100,
         t_end=0.5,
@@ -314,11 +312,10 @@ def test_cli_converge_roundtrip(tmp_path):
     assert (tmp_path / "cv" / "convergence.csv").exists()
 
 
-def test_converge_honors_thread_cap(tmp_path, monkeypatch):
+def test_converge_runs_levels_serially(tmp_path):
     cfg = SimConfig(
-        label="threads",
+        label="serial",
         potential_name="abs_half",
-        mode="linear",
         domain=(-2.5, 2.5),
         n_cells=100,
         t_end=0.2,
@@ -327,22 +324,47 @@ def test_converge_honors_thread_cap(tmp_path, monkeypatch):
         converge_particles=32,
         levels=(50, 100, 200),
     ).validate()
-    monkeypatch.setenv("AGGR_THREADS", "1")
     rep = cmd_converge(cfg)
-    assert len(rep.rows) == 3
-    monkeypatch.setenv("AGGR_THREADS", "many")
-    with pytest.raises(ConfigError):
-        cmd_converge(replace(cfg, label="threads-bad"))
+    assert [r.n_cells for r in rep.rows] == [50, 100, 200]
+    dxs = [r.dx for r in rep.rows]
+    assert dxs == sorted(dxs, reverse=True)
+
+
+def test_legacy_mode_field(tmp_path):
+    # "linear" names the identity law; "nonlinear" goes with any law
+    for mode, preset in (("linear", 3), ("nonlinear", 3), ("nonlinear", 1)):
+        doc = example_preset(preset).to_dict()
+        doc["mode"] = mode
+        p = tmp_path / f"{mode}{preset}.json"
+        p.write_text(json.dumps(doc))
+        assert load_config(p).to_dict() == example_preset(preset).to_dict()
+    for mode, preset in (("linear", 1), ("quadratic", 3)):
+        doc = example_preset(preset).to_dict()
+        doc.update({"mode": mode, "label": "legacy", "output_dir": str(tmp_path / "out")})
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        assert cli_main(["simulate", "--config", str(p)]) == 2
+        assert not (tmp_path / "out").exists()
+
+
+def test_cli_rejects_nan_t_end(tmp_path):
+    doc = example_preset(1).to_dict()
+    doc.update({"t_end": math.nan, "label": "nan", "output_dir": str(tmp_path / "out")})
+    p = tmp_path / "nan.json"
+    p.write_text(json.dumps(doc))  # written as the bare token NaN
+    assert "NaN" in p.read_text()
+    assert cli_main(["simulate", "--config", str(p)]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_example_preset_fields():
     cfg1 = example_preset(1)
-    assert cfg1.potential_name == "exp_pointy" and cfg1.mode == "nonlinear"
+    assert cfg1.potential_name == "exp_pointy" and cfg1.law_name == "atan"
     assert cfg1.law_k == 50.0 and cfg1.law_scale == pytest.approx(2.0 / math.pi)
     cfg2 = example_preset(2)
     assert cfg2.potential_name == "abs_scaled" and cfg2.potential_sigma == pytest.approx(1.0 / 250.0)
     cfg3 = example_preset(3)
-    assert cfg3.mode == "linear"
+    assert cfg3.law_name == "identity"
     assert cfg3.n_cells == 1000 and cfg3.domain == (-2.5, 2.5)
     with pytest.raises(ConfigError):
         example_preset(4)

@@ -5,16 +5,9 @@ import pytest
 from scipy.integrate import quad
 
 from aggr1d.measure import wasserstein1
-from aggr1d.particles import (
-    ParticleSystem,
-    TrajectoryLog,
-    _linear_vel_direct,
-    advance_to,
-    linear_velocities,
-    nonlinear_velocities,
-    snapshot,
-)
-from aggr1d.potentials import make_builtin_potential, make_velocity_law
+from aggr1d.particles import ParticleSystem, TrajectoryLog, advance_to, snapshot, velocities
+from aggr1d.potentials import VelocityLaw, make_builtin_potential, make_velocity_law
+from direct_sums import pairwise_speeds
 
 ABS_HALF = make_builtin_potential("abs_half")
 EXP_POINTY = make_builtin_potential("exp_pointy")
@@ -22,46 +15,46 @@ IDENTITY = make_velocity_law("identity")
 ATAN = make_velocity_law("atan", k=50.0, scale=2.0 / math.pi)
 
 
-def linear_system(x, m, pot=ABS_HALF):
-    return ParticleSystem(x=np.asarray(x, float), m=np.asarray(m, float), time=0.0, mode="linear", pot=pot)
-
-
-def nonlinear_system(x, m, pot=ABS_HALF, law=IDENTITY):
-    return ParticleSystem(x=np.asarray(x, float), m=np.asarray(m, float), time=0.0, mode="nonlinear", pot=pot, law=law)
+def system(x, m, pot=ABS_HALF, law=IDENTITY):
+    return ParticleSystem(x=np.asarray(x, float), m=np.asarray(m, float), time=0.0, pot=pot, law=law)
 
 
 def test_linear_velocities_two_body():
-    v = linear_velocities(linear_system([-1.0, 1.0], [0.5, 0.5]))
+    v = velocities(system([-1.0, 1.0], [0.5, 0.5]))
     np.testing.assert_allclose(v, [0.25, -0.25], atol=0)
 
 
 def test_linear_velocities_single_particle():
-    v = linear_velocities(linear_system([0.0], [1.0]))
+    v = velocities(system([0.0], [1.0]))
     np.testing.assert_array_equal(v, [0.0])
-    v = linear_velocities(linear_system([0.0], [1.0], pot=EXP_POINTY))
+    v = velocities(system([0.0], [1.0], pot=EXP_POINTY))
     np.testing.assert_array_equal(v, [0.0])
 
 
 def test_linear_velocities_three_body():
-    v = linear_velocities(linear_system([-1.0, 0.0, 1.0], [0.25, 0.5, 0.25]))
+    v = velocities(system([-1.0, 0.0, 1.0], [0.25, 0.5, 0.25]))
     np.testing.assert_allclose(v, [0.375, 0.0, -0.375], atol=1e-16)
 
 
 def test_linear_fast_path_matches_direct_sum():
+    # identity law: the O(n) trace midpoint equals the pairwise sum
     rng = np.random.default_rng(41)
-    for pot in (ABS_HALF, make_builtin_potential("abs_scaled", sigma=3.0)):
+    for pot in (ABS_HALF, make_builtin_potential("abs_scaled", sigma=3.0), EXP_POINTY):
         for _ in range(30):
             n = rng.integers(2, 40)
             x = np.sort(rng.normal(size=n) * 3)
             while np.any(np.diff(x) <= 1e-9):
                 x = np.sort(rng.normal(size=n) * 3)
             m = rng.random(n) + 0.05
-            ps = linear_system(x, m, pot=pot)
-            np.testing.assert_allclose(linear_velocities(ps), _linear_vel_direct(x, m, pot), atol=1e-13)
+            np.testing.assert_allclose(velocities(system(x, m, pot=pot)), pairwise_speeds(x, m, pot), atol=1e-13)
 
 
 def test_nonlinear_matches_linear_for_identity_law():
-    # with a = id the jump divided difference collapses to the direct sum
+    # the jump quotient of A = x^2/2, evaluated as for any nonlinear law,
+    # collapses to the midpoint the identity law takes directly
+    quotient_identity = VelocityLaw(
+        name="identity-quotient", a_eval=IDENTITY.a_eval, a_antideriv=IDENTITY.a_antideriv, alpha=1.0
+    )
     rng = np.random.default_rng(43)
     for pot in (ABS_HALF, EXP_POINTY):
         for _ in range(30):
@@ -71,19 +64,19 @@ def test_nonlinear_matches_linear_for_identity_law():
                 continue
             m = rng.random(n) + 0.05
             m /= m.sum()
-            v_nl = nonlinear_velocities(nonlinear_system(x, m, pot=pot))
-            v_li = linear_velocities(linear_system(x, m, pot=pot)) if n > 1 else np.zeros(1)
+            v_nl = velocities(system(x, m, pot=pot, law=quotient_identity))
+            v_li = velocities(system(x, m, pot=pot))
             np.testing.assert_allclose(v_nl, v_li, atol=1e-12)
 
 
 def test_nonlinear_two_body_identity():
-    v = nonlinear_velocities(nonlinear_system([-1.0, 1.0], [0.5, 0.5]))
+    v = velocities(system([-1.0, 1.0], [0.5, 0.5]))
     np.testing.assert_allclose(v, [0.25, -0.25], atol=1e-15)
 
 
 def test_nonlinear_two_body_atan():
     # closing speed 2*A(1/2): cross-check A against quadrature of a
-    v = nonlinear_velocities(nonlinear_system([-1.0, 1.0], [0.5, 0.5], law=ATAN))
+    v = velocities(system([-1.0, 1.0], [0.5, 0.5], law=ATAN))
     a_half, _ = quad(lambda y: float(ATAN.a_eval(y)), 0.0, 0.5, epsabs=1e-14)
     assert v[0] == pytest.approx(2.0 * a_half, abs=1e-12)
     assert v[0] == pytest.approx(0.8925604219551196, abs=1e-13)
@@ -93,7 +86,7 @@ def test_nonlinear_two_body_atan():
 def test_nonlinear_single_particle_is_stationary():
     for pot in (ABS_HALF, EXP_POINTY):
         for law in (IDENTITY, ATAN):
-            v = nonlinear_velocities(nonlinear_system([0.3], [1.0], pot=pot, law=law))
+            v = velocities(system([0.3], [1.0], pot=pot, law=law))
             np.testing.assert_array_equal(v, [0.0])
             # brute-force jump of A(W' * rho) across the lone atom
             dec = pot.decomposition
@@ -116,7 +109,7 @@ def test_nonlinear_prefix_sums_match_pairwise_matrix():
         m = rng.random(n) + 0.05
         m /= m.sum()
         for law in (IDENTITY, ATAN):
-            fast = nonlinear_velocities(nonlinear_system(x, m, pot=EXP_POINTY, law=law))
+            fast = velocities(system(x, m, pot=EXP_POINTY, law=law))
             wt = np.asarray(dec.wtilde(x[:, None] - x[None, :])) @ m
             u_plus = -dec.c * np.cumsum(m) + wt
             u_minus = u_plus + dec.c * m
@@ -124,34 +117,36 @@ def test_nonlinear_prefix_sums_match_pairwise_matrix():
             np.testing.assert_allclose(fast, ref, atol=1e-12)
 
 
-def test_mode_mismatch_raises():
-    ps = linear_system([-1.0, 1.0], [0.5, 0.5])
+def test_system_requires_law_and_decomposition():
+    with pytest.raises(TypeError):
+        ParticleSystem(x=np.array([-1.0, 1.0]), m=np.array([0.5, 0.5]), time=0.0, pot=ABS_HALF)
+    bare = type(ABS_HALF)(
+        name="bare", w_eval=ABS_HALF.w_eval, wprime_eval=ABS_HALF.wprime_eval, lam=0.0, lip=0.5, decomposition=None
+    )
     with pytest.raises(ValueError):
-        nonlinear_velocities(ps)
-    with pytest.raises(ValueError):
-        linear_velocities(nonlinear_system([-1.0, 1.0], [0.5, 0.5]))
+        system([-1.0, 1.0], [0.5, 0.5], pot=bare)
 
 
 def test_coincident_particles_rejected():
     with pytest.raises(ValueError):
-        linear_system([0.0, 0.0], [0.5, 0.5])
+        system([0.0, 0.0], [0.5, 0.5])
 
 
 def test_two_body_merge_time_and_point():
     # gap 2 closes at rate 1/2: contact at t = 4, x = 0 by symmetry
     log = TrajectoryLog()
-    ps = advance_to(linear_system([-1.0, 1.0], [0.5, 0.5]), 5.0, log)
+    ps = advance_to(system([-1.0, 1.0], [0.5, 0.5]), 5.0, log)
     assert ps.n == 1
     assert abs(ps.x[0]) <= 1e-8
     assert ps.m[0] == 1.0
     merges = [ev for ev in log.events if ev.kind == "merge"]
     assert len(merges) == 1
     assert merges[0].time == pytest.approx(4.0, abs=1e-8)
-    np.testing.assert_array_equal(linear_velocities(ps), [0.0])  # stationary after merge
+    np.testing.assert_array_equal(velocities(ps), [0.0])  # stationary after merge
 
 
 def test_single_particle_never_moves():
-    ps = advance_to(linear_system([0.7], [1.0]), 123.0)
+    ps = advance_to(system([0.7], [1.0]), 123.0)
     assert ps.x[0] == 0.7
     assert ps.time == 123.0
 
@@ -159,7 +154,7 @@ def test_single_particle_never_moves():
 def test_three_body_collapse():
     # outer speeds are 3/8 inward, middle stays: triple contact at t = 8/3
     log = TrajectoryLog()
-    ps0 = linear_system([-1.0, 0.0, 1.0], [0.25, 0.5, 0.25])
+    ps0 = system([-1.0, 0.0, 1.0], [0.25, 0.5, 0.25])
     ps = advance_to(ps0, 4.0, log)
     assert ps.n == 1
     assert abs(ps.x[0]) <= 1e-9
@@ -189,7 +184,7 @@ def test_three_body_against_fixed_step_rk4():
         k4 = vel(y + h * k3)
         y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
         t += h
-    ps = advance_to(linear_system(x, m, pot=pot), t, TrajectoryLog())
+    ps = advance_to(system(x, m, pot=pot), t, TrajectoryLog())
     if ps.n == 3:
         np.testing.assert_allclose(ps.x, y, atol=1e-6)
     else:
@@ -207,7 +202,7 @@ def test_mass_and_center_conservation():
         x = np.sort(rng.normal(size=n) * 1.5)
         m = rng.random(n) + 0.05
         m /= m.sum()
-        ps0 = linear_system(x, m)
+        ps0 = system(x, m)
         com0 = float(np.sum(ps0.x * ps0.m))
         ps = ps0
         for t in (0.3, 0.9, 2.0, 6.0):
@@ -223,7 +218,7 @@ def test_contraction_at_lambda_zero():
     x1 = np.sort(rng.uniform(-1.5, 1.5, size=n))
     x2 = np.sort(x1 + rng.normal(scale=0.05, size=n))
     m = np.full(n, 1.0 / n)
-    a, b = linear_system(x1, m), linear_system(x2, m)
+    a, b = system(x1, m), system(x2, m)
     last = wasserstein1(snapshot(a), snapshot(b))
     for t in np.linspace(0.2, 5.0, 25):
         a, b = advance_to(a, t), advance_to(b, t)
@@ -239,8 +234,8 @@ def test_contraction_growth_bound_lambda_positive():
     x1 = np.sort(rng.uniform(-1.0, 1.0, size=n))
     x2 = np.sort(x1 + rng.normal(scale=0.03, size=n))
     m = np.full(n, 1.0 / n)
-    a = linear_system(x1, m, pot=EXP_POINTY)
-    b = linear_system(x2, m, pot=EXP_POINTY)
+    a = system(x1, m, pot=EXP_POINTY)
+    b = system(x2, m, pot=EXP_POINTY)
     d0 = wasserstein1(snapshot(a), snapshot(b))
     lam = EXP_POINTY.lam
     for t in (0.25, 0.5, 1.0, 2.0):
@@ -259,7 +254,7 @@ def test_velocity_osl_diagnostic():
             if np.any(np.diff(x) <= 1e-9):
                 continue
             m = rng.random(n) + 0.02
-            v = linear_velocities(linear_system(x, m, pot=pot))
+            v = velocities(system(x, m, pot=pot))
             i, j = np.triu_indices(n, k=1)
             slack = v[j] - v[i] - pot.lam * (x[j] - x[i]) * m.sum()  # j > i here
             assert np.max(slack) <= 1e-9
@@ -267,7 +262,7 @@ def test_velocity_osl_diagnostic():
 
 def test_trajectory_log_monotone_times_and_mass():
     log = TrajectoryLog()
-    ps = linear_system([-1.0, -0.2, 0.4, 1.3], [0.25, 0.25, 0.25, 0.25])
+    ps = system([-1.0, -0.2, 0.4, 1.3], [0.25, 0.25, 0.25, 0.25])
     for t in (1.0, 2.0, 8.0):
         ps = advance_to(ps, t, log)
         log.record(t, "sample", snapshot(ps))

@@ -149,16 +149,18 @@ def test_antiderivative_consistency(name):
 
 
 def test_velocity_sup_bound_linear():
-    pot = make_builtin_potential("abs_half")
     law = make_velocity_law("identity")
-    assert velocity_sup_bound(pot, law, "linear") == 0.5
+    # the identity law is the linear equation: |W' * rho| <= lip for unit mass
+    assert velocity_sup_bound(make_builtin_potential("abs_half"), law) == 0.5
+    assert velocity_sup_bound(make_builtin_potential("abs_scaled", sigma=1.0 / 250.0), law) == 1.0 / 250.0
+    assert velocity_sup_bound(make_builtin_potential("exp_pointy"), law) == 0.5
 
 
 def test_velocity_sup_bound_nonlinear_abs_half():
     pot = make_builtin_potential("abs_half")
     law = make_velocity_law("identity")
-    # anchor u = 1/2, reach 1/2 + 0 + 1 = 3/2, identity speed -> 3/2
-    assert velocity_sup_bound(pot, law, "nonlinear") == pytest.approx(1.5, abs=1e-15)
+    # lip, not the anchor reach 1/2 + 0 + 1 = 3/2 of the general-law bound
+    assert velocity_sup_bound(pot, law) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_velocity_sup_bound_nonlinear_exp_pointy():
@@ -166,7 +168,7 @@ def test_velocity_sup_bound_nonlinear_exp_pointy():
     law = make_velocity_law("atan", k=50.0, scale=2.0 / math.pi)
     # anchor 0, reach w0 + c = 2
     expect = (2.0 / math.pi) * math.atan(100.0)
-    got = velocity_sup_bound(pot, law, "nonlinear")
+    got = velocity_sup_bound(pot, law)
     assert got == pytest.approx(expect, abs=1e-14)
     assert got == pytest.approx(0.99363, abs=1e-5)
 
@@ -177,4 +179,4 @@ def test_velocity_sup_bound_requires_decomposition():
         name="bare", w_eval=pot.w_eval, wprime_eval=pot.wprime_eval, lam=0.0, lip=0.5, decomposition=None
     )
     with pytest.raises(ValueError):
-        velocity_sup_bound(bare, make_velocity_law("identity"), "nonlinear")
+        velocity_sup_bound(bare, make_velocity_law("identity"))
