@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Subcommands: simulate | particles | compare | converge.  A run is defined
-by a JSON config (--config), a preset (--example 1|2|3), or both (flags
-override individual fields).  Exit codes: 0 success, 2 configuration or
-usage error, 3 runtime abort (CFL/boundary/diagnostic failure).
+by either a JSON config (--config) or a preset (--example 1|2|3), not
+both; the other flags override individual fields.  Exit codes: 0 success,
+2 configuration or usage error, 3 runtime abort (CFL/boundary/diagnostic
+failure).
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args) -> SimConfig:
     if args.config is None and args.example is None:
-        raise ConfigError("provide --config and/or --example")
+        raise ConfigError("provide --config or --example")
     overrides = {}
     if args.out is not None:
         overrides["output_dir"] = args.out

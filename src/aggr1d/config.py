@@ -24,7 +24,10 @@ form so catalogue runs are reproducible byte for byte.  Schema:
 The identity law (the default) is the linear aggregation equation; every
 law runs through the same velocity engine.  A legacy ``"mode"`` key is
 still read: ``"nonlinear"`` is accepted with any law, ``"linear"`` only
-with the identity law.
+with the identity law.  Bump data are always renormalized to unit mass; a
+legacy ``"normalize": true`` beside the bumps is ignored and ``false`` is
+an error.  The label names one directory inside ``output_dir``, and atoms
+must lie in the half-open domain [lo, hi).
 """
 
 from __future__ import annotations
@@ -77,6 +80,12 @@ class SimConfig:
             raise ConfigError("gamma must lie in (0, 1]")
         if not (math.isfinite(self.t_end) and self.t_end >= 0.0):
             raise ConfigError("t_end must be finite and nonnegative")
+        if self.label in ("", ".", "..") or "/" in self.label or "\\" in self.label:
+            raise ConfigError(f"label {self.label!r} must name one directory inside output_dir")
+        if self.initial.is_atomic:
+            pos = self.initial.atoms.positions
+            if np.any(pos < lo) or np.any(pos >= hi):
+                raise ConfigError(f"atoms must lie in the domain [{lo}, {hi})")
         try:
             pot = self.make_potential()
             self.make_law()
@@ -108,7 +117,6 @@ class SimConfig:
                 "bumps": [
                     {"amplitude": b.amplitude, "center": b.center, "width": b.width} for b in self.initial.bumps
                 ],
-                "normalize": self.initial.normalize,
             }
         pot: dict = {"name": self.potential_name}
         if self.potential_sigma is not None:
@@ -187,7 +195,9 @@ def _initial_from_dict(doc: dict) -> InitialData:
         bumps = tuple(
             GaussianBump(float(b["amplitude"]), float(b["center"]), float(b["width"])) for b in doc["bumps"]
         )
-        return InitialData(bumps=bumps, normalize=bool(doc.get("normalize", True)))
+        if doc.get("normalize", True) is not True:
+            raise ConfigError("bump data are always normalized to unit mass; normalize: false is not supported")
+        return InitialData(bumps=bumps)
     if kind == "atoms":
         arr = np.asarray(doc["atoms"], dtype=float).reshape(-1, 2)
         return InitialData(atoms=DiscreteMeasure(arr[:, 0], arr[:, 1]))

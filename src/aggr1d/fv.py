@@ -153,11 +153,17 @@ class NuKernel:
     cell [j*dx, (j+1)*dx], anchored at the left end by g = w(x_left); the
     kernel is truncated where the per-cell integral of w drops below
     ``KERNEL_TRUNC``.
+
+    A kernel with ``half_width > 0`` also carries ``spectrum``, the real FFT
+    of ``values`` zero-padded to ``fft_len``, computed once so that every
+    convolution costs one forward and one inverse transform of the density.
     """
 
     values: np.ndarray
     half_width: int
     dx: float
+    spectrum: np.ndarray | None = None
+    fft_len: int = 0
 
     def left_edge_column(self, n: int) -> np.ndarray:
         """g at offsets -j, j = 0..n-1 (zero beyond the truncated support)."""
@@ -236,13 +242,28 @@ def build_nu_kernel(pot: PointyPotential, grid: Grid) -> NuKernel:
     h[0] = g0
     h[1:] = g0 + np.cumsum(-2.0 * incr * alt)
     g = h * ((-1.0) ** np.arange(2 * half + 1))
-    return NuKernel(values=g, half_width=half, dx=dx)
+    # length >= N + half: the circular wrap-around only reaches the discarded outputs below half
+    # power of two: an exact length like 5998 = 2*2999 (2000 cells) sends numpy's FFT down its slow Bluestein path
+    fft_len = 1 << (grid.n_cells + half - 1).bit_length()
+    return NuKernel(values=g, half_width=half, dx=dx, spectrum=np.fft.rfft(g, fft_len), fft_len=fft_len)
 
 
 def compute_nu(state: FVState, kernel: NuKernel) -> np.ndarray:
-    """Discrete w-convolution nu_i = dx * sum_k rho_k g_{i-k}."""
+    """Discrete w-convolution nu_i = dx * sum_k rho_k g_{i-k}.
+
+    A point kernel (``half_width == 0``, kink-only potentials) is a plain
+    scale; otherwise the density's spectrum is multiplied by the kernel's
+    stored one, O(N log N) per call instead of O(N * half_width).
+    """
     k = kernel.half_width
-    return np.convolve(state.rho, kernel.values)[k : k + state.grid.n_cells] * state.grid.dx
+    rho = state.rho
+    if k == 0:
+        return rho * kernel.values[0] * state.grid.dx
+    n = rho.size
+    if n + k > kernel.fft_len:
+        raise ValueError("the nu kernel was built for a smaller grid")
+    conv = np.fft.irfft(np.fft.rfft(rho, kernel.fft_len) * kernel.spectrum, kernel.fft_len)
+    return conv[k : k + n] * state.grid.dx
 
 
 def solve_s_gradient(state: FVState, pot: PointyPotential, nu: np.ndarray, kernel: NuKernel) -> np.ndarray:

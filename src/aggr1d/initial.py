@@ -36,7 +36,6 @@ class InitialData:
 
     bumps: tuple[GaussianBump, ...] = ()
     atoms: DiscreteMeasure | None = None
-    normalize: bool = True
 
     def __post_init__(self):
         if bool(self.bumps) == (self.atoms is not None):

@@ -14,12 +14,16 @@ linear speed sum_{j != i} m_j W'(x_i - x_j) with the self term excluded
 exactly; it is evaluated in that form, since the quotient would cancel for
 light particles.
 
-Integration is classical RK4 with a step capped both at 0.01 and at a
-quarter of the minimal time-to-contact estimate gap_min / (4 v_max);
-approaching pairs therefore close their gap geometrically and reach the
-merge tolerance in a few dozen steps.  If a step overshoots (a gap turns
-nonpositive), the earliest contact time is located by bisection to 1e-12
-before merging.
+Integration is classical RK4 with steps of MAX_STEP (shortened only to
+land on t_end); the speeds at the end of a step are the next step's first
+stage.  Positions and speeds at both ends of a step define a cubic Hermite
+interpolant of every gap, and its earliest zero names the pair that makes
+contact first and estimates when.  A safeguarded regula falsi (Illinois)
+on that pair's RK4 gap then locates the contact time to BISECT_TOL; the
+system advances to it and merges every gap within the contact tolerance.
+Kink-only potentials take the same path: their speeds are constant
+between collisions, so the interpolant is exact and the root find ends
+after one RK4 evaluation.
 """
 
 from __future__ import annotations
@@ -137,12 +141,94 @@ def _vel_fn(ps: ParticleSystem):
     return lambda x, m: _nonlinear_vel(x, m, ps.pot, ps.law)
 
 
-def _rk4(x, m, h, vel):
-    k1 = vel(x, m)
+def _rk4(x, m, h, vel, k1):
+    """One classical RK4 step of length h from x, whose speeds k1 are known."""
     k2 = vel(x + 0.5 * h * k1, m)
     k3 = vel(x + 0.5 * h * k2, m)
     k4 = vel(x + h * k3, m)
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _first_gap_zero(g0, d0, g1, d1, h):
+    """Earliest zero of the cubic Hermite interpolants of the gaps over a step.
+
+    Pair i's gap runs from g0[i] > 0 with slope d0[i] to g1[i] with slope
+    d1[i] over a step of length h.  Returns (i, tau) for the pair whose
+    interpolant reaches zero first, at tau in (0, h]; None if none does.
+    """
+    hd0, hd1 = h * d0, h * d1
+    # power-basis coefficients in s = tau / h
+    c1 = hd0
+    c2 = 3.0 * (g1 - g0) - 2.0 * hd0 - hd1
+    c3 = 2.0 * (g0 - g1) + hd0 + hd1
+    # knots 0 <= s_a <= s_b <= 1 at the critical points split [0, 1] into monotone pieces
+    qa, qb = 3.0 * c3, 2.0 * c2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        disc = np.sqrt(qb * qb - 4.0 * qa * c1)
+        q = -0.5 * (qb + np.copysign(disc, qb))
+        crit = np.stack([q / qa, c1 / q])
+    crit = np.sort(np.where((crit > 0.0) & (crit < 1.0), crit, 1.0), axis=0)
+    knots = np.concatenate([np.zeros((1, g0.size)), crit, np.ones((1, g0.size))])
+    vals = np.where(knots == 1.0, g1, g0 + knots * (c1 + knots * (c2 + knots * c3)))
+    hit = vals <= 0.0
+    pairs = np.flatnonzero(np.any(hit, axis=0))
+    if pairs.size == 0:
+        return None
+    k = np.argmax(hit[:, pairs], axis=0)  # first knot at or below zero; knot 0 holds g0 > 0
+    lo, hi = knots[k - 1, pairs], knots[k, pairs]
+    a0, a1, a2, a3 = g0[pairs], c1[pairs], c2[pairs], c3[pairs]
+    # safeguarded Newton on each bracketing monotone piece, from the secant point
+    p_lo, p_hi = vals[k - 1, pairs], vals[k, pairs]
+    s = lo + (hi - lo) * p_lo / (p_lo - p_hi)
+    for _ in range(60):
+        p = a0 + s * (a1 + s * (a2 + s * a3))
+        lo = np.where(p > 0.0, s, lo)
+        hi = np.where(p > 0.0, hi, s)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s_new = s - p / (a1 + s * (2.0 * a2 + 3.0 * s * a3))
+        s_new = np.where((s_new >= lo) & (s_new <= hi), s_new, 0.5 * (lo + hi))
+        converged = np.all(np.abs(s_new - s) <= 4.0 * np.finfo(float).eps)
+        s = s_new
+        if converged:
+            break
+    j = int(np.argmin(s))
+    return int(pairs[j]), float(s[j]) * h
+
+
+def _locate_contact(x, m, k1, vel, i, h, g_end, tau, rate):
+    """Pair i's contact in an RK4 step from x (speeds k1) of length at most h.
+
+    f(t), the gap of pair i after an RK4 step of length t, is positive at
+    t = 0 and equals g_end at t = h; tau estimates its first zero.  A
+    safeguarded regula falsi (Illinois) on f runs until the zero is known
+    to ``BISECT_TOL`` in time, with ``rate`` the pair's closing speed.
+    Returns (t, x(t)).  If f(tau) > 0 and g_end > 0, no sign change
+    brackets a contact; (tau, x(tau)) is returned, short of contact.
+    """
+    lo, hi = 0.0, h
+    f_lo, f_hi = x[i + 1] - x[i], g_end
+    side = 0
+    for _ in range(100):
+        y = _rk4(x, m, tau, vel, k1)
+        f = y[i + 1] - y[i]
+        if abs(f) <= rate * BISECT_TOL or (f > 0.0 and f_hi > 0.0):
+            return tau, y
+        if f > 0.0:
+            lo, f_lo = tau, f
+            if side > 0:
+                f_hi *= 0.5
+            side = 1
+        else:
+            hi, f_hi = tau, f
+            if side < 0:
+                f_lo *= 0.5
+            side = -1
+        if hi - lo <= BISECT_TOL:
+            return tau, y
+        tau = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        if not lo < tau < hi:
+            tau = 0.5 * (lo + hi)
+    raise RuntimeError("particle contact location did not converge")
 
 
 def _merge_contacts(x, m, tol):
@@ -175,46 +261,40 @@ def advance_to(ps: ParticleSystem, t_end: float, log: TrajectoryLog | None = Non
     t = ps.time
     vel = _vel_fn(ps)
     horizon = max(1.0, abs(t_end))
+    v = None  # speeds at x, once known
     guard = 0
     while t < t_end - 1e-15 * horizon:
         guard += 1
         if guard > 50_000_000:
             raise RuntimeError("particle integration failed to reach t_end")
         if x.size == 1:
-            t = t_end  # a lone particle is stationary
-            break
+            break  # a lone particle is stationary
         gaps = np.diff(x)
         if np.min(gaps) <= CONTACT_TOL:
             x, m, _ = _merge_contacts(x, m, CONTACT_TOL)
+            v = None
             if log is not None:
                 log.record(t, "merge", DiscreteMeasure(x, m))
             continue
-        v = vel(x, m)
-        vmax = float(np.max(np.abs(v)))
-        h = t_end - t
-        if vmax > 0.0:
-            h = min(h, MAX_STEP, float(np.min(gaps)) / (4.0 * vmax))
+        if v is None:
+            v = vel(x, m)
+        h = min(MAX_STEP, t_end - t)
+        x_end = _rk4(x, m, h, vel, v)
+        v_end = vel(x_end, m)
+        d0, d1 = np.diff(v), np.diff(v_end)
+        g_end = np.diff(x_end)
+        contact = _first_gap_zero(gaps, d0, g_end, d1, h)
+        if contact is None:
+            x, v, t = x_end, v_end, t + h
         else:
-            h = min(h, MAX_STEP)
-        x_try = _rk4(x, m, h, vel)
-        if np.any(np.diff(x_try) <= 0.0):
-            # overshoot: bisect the sub-step for the earliest contact
-            lo, hi = 0.0, h
-            while hi - lo > BISECT_TOL:
-                mid = 0.5 * (lo + hi)
-                if np.any(np.diff(_rk4(x, m, mid, vel)) <= 0.0):
-                    hi = mid
-                else:
-                    lo = mid
-            x = _rk4(x, m, lo, vel)
-            t += lo
-            contact_tol = max(CONTACT_TOL, 4.0 * vmax * BISECT_TOL)
-            x, m, merged = _merge_contacts(x, m, contact_tol)
+            i, tau = contact
+            tau, x = _locate_contact(x, m, v, vel, i, h, g_end[i], tau, max(abs(d0[i]), abs(d1[i])))
+            t += tau
+            vmax = max(float(np.max(np.abs(v))), float(np.max(np.abs(v_end))))
+            x, m, merged = _merge_contacts(x, m, max(CONTACT_TOL, 4.0 * vmax * BISECT_TOL))
+            v = None
             if merged and log is not None:
                 log.record(t, "merge", DiscreteMeasure(x, m))
-        else:
-            x = x_try
-            t += h
         if not np.all(np.isfinite(x)):
             raise RuntimeError("non-finite particle state")
     return replace(ps, x=x, m=m, time=t_end)

@@ -3,7 +3,8 @@
 The reference the velocity engine is checked against: with the identity
 law, the s-gradient / jump-quotient formulas must reproduce these sums.
 They evaluate W' itself over every pair with the self term excluded
-exactly, and share no code with the engines.
+exactly, and share no code with the engines.  ``nu_sum`` is the term-by-
+term w-convolution that the FFT in ``fv.compute_nu`` must reproduce.
 """
 
 import numpy as np
@@ -20,3 +21,14 @@ def pairwise_speeds(x, m, pot) -> np.ndarray:
 def cell_speeds(state, pot) -> np.ndarray:
     """Grid speeds a_i = sum_{j != i} W'(x_i - x_j) rho_j dx."""
     return pairwise_speeds(state.grid.centers, state.rho * state.grid.dx, pot)
+
+
+def nu_sum(rho, kernel, dx) -> np.ndarray:
+    """nu_i = dx * sum_k rho_k g_{i-k} over |i - k| <= half_width, row by row in O(N*K)."""
+    rho = np.asarray(rho, dtype=float)
+    half = kernel.half_width
+    out = np.empty(rho.size)
+    for i in range(rho.size):
+        k = np.arange(max(0, i - half), min(rho.size, i + half + 1))
+        out[i] = dx * np.dot(rho[k], kernel.values[i - k + half])
+    return out

@@ -88,7 +88,7 @@ def test_criterion_2_two_particle_oracle():
     t_err = abs(merges[0].time - 4.0) if merges else math.inf
     x_err = abs(float(ps.x[0]))
     v_post = float(particles.velocities(ps)[0])
-    ok = len(merges) == 1 and t_err <= 1e-8 and x_err <= 1e-8 and v_post == 0.0
+    ok = len(merges) == 1 and t_err <= 1e-11 and x_err <= 1e-11 and v_post == 0.0
     _report(2, ok, f"merge time error {t_err:.2e}, point error {x_err:.2e}, post-merge speed {v_post}")
 
 

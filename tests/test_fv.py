@@ -6,6 +6,7 @@ import pytest
 from aggr1d.fv import (
     FVState,
     Grid,
+    NuKernel,
     SchemeError,
     VelocityField,
     build_nu_kernel,
@@ -23,7 +24,7 @@ from aggr1d.fv import (
 from aggr1d.initial import builtin_initial
 from aggr1d.measure import DiscreteMeasure
 from aggr1d.potentials import make_builtin_potential, make_velocity_law, velocity_sup_bound
-from direct_sums import cell_speeds
+from direct_sums import cell_speeds, nu_sum
 
 ABS_HALF = make_builtin_potential("abs_half")
 EXP_POINTY = make_builtin_potential("exp_pointy")
@@ -178,6 +179,46 @@ def test_nu_matches_direct_convolution_quadrature():
     w = EXP_POINTY.decomposition.w_eval
     direct = np.array([float(np.sum(np.asarray(w(xi - x)) * rho) * g.dx) for xi in x])
     assert np.max(np.abs(nu - direct)) <= 5e-3  # O(dx^2) quadrature agreement
+
+
+@pytest.mark.parametrize(
+    "n_cells, domain, half_width",
+    [
+        (2000, (-2.5, 2.5), 1999),  # N + 2K - 1 = 5998 = 2 * 2999
+        (1001, (-2.5, 2.5), 1000),  # N + 2K - 1 = 3001, a prime
+        (10, (-2.5, 2.5), 9),
+        (1500, (-40.0, 40.0), 536),  # truncated kernel
+    ],
+)
+def test_compute_nu_matches_direct_sum(n_cells, domain, half_width):
+    g = Grid.from_domain(*domain, n_cells)
+    k = build_nu_kernel(EXP_POINTY, g)
+    assert k.half_width == half_width
+    rng = np.random.default_rng(n_cells)
+    for rho in (rng.random(n_cells), rng.random(n_cells) * (rng.random(n_cells) < 0.1)):
+        rho[n_cells // 2] += 1.0
+        rho /= rho.sum() * g.dx
+        st = FVState(grid=g, rho=rho)
+        assert np.max(np.abs(compute_nu(st, k) - nu_sum(rho, k, g.dx))) <= 1e-15
+
+
+def test_compute_nu_point_kernel_is_a_scale():
+    g = Grid.from_domain(-2.0, 2.0, 40)
+    rho = np.random.default_rng(5).random(40)
+    st = FVState(grid=g, rho=rho)
+    k = NuKernel(values=np.array([0.7]), half_width=0, dx=g.dx)
+    np.testing.assert_allclose(compute_nu(st, k), nu_sum(rho, k, g.dx), rtol=0, atol=1e-15)
+    k0 = build_nu_kernel(ABS_HALF, g)
+    assert k0.half_width == 0 and k0.spectrum is None
+    np.testing.assert_array_equal(compute_nu(st, k0), nu_sum(rho, k0, g.dx))
+
+
+def test_compute_nu_rejects_kernel_of_smaller_grid():
+    # the stored spectrum's length covers the kernel's own grid, not a 10x larger one
+    k = build_nu_kernel(EXP_POINTY, Grid.from_domain(-1.0, 1.0, 20))
+    st = FVState(grid=Grid.from_domain(-10.0, 10.0, 200), rho=np.full(200, 0.05))
+    with pytest.raises(ValueError):
+        compute_nu(st, k)
 
 
 # ---------------------------------------------------------------- s gradient

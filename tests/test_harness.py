@@ -96,7 +96,7 @@ def test_cmd_particles_two_atom_merge(tmp_path):
     merge_rows = [r for r in traj if ",merge," in r]
     assert len(merge_rows) == 1
     t_merge = float(merge_rows[0].split(",")[0])
-    assert t_merge == pytest.approx(4.0, abs=1e-8)
+    assert t_merge == pytest.approx(4.0, abs=1e-11)
 
 
 def test_cmd_particles_single_atom_no_events(tmp_path):
@@ -368,3 +368,43 @@ def test_example_preset_fields():
     assert cfg3.n_cells == 1000 and cfg3.domain == (-2.5, 2.5)
     with pytest.raises(ConfigError):
         example_preset(4)
+
+
+def test_atoms_outside_domain_exit_2(tmp_path):
+    for atoms in ([(-1.0, 0.5), (3.0, 0.5)], [(-2.6, 1.0)], [(2.5, 1.0)]):
+        init = InitialData(atoms=DiscreteMeasure([a for a, _ in atoms], [b for _, b in atoms]))
+        cfg = SimConfig(label="outside", initial=init, output_dir=str(tmp_path / "out"))
+        with pytest.raises(ConfigError):
+            cfg.validate()
+        p = tmp_path / "outside.json"
+        p.write_text(json.dumps(cfg.to_dict()))
+        for command in ("simulate", "particles"):
+            assert cli_main([command, "--config", str(p)]) == 2
+            assert not (tmp_path / "out").exists()
+    # the left edge belongs to the domain
+    init = InitialData(atoms=DiscreteMeasure([-2.5, 1.0], [0.5, 0.5]))
+    SimConfig(initial=init).validate()
+
+
+def test_label_must_stay_inside_out_dir(tmp_path):
+    out = tmp_path / "a" / "b"
+    for label in ("../../x", "x/y", "..", ".", "", "x\\y"):
+        args = ["simulate", "--example", "1", "--out", str(out), "--label", label, "--cells", "50", "--t-end", "0.1"]
+        assert cli_main(args) == 2
+        assert list(tmp_path.iterdir()) == []
+    with pytest.raises(ConfigError):
+        replace(example_preset(1), label="../x").validate()
+
+
+def test_legacy_normalize_key(tmp_path):
+    doc = example_preset(1).to_dict()
+    assert "normalize" not in doc["initial"]
+    doc["initial"]["normalize"] = True
+    p = tmp_path / "norm.json"
+    p.write_text(json.dumps(doc))
+    assert load_config(p).to_dict() == example_preset(1).to_dict()
+    doc["initial"]["normalize"] = False
+    doc.update({"label": "raw", "output_dir": str(tmp_path / "out")})
+    p.write_text(json.dumps(doc))
+    assert cli_main(["simulate", "--config", str(p)]) == 2
+    assert not (tmp_path / "out").exists()

@@ -137,11 +137,11 @@ def test_two_body_merge_time_and_point():
     log = TrajectoryLog()
     ps = advance_to(system([-1.0, 1.0], [0.5, 0.5]), 5.0, log)
     assert ps.n == 1
-    assert abs(ps.x[0]) <= 1e-8
+    assert abs(ps.x[0]) <= 1e-11
     assert ps.m[0] == 1.0
     merges = [ev for ev in log.events if ev.kind == "merge"]
     assert len(merges) == 1
-    assert merges[0].time == pytest.approx(4.0, abs=1e-8)
+    assert merges[0].time == pytest.approx(4.0, abs=1e-11)
     np.testing.assert_array_equal(velocities(ps), [0.0])  # stationary after merge
 
 
@@ -157,10 +157,23 @@ def test_three_body_collapse():
     ps0 = system([-1.0, 0.0, 1.0], [0.25, 0.5, 0.25])
     ps = advance_to(ps0, 4.0, log)
     assert ps.n == 1
-    assert abs(ps.x[0]) <= 1e-9
+    assert abs(ps.x[0]) <= 1e-11
     assert ps.m[0] == 1.0
     merges = [ev for ev in log.events if ev.kind == "merge"]
-    assert merges[0].time == pytest.approx(8.0 / 3.0, abs=1e-8)
+    assert merges[0].time == pytest.approx(8.0 / 3.0, abs=1e-11)
+
+
+def test_exp_two_body_merge_time_analytic():
+    # W = (e^{-|x|}-1)/2, identity law, masses 1/2: the gap d obeys
+    # d' = -e^{-d}/2, so e^d falls at rate 1/2 and contact is at 2(e^{d0} - 1)
+    for d0 in (0.5, 2.0):
+        log = TrajectoryLog()
+        t_contact = 2.0 * math.expm1(d0)
+        ps = advance_to(system([-0.5 * d0, 0.5 * d0], [0.5, 0.5], pot=EXP_POINTY), t_contact + 0.1, log)
+        merges = [ev for ev in log.events if ev.kind == "merge"]
+        assert len(merges) == 1 and ps.n == 1
+        assert merges[0].time == pytest.approx(t_contact, abs=1e-11)
+        assert abs(ps.x[0]) <= 1e-11
 
 
 def test_three_body_against_fixed_step_rk4():
