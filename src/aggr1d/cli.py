@@ -65,7 +65,7 @@ def _config_from_args(args) -> SimConfig:
             overrides["levels"] = tuple(int(v) for v in args.levels.split(","))
         except ValueError as exc:
             raise ConfigError(f"bad --levels value {args.levels!r}") from exc
-    if getattr(args, "oracle_particles", None):
+    if getattr(args, "oracle_particles", None) is not None:
         if args.command == "converge":
             overrides["converge_particles"] = args.oracle_particles
         else:

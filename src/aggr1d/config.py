@@ -16,9 +16,9 @@ form so catalogue runs are reproducible byte for byte.  Schema:
                  | {"kind": "bumps", "bumps": [{"amplitude":1,"center":0.7,"width":0.316}]}
                  | {"kind": "atoms", "atoms": [[x, mass], ...]},
       "output_dir": "out",
-      "compare_particles": 256,                       # oracle size for `compare`
-      "converge_particles": 512,                      # oracle size for `converge`
-      "levels": [100, 200, 400]                       # `converge` refinement levels
+      "compare_particles": 256,                       # oracle size for `compare`, >= 1
+      "converge_particles": 512,                      # oracle size for `converge`, >= 1
+      "levels": [100, 200, 400]                       # `converge` refinement levels, >= 10 cells
     }
 
 The identity law (the default) is the linear aggregation equation; every
@@ -86,13 +86,15 @@ class SimConfig:
             pos = self.initial.atoms.positions
             if np.any(pos < lo) or np.any(pos >= hi):
                 raise ConfigError(f"atoms must lie in the domain [{lo}, {hi})")
+        if self.compare_particles < 1 or self.converge_particles < 1:
+            raise ConfigError("oracle particle counts must be at least 1")
+        if any(n < 10 for n in self.levels):
+            raise ConfigError("every refinement level must have at least 10 cells")
         try:
-            pot = self.make_potential()
+            self.make_potential()
             self.make_law()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if pot.decomposition is None:
-            raise ConfigError("the velocity engine needs a potential with a kink decomposition")
         return self
 
     def make_potential(self) -> PointyPotential:

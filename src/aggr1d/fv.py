@@ -19,9 +19,11 @@ s = d/dx (W * rho), obtained from the conservation relation per cell
 
 where nu_i discretizes (w * rho)(x_i) through a kernel built from exact
 cell integrals of w.  The left anchor of the cumulative solve is the
-value of W' * rho left of the grid: the -infinity limit
-(c/2 - int w / 2) * mass plus an in-grid correction for the w-mass that
-the grid-limited nu sum cannot see.  With this anchor the identity law
+value of W' * rho left of the grid: the -infinity limit u_inf * mass
+plus a correction for the w-mass that the grid-limited nu sum cannot
+see, one weight per source cell that the kernel stores with its values.
+Every grid-only term is built once per grid, so a step evaluates no w.
+With this anchor the identity law
 a = id, whose divided difference is the interface midpoint, reproduces the
 direct sum a_i = sum_{j != i} W'(x_i - x_j) rho_j dx of the linear
 aggregation equation to machine precision on any grid, so the linear
@@ -154,6 +156,11 @@ class NuKernel:
     kernel is truncated where the per-cell integral of w drops below
     ``KERNEL_TRUNC``.
 
+    ``tail[j]`` is source cell j's left-anchor weight: its w-mass left of
+    the first cell center, int_{-inf}^{-j dx} w, minus dx/2 times the
+    kernel weight at offset -j (zero beyond the truncated support).  It is
+    all zeros for kink-only potentials.
+
     A kernel with ``half_width > 0`` also carries ``spectrum``, the real FFT
     of ``values`` zero-padded to ``fft_len``, computed once so that every
     convolution costs one forward and one inverse transform of the density.
@@ -162,15 +169,9 @@ class NuKernel:
     values: np.ndarray
     half_width: int
     dx: float
+    tail: np.ndarray
     spectrum: np.ndarray | None = None
     fft_len: int = 0
-
-    def left_edge_column(self, n: int) -> np.ndarray:
-        """g at offsets -j, j = 0..n-1 (zero beyond the truncated support)."""
-        out = np.zeros(n)
-        jmax = min(n - 1, self.half_width)
-        out[: jmax + 1] = self.values[self.half_width - np.arange(jmax + 1)]
-        return out
 
 
 def project_initial(initial, grid: Grid) -> FVState:
@@ -215,26 +216,24 @@ def build_nu_kernel(pot: PointyPotential, grid: Grid) -> NuKernel:
     Solves the two-term averages (g_j + g_{j+1})/2 = (1/dx) * int w over
     the offset cell for g, anchored at the truncated left end by the point
     value of w there.  On a uniform grid the weights depend only on the
-    offset i - k, so one kernel serves every cell.
+    offset i - k, so one kernel serves every cell.  The left-anchor weights
+    ``tail`` are built here too, so no step evaluates w.
     """
     dec = pot.decomposition
-    if dec is None:
-        raise ValueError("nu kernel requires a kink decomposition")
     dx = grid.dx
-    half = grid.n_cells - 1
-    if half == 0 or dec.w0 == 0.0:
-        return NuKernel(values=np.zeros(1), half_width=0, dx=dx)
+    n = grid.n_cells
+    if dec.amp == 0.0:
+        return NuKernel(values=np.zeros(1), half_width=0, dx=dx, tail=np.zeros(n))
+    half = n - 1
     offs = np.arange(-half, half + 1)
-    cell_int = np.asarray(dec.w_left_integral((offs + 1) * dx), dtype=float) - np.asarray(
-        dec.w_left_integral(offs * dx), dtype=float
-    )  # cell_int[j + half] = int of w over [j dx, (j+1) dx], j = -half..half
+    cell_int = dec.w_left_integral((offs + 1) * dx) - dec.w_left_integral(offs * dx)
+    # cell_int[j + half] = int of w over [j dx, (j+1) dx], j = -half..half
     while half > 0 and abs(cell_int[0]) < KERNEL_TRUNC and abs(cell_int[-1]) < KERNEL_TRUNC:
         cell_int = cell_int[1:-1]
         half -= 1
-    if half == 0:
-        return NuKernel(values=np.array([float(dec.w_eval(0.0))]), half_width=0, dx=dx)
     # alternating recursion g_{k+1} = 2 I_k / dx - g_k, vectorized through
-    # h_k = (-1)^k g_k which turns it into a cumulative sum
+    # h_k = (-1)^k g_k which turns it into a cumulative sum; with half == 0
+    # it leaves the point value g = [w(0)]
     g0 = float(dec.w_eval(-half * dx))
     incr = cell_int[: 2 * half] / dx  # I_k at array index k = 0 .. 2*half-1
     alt = (-1.0) ** np.arange(2 * half)
@@ -242,10 +241,15 @@ def build_nu_kernel(pot: PointyPotential, grid: Grid) -> NuKernel:
     h[0] = g0
     h[1:] = g0 + np.cumsum(-2.0 * incr * alt)
     g = h * ((-1.0) ** np.arange(2 * half + 1))
+    edge = np.zeros(n)
+    edge[: half + 1] = g[half::-1]  # g at offsets 0, -1, ..., -half
+    tail = dec.w_left_integral(-dx * np.arange(n)) - 0.5 * dx * edge
+    if half == 0:
+        return NuKernel(values=g, half_width=0, dx=dx, tail=tail)
     # length >= N + half: the circular wrap-around only reaches the discarded outputs below half
     # power of two: an exact length like 5998 = 2*2999 (2000 cells) sends numpy's FFT down its slow Bluestein path
-    fft_len = 1 << (grid.n_cells + half - 1).bit_length()
-    return NuKernel(values=g, half_width=half, dx=dx, spectrum=np.fft.rfft(g, fft_len), fft_len=fft_len)
+    fft_len = 1 << (n + half - 1).bit_length()
+    return NuKernel(values=g, half_width=half, dx=dx, tail=tail, spectrum=np.fft.rfft(g, fft_len), fft_len=fft_len)
 
 
 def compute_nu(state: FVState, kernel: NuKernel) -> np.ndarray:
@@ -270,32 +274,20 @@ def solve_s_gradient(state: FVState, pot: PointyPotential, nu: np.ndarray, kerne
     """Interface gradients of the primitive: n+1 values s_{i-1/2}, i = 0..n.
 
     Cumulative solve of  s_{i+1/2} = s_{i-1/2} + dx*(nu_i - c*rho_i),
-    anchored left of the grid at the exact value of W' * rho there: the
-    -infinity limit (c/2 - w0/2)*mass plus, per source cell j, the w-mass
-    between -infinity and the grid's left column that the in-grid nu sum
-    never accumulates.  The correction uses the kernel's own left-edge
-    values so that the telescoped interface gradients agree with the direct
-    convolution identically.
+    anchored left of the grid at the exact value of W' * rho there,
+    u_inf*mass + sum_j m_j tail_j with the kernel's stored left-anchor
+    weights.  Those use the kernel's own left-edge values, so the
+    telescoped interface gradients agree with the direct convolution
+    identically.
     """
-    dec = pot.decomposition
-    if dec is None:
-        raise ValueError("s-gradient solve requires a kink decomposition")
     dx = state.grid.dx
     rho = state.rho
     cell_mass = rho * dx
-    mtot = float(np.sum(cell_mass))
-    c = dec.c
-    base = (0.5 * c - float(dec.w_left_integral(0.0))) * mtot
-    if dec.w0 != 0.0:
-        n = state.grid.n_cells
-        tail = np.asarray(dec.w_left_integral(-dx * np.arange(n)), dtype=float)
-        tail = tail - 0.5 * dx * kernel.left_edge_column(n)
-        u_left = base + float(np.dot(cell_mass, tail))
-    else:
-        u_left = base
+    dec = pot.decomposition
+    u_left = dec.u_inf * float(np.sum(cell_mass)) + float(np.dot(cell_mass, kernel.tail))
     s = np.empty(state.grid.n_cells + 1)
     s[0] = u_left
-    np.cumsum(dx * (nu - c * rho), out=s[1:])
+    np.cumsum(dx * (nu - dec.c * rho), out=s[1:])
     s[1:] += u_left
     return s
 
@@ -308,17 +300,17 @@ def velocity_from_gradients(law: VelocityLaw, s: np.ndarray) -> np.ndarray:
     ``DD_EPS`` to avoid cancellation.  For the identity law the divided
     difference IS the interface midpoint (A = x^2/2), which is evaluated
     directly: the quotient form would lose absolute accuracy whenever a
-    cell holds very little mass.
+    cell holds very little mass.  A is evaluated once on the n+1 gradients,
+    a only on the equal-gradient cells.
     """
     s_lo, s_hi = s[:-1], s[1:]
     if law.is_identity:
         a = 0.5 * (s_hi + s_lo)
     else:
-        diff = s_hi - s_lo
+        diff = np.diff(s)
         small = np.abs(diff) < DD_EPS
-        denom = np.where(small, 1.0, diff)
-        dd = (np.asarray(law.a_antideriv(s_hi)) - np.asarray(law.a_antideriv(s_lo))) / denom
-        a = np.where(small, np.asarray(law.a_eval(0.5 * (s_hi + s_lo))), dd)
+        a = np.diff(law.a_antideriv(s)) / np.where(small, 1.0, diff)
+        a[small] = law.a_eval(0.5 * (s_hi[small] + s_lo[small]))
     if not np.all(np.isfinite(a)):
         raise SchemeError("non-finite divided difference in the velocity")
     return a
@@ -328,8 +320,6 @@ def nonlinear_velocity(
     state: FVState, pot: PointyPotential, law: VelocityLaw, kernel: NuKernel | None = None
 ) -> VelocityField:
     """Cell speeds for any speed law; nu and the interface gradients ride along."""
-    if pot.decomposition is None:
-        raise ValueError("the velocity engine requires a kink decomposition")
     if kernel is None:
         kernel = build_nu_kernel(pot, state.grid)
     nu = compute_nu(state, kernel)

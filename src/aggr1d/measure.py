@@ -24,6 +24,7 @@ __all__ = [
     "quantile",
     "wasserstein1",
     "first_moment",
+    "merge_runs",
     "write_atoms_csv",
 ]
 
@@ -33,6 +34,22 @@ MERGE_TOL = 1e-12
 
 PROBABILITY_TOL = 1e-9
 MASS_MATCH_TOL = 1e-10
+
+
+def merge_runs(x: np.ndarray, m: np.ndarray, tol: float):
+    """Merge runs of sorted atoms whose consecutive gaps are <= tol.
+
+    Each run becomes one atom at its mass-weighted mean position carrying
+    the summed mass.  Returns (x, m, merged); with no gap within tol the
+    inputs come back unchanged and merged is False.
+    """
+    if x.size <= 1 or np.min(np.diff(x)) > tol:
+        return x, m, False
+    group = np.concatenate([[0], np.cumsum(np.diff(x) > tol)])
+    n_groups = int(group[-1]) + 1
+    gm = np.bincount(group, weights=m, minlength=n_groups)
+    gx = np.bincount(group, weights=m * x, minlength=n_groups) / gm
+    return gx, gm, True
 
 
 @dataclass(frozen=True)
@@ -56,15 +73,8 @@ class DiscreteMeasure:
             raise ValueError("atom masses must be nonnegative")
         keep = mas > 0.0
         pos, mas = pos[keep], mas[keep]
-        if pos.size:
-            order = np.argsort(pos, kind="stable")
-            pos, mas = pos[order], mas[order]
-            group = np.concatenate([[0], np.cumsum(np.diff(pos) > MERGE_TOL)])
-            n_groups = int(group[-1]) + 1
-            if n_groups != pos.size:
-                gm = np.bincount(group, weights=mas, minlength=n_groups)
-                gx = np.bincount(group, weights=mas * pos, minlength=n_groups) / gm
-                pos, mas = gx, gm
+        order = np.argsort(pos, kind="stable")
+        pos, mas, _ = merge_runs(pos[order], mas[order], MERGE_TOL)
         pos.setflags(write=False)
         mas.setflags(write=False)
         object.__setattr__(self, "positions", pos)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .measure import DiscreteMeasure
+from .measure import DiscreteMeasure, merge_runs
 from .potentials import PointyPotential, VelocityLaw
 
 __all__ = [
@@ -68,8 +68,6 @@ class ParticleSystem:
             raise ValueError("particle masses must be positive")
         if x.size > 1 and np.any(np.diff(x) <= 0.0):
             raise ValueError("particle positions must be strictly increasing")
-        if self.pot.decomposition is None:
-            raise ValueError("particle speeds require a kink decomposition")
         x.setflags(write=False)
         m.setflags(write=False)
         object.__setattr__(self, "x", x)
@@ -105,20 +103,19 @@ def snapshot(ps: ParticleSystem) -> DiscreteMeasure:
 
 def _wtilde_sums(x: np.ndarray, m: np.ndarray, dec) -> np.ndarray:
     """sum_j m_j wtilde(x_i - x_j) for every i."""
-    if dec.w0 == 0.0:
+    if dec.amp == 0.0:
         return 0.5 * dec.c * np.sum(m)  # wtilde is the constant c/2
-    if dec.exp_kernel is not None:
-        amp, rate = dec.exp_kernel
-        if rate * float(np.max(np.abs(x))) < 300.0:  # keep e^{rate*x} well inside range
-            # wtilde(x) = c/2 + sgn(x)*(amp/rate)*(1 - e^{-rate|x|}); the
-            # exponential splits over j < i and j > i into prefix sums
-            csum = np.cumsum(m)
-            left = csum - m
-            right = csum[-1] - csum
-            ex = np.exp(rate * x)
-            p = np.cumsum(m * ex) - m * ex  # sum_{j<i} m_j e^{rate x_j}
-            q_rev = np.cumsum((m / ex)[::-1])[::-1] - m / ex  # sum_{j>i} m_j e^{-rate x_j}
-            return 0.5 * dec.c * csum[-1] + (amp / rate) * ((left - right) - p / ex + q_rev * ex)
+    amp, rate = dec.amp, dec.rate
+    if rate * float(np.max(np.abs(x))) < 300.0:  # keep e^{rate*x} well inside range
+        # wtilde(x) = c/2 + sgn(x)*(amp/rate)*(1 - e^{-rate|x|}); the
+        # exponential splits over j < i and j > i into prefix sums
+        csum = np.cumsum(m)
+        left = csum - m
+        right = csum[-1] - csum
+        ex = np.exp(rate * x)
+        p = np.cumsum(m * ex) - m * ex  # sum_{j<i} m_j e^{rate x_j}
+        q_rev = np.cumsum((m / ex)[::-1])[::-1] - m / ex  # sum_{j>i} m_j e^{-rate x_j}
+        return 0.5 * dec.c * csum[-1] + (amp / rate) * ((left - right) - p / ex + q_rev * ex)
     return np.asarray(dec.wtilde(x[:, None] - x[None, :]), dtype=float) @ m
 
 
@@ -232,19 +229,13 @@ def _locate_contact(x, m, k1, vel, i, h, g_end, tau, rate):
 
 
 def _merge_contacts(x, m, tol):
-    """Merge runs of particles with consecutive gaps <= tol.
+    """Merge runs of particles with consecutive gaps <= tol; returns (x, m, merged).
 
     The merged particle sits at the mass-weighted mean of the run (the
     common contact point up to the gap tolerance), with the summed mass;
     under the identity law this preserves the center of mass exactly.
     """
-    if x.size <= 1 or np.min(np.diff(x)) > tol:
-        return x, m, False
-    group = np.concatenate([[0], np.cumsum(np.diff(x) > tol)])
-    n_groups = int(group[-1]) + 1
-    gm = np.bincount(group, weights=m, minlength=n_groups)
-    gx = np.bincount(group, weights=m * x, minlength=n_groups) / gm
-    return gx, gm, True
+    return merge_runs(x, m, tol)
 
 
 def advance_to(ps: ParticleSystem, t_end: float, log: TrajectoryLog | None = None) -> ParticleSystem:

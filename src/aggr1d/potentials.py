@@ -3,10 +3,12 @@
 The whole solver family is driven by an even, Lipschitz, lambda-concave
 potential W with a kink at the origin.  The velocity engine resolves the
 kink explicitly, for every speed law: W'' = -c*delta_0 + w in the sense of
-distributions, with w continuous and integrable.  This module collects the
-potential together with every derived constant the schemes need (lambda,
-the Lipschitz bound, the (c, w) data, the antiderivative A of the speed
-law) so that downstream code never differentiates anything numerically.
+distributions, with w(x) = amp*e^{-rate|x|} (amp = 0 for the |x| family).
+This module collects the potential together with every derived constant
+the schemes need (lambda, the Lipschitz bound, the three numbers
+(c, amp, rate) and the closed forms they give, the antiderivative A of the
+speed law) so that downstream code never differentiates anything
+numerically.
 
 The kink coefficient c is carried explicitly rather than hard-wired to 1;
 scaled potentials like -sigma*|x| then keep an exact decomposition
@@ -32,22 +34,38 @@ __all__ = [
 
 @dataclass(frozen=True)
 class KinkDecomposition:
-    """Data of W'' = -c*delta_0 + w.
+    """Data of W'' = -c*delta_0 + w with w(x) = amp*e^{-rate|x|}.
 
-    c is the Dirac mass sitting at the kink (c > 0 for attraction), w the
-    continuous remainder with L1 norm w0, and ``w_left_integral`` the exact
-    antiderivative x -> int_{-inf}^x w(y) dy.  For even w the latter equals
-    w0/2 at the origin.
-
-    ``exp_kernel = (amplitude, rate)`` declares w(x) = amplitude*e^{-rate|x|};
-    separable, so particle sums over wtilde reduce to prefix sums.
+    c is the Dirac mass sitting at the kink (c > 0 for attraction) and
+    amp >= 0, rate > 0 describe the continuous remainder w; amp = 0 is a
+    kink-only potential.  w is separable, so particle sums over wtilde
+    reduce to prefix sums.
     """
 
     c: float
-    w_eval: Callable[[np.ndarray], np.ndarray]
-    w0: float
-    w_left_integral: Callable[[np.ndarray], np.ndarray]
-    exp_kernel: tuple[float, float] | None = None
+    amp: float = 0.0
+    rate: float = 1.0
+
+    @property
+    def w0(self) -> float:
+        """L1 norm of w."""
+        return 2.0 * self.amp / self.rate
+
+    @property
+    def u_inf(self) -> float:
+        """W' at -infinity: c/2 minus the w-mass left of the origin."""
+        return 0.5 * self.c - self.amp / self.rate
+
+    def w_eval(self, x):
+        return self.amp * np.exp(-self.rate * np.abs(x))
+
+    def w_left_integral(self, x):
+        """Exact antiderivative x -> int_{-inf}^x w(y) dy; w0/2 at the origin."""
+        x = np.asarray(x, dtype=float)
+        k = self.amp / self.rate
+        left = k * np.exp(self.rate * np.minimum(x, 0.0))
+        right = self.w0 - k * np.exp(-self.rate * np.maximum(x, 0.0))
+        return np.where(x <= 0.0, left, right)
 
     def wtilde(self, x):
         """Continuous part of W': W'(x) = -c*H(x) + wtilde(x) for x != 0.
@@ -62,10 +80,10 @@ class KinkDecomposition:
 class PointyPotential:
     """Even Lipschitz potential with one-sided Lipschitz derivative.
 
-    ``wprime_eval`` is W' away from the origin.  The engines never call it:
-    they work from the kink decomposition, and direct pairwise sums over
-    ``wprime_eval`` (self term excluded, so W'(0) never matters) serve as
-    their independent reference.
+    ``wprime_eval`` is W' away from the origin.  The engines never call it
+    or ``w_eval``: they work from the kink decomposition, and direct
+    pairwise sums over ``wprime_eval`` (self term excluded, so W'(0) never
+    matters) serve as their independent reference.
 
     lam is the concavity constant: W(x) - lam/2 x^2 concave, equivalently
     W'(x) - W'(y) <= lam*(x - y) for x > y away from 0.
@@ -76,7 +94,7 @@ class PointyPotential:
     wprime_eval: Callable[[np.ndarray], np.ndarray]
     lam: float
     lip: float
-    decomposition: KinkDecomposition | None = None
+    decomposition: KinkDecomposition
 
 
 @dataclass(frozen=True)
@@ -94,10 +112,6 @@ class VelocityLaw:
     is_identity: bool = False
 
 
-def _zero(x):
-    return np.zeros_like(np.asarray(x, dtype=float))
-
-
 def make_builtin_potential(name: str, sigma: float | None = None) -> PointyPotential:
     """Builtin potential family.
 
@@ -112,7 +126,7 @@ def make_builtin_potential(name: str, sigma: float | None = None) -> PointyPoten
             wprime_eval=lambda x: -0.5 * np.sign(x),
             lam=0.0,
             lip=0.5,
-            decomposition=KinkDecomposition(c=1.0, w_eval=_zero, w0=0.0, w_left_integral=_zero),
+            decomposition=KinkDecomposition(c=1.0),
         )
     if name == "abs_scaled":
         if sigma is None or sigma <= 0:
@@ -124,7 +138,7 @@ def make_builtin_potential(name: str, sigma: float | None = None) -> PointyPoten
             wprime_eval=lambda x: -s * np.sign(x),
             lam=0.0,
             lip=s,
-            decomposition=KinkDecomposition(c=2.0 * s, w_eval=_zero, w0=0.0, w_left_integral=_zero),
+            decomposition=KinkDecomposition(c=2.0 * s),
         )
     if name == "exp_pointy":
 
@@ -135,22 +149,13 @@ def make_builtin_potential(name: str, sigma: float | None = None) -> PointyPoten
             x = np.asarray(x, dtype=float)
             return -0.5 * np.sign(x) * np.exp(-np.abs(x))
 
-        def w_cont(x):
-            return 0.5 * np.exp(-np.abs(x))
-
-        def w_left(x):
-            x = np.asarray(x, dtype=float)
-            return np.where(x <= 0.0, 0.5 * np.exp(np.minimum(x, 0.0)), 1.0 - 0.5 * np.exp(-np.maximum(x, 0.0)))
-
         return PointyPotential(
             name="exp_pointy",
             w_eval=w_eval,
             wprime_eval=wprime,
             lam=0.5,
             lip=0.5,
-            decomposition=KinkDecomposition(
-                c=1.0, w_eval=w_cont, w0=1.0, w_left_integral=w_left, exp_kernel=(0.5, 1.0)
-            ),
+            decomposition=KinkDecomposition(c=1.0, amp=0.5, rate=1.0),
         )
     raise ValueError(f"unknown potential {name!r}")
 
@@ -195,11 +200,8 @@ def velocity_sup_bound(pot: PointyPotential, law: VelocityLaw) -> float:
     part at most c for unit mass), so the speed is bounded by the larger
     endpoint value of the nondecreasing a.
     """
-    dec = pot.decomposition
-    if dec is None:
-        raise ValueError("the velocity engine requires a kink decomposition")
     if law.is_identity:
         return pot.lip
-    u_inf = 0.5 * dec.c - float(dec.w_left_integral(0.0))
-    reach = abs(u_inf) + dec.w0 + dec.c
+    dec = pot.decomposition
+    reach = abs(dec.u_inf) + dec.w0 + dec.c
     return float(max(abs(law.a_eval(-reach)), abs(law.a_eval(reach))))

@@ -71,6 +71,9 @@ def test_config_validation_errors():
             SimConfig(t_end=t_end).validate()
     with pytest.raises(ConfigError):
         SimConfig(potential_name="abs_scaled", potential_sigma=-2.0).validate()
+    for bad in ({"compare_particles": 0}, {"converge_particles": -5}, {"levels": (5, 10, 20)}, {"levels": (0, 100)}):
+        with pytest.raises(ConfigError):
+            SimConfig(**bad).validate()
 
 
 def _atoms_config(tmp_path, atoms, t_end=5.0, label="atoms", **kw):
@@ -276,6 +279,17 @@ def test_cli_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert cli_main(["simulate", "--config", str(bad)]) == 2
+    # oracle sizes below 1 and levels below the 10-cell minimum: nothing written
+    out = tmp_path / "rejected"
+    for args in (
+        ["compare", "--particles", "0"],
+        ["compare", "--particles", "-5"],
+        ["converge", "--levels", "0,100,200"],
+        ["converge", "--levels", "5,10,20"],
+        ["converge", "--levels", "100,200,400", "--particles", "0"],
+    ):
+        assert cli_main([*args, "--example", "1", "--out", str(out)]) == 2
+        assert not out.exists()
     # happy path
     code = cli_main(
         ["simulate", "--example", "1", "--out", str(tmp_path), "--cells", "200", "--t-end", "0.1", "--label", "cli"]

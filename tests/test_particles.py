@@ -117,14 +117,9 @@ def test_nonlinear_prefix_sums_match_pairwise_matrix():
             np.testing.assert_allclose(fast, ref, atol=1e-12)
 
 
-def test_system_requires_law_and_decomposition():
+def test_system_requires_law():
     with pytest.raises(TypeError):
         ParticleSystem(x=np.array([-1.0, 1.0]), m=np.array([0.5, 0.5]), time=0.0, pot=ABS_HALF)
-    bare = type(ABS_HALF)(
-        name="bare", w_eval=ABS_HALF.w_eval, wprime_eval=ABS_HALF.wprime_eval, lam=0.0, lip=0.5, decomposition=None
-    )
-    with pytest.raises(ValueError):
-        system([-1.0, 1.0], [0.5, 0.5], pot=bare)
 
 
 def test_coincident_particles_rejected():

@@ -171,12 +171,3 @@ def test_velocity_sup_bound_nonlinear_exp_pointy():
     got = velocity_sup_bound(pot, law)
     assert got == pytest.approx(expect, abs=1e-14)
     assert got == pytest.approx(0.99363, abs=1e-5)
-
-
-def test_velocity_sup_bound_requires_decomposition():
-    pot = make_builtin_potential("abs_half")
-    bare = type(pot)(
-        name="bare", w_eval=pot.w_eval, wprime_eval=pot.wprime_eval, lam=0.0, lip=0.5, decomposition=None
-    )
-    with pytest.raises(ValueError):
-        velocity_sup_bound(bare, make_velocity_law("identity"))
