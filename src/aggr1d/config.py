@@ -11,7 +11,7 @@ form so catalogue runs are reproducible byte for byte.  Schema:
       "n_cells": 1000,
       "gamma": 0.9,
       "t_end": 3.0,
-      "sample_times": [0.5, 1.0, ...],                # optional; t_end always sampled
+      "sample_times": [0.5, 1.0, ...],                # added to t = 0 and t_end
       "initial": {"kind": "builtin", "name": "init1"}
                  | {"kind": "bumps", "bumps": [{"amplitude":1,"center":0.7,"width":0.316}]}
                  | {"kind": "atoms", "atoms": [[x, mass], ...]},
@@ -21,20 +21,31 @@ form so catalogue runs are reproducible byte for byte.  Schema:
       "levels": [100, 200, 400]                       # `converge` refinement levels, >= 10 cells
     }
 
+Every key may be left out: an absent key (or a null) takes the
+:class:`SimConfig` field default, the one place defaults are stated.
+Every time-resolved run samples t = 0, t_end and each requested sample
+time in [0, t_end] (:meth:`SimConfig.schedule`).
+
 The identity law (the default) is the linear aggregation equation; every
 law runs through the same velocity engine.  A legacy ``"mode"`` key is
 still read: ``"nonlinear"`` is accepted with any law, ``"linear"`` only
 with the identity law.  Bump data are always renormalized to unit mass; a
 legacy ``"normalize": true`` beside the bumps is ignored and ``false`` is
-an error.  The label names one directory inside ``output_dir``, and atoms
-must lie in the half-open domain [lo, hi).
+an error.
+
+Validation raises :class:`ConfigError` (CLI exit 2, nothing written) unless
+the document is a JSON object, every number in it is finite, the domain
+has exactly two increasing endpoints, the label names one directory inside
+``output_dir``, atoms lie in the half-open domain [lo, hi) and their masses
+sum to 1 within 1e-9, and bump data are positive at some cell center of
+every grid the run uses.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +82,16 @@ class SimConfig:
     levels: tuple[int, ...] = ()
 
     def validate(self) -> "SimConfig":
+        if len(self.domain) != 2:
+            raise ConfigError("domain must have exactly two endpoints")
+        init = self.initial
+        numbers = [self.gamma, self.t_end, *self.domain, *self.sample_times]
+        numbers += [v for v in (self.potential_sigma, self.law_k, self.law_scale) if v is not None]
+        numbers += [v for b in init.bumps for v in astuple(b)]
+        if init.is_atomic:
+            numbers += [*init.atoms.positions, *init.atoms.masses]
+        if not np.all(np.isfinite(numbers)):
+            raise ConfigError("every number in the config must be finite")
         lo, hi = self.domain
         if not hi > lo:
             raise ConfigError("domain must be a nonempty interval")
@@ -78,24 +99,35 @@ class SimConfig:
             raise ConfigError("n_cells must be at least 10")
         if not (0.0 < self.gamma <= 1.0):
             raise ConfigError("gamma must lie in (0, 1]")
-        if not (math.isfinite(self.t_end) and self.t_end >= 0.0):
-            raise ConfigError("t_end must be finite and nonnegative")
+        if self.t_end < 0.0:
+            raise ConfigError("t_end must be nonnegative")
         if self.label in ("", ".", "..") or "/" in self.label or "\\" in self.label:
             raise ConfigError(f"label {self.label!r} must name one directory inside output_dir")
-        if self.initial.is_atomic:
-            pos = self.initial.atoms.positions
+        if init.is_atomic:
+            pos = init.atoms.positions
             if np.any(pos < lo) or np.any(pos >= hi):
                 raise ConfigError(f"atoms must lie in the domain [{lo}, {hi})")
+            if not init.atoms.is_probability():
+                raise ConfigError(f"atom masses sum to {init.atoms.total_mass!r}, not 1")
         if self.compare_particles < 1 or self.converge_particles < 1:
             raise ConfigError("oracle particle counts must be at least 1")
         if any(n < 10 for n in self.levels):
             raise ConfigError("every refinement level must have at least 10 cells")
+        if not init.is_atomic:
+            # the center is a node of the projection's 5-point Gauss rule: mass there reaches the grid
+            for n in {self.n_cells, *self.levels}:
+                if not np.any(init.density(self.make_grid(n).centers) > 0.0):
+                    raise ConfigError(f"the bump data vanish at every cell center of the {n}-cell grid")
         try:
             self.make_potential()
             self.make_law()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         return self
+
+    def schedule(self) -> list[float]:
+        """Sample times of a run: 0, t_end and every requested time in [0, t_end], sorted."""
+        return sorted({0.0, float(self.t_end)} | {float(t) for t in self.sample_times if 0.0 <= t <= self.t_end})
 
     def make_potential(self) -> PointyPotential:
         return make_builtin_potential(self.potential_name, sigma=self.potential_sigma)
@@ -108,70 +140,34 @@ class SimConfig:
         return Grid.from_domain(lo, hi, n_cells if n_cells is not None else self.n_cells)
 
     def to_dict(self) -> dict:
-        if self.initial.is_atomic:
-            init = {
-                "kind": "atoms",
-                "atoms": [[float(x), float(m)] for x, m in zip(self.initial.atoms.positions, self.initial.atoms.masses)],
-            }
-        else:
-            init = {
-                "kind": "bumps",
-                "bumps": [
-                    {"amplitude": b.amplitude, "center": b.center, "width": b.width} for b in self.initial.bumps
-                ],
-            }
-        pot: dict = {"name": self.potential_name}
-        if self.potential_sigma is not None:
-            pot["sigma"] = self.potential_sigma
-        law: dict = {"name": self.law_name}
-        if self.law_k is not None:
-            law["k"] = self.law_k
-        if self.law_scale is not None:
-            law["scale"] = self.law_scale
-        return {
-            "label": self.label,
-            "potential": pot,
-            "velocity_law": law,
-            "domain": list(self.domain),
-            "n_cells": self.n_cells,
-            "gamma": self.gamma,
-            "t_end": self.t_end,
-            "sample_times": list(self.sample_times),
-            "initial": init,
-            "output_dir": self.output_dir,
-            "compare_particles": self.compare_particles,
-            "converge_particles": self.converge_particles,
-            "levels": list(self.levels),
-        }
+        doc: dict = {}
+        for key, (name, _) in _KEYS.items():
+            value = getattr(self, name)
+            if value is None:
+                continue
+            *parents, leaf = key.split(".")
+            node = doc
+            for part in parents:
+                node = node.setdefault(part, {})
+            node[leaf] = _to_json(value)
+        return doc
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "SimConfig":
+    def from_dict(cls, doc) -> "SimConfig":
+        if not isinstance(doc, dict):
+            raise ConfigError("a config must be a JSON object")
+        values = {}
         try:
-            pot = doc.get("potential", {"name": "abs_half"})
-            law = doc.get("velocity_law", {"name": "identity"})
-            _check_legacy_mode(doc.get("mode"), str(law["name"]))
-            init = _initial_from_dict(doc.get("initial", {"kind": "builtin", "name": "init1"}))
-            domain = doc.get("domain", [-2.5, 2.5])
-            cfg = cls(
-                label=str(doc.get("label", "run")),
-                potential_name=str(pot["name"]),
-                potential_sigma=_opt_float(pot.get("sigma")),
-                law_name=str(law["name"]),
-                law_k=_opt_float(law.get("k")),
-                law_scale=_opt_float(law.get("scale")),
-                domain=(float(domain[0]), float(domain[1])),
-                n_cells=int(doc.get("n_cells", 1000)),
-                gamma=float(doc.get("gamma", 0.9)),
-                t_end=float(doc.get("t_end", 1.0)),
-                sample_times=tuple(float(t) for t in doc.get("sample_times", [])),
-                initial=init,
-                output_dir=str(doc.get("output_dir", "out")),
-                compare_particles=int(doc.get("compare_particles", 256)),
-                converge_particles=int(doc.get("converge_particles", 512)),
-                levels=tuple(int(n) for n in doc.get("levels", [])),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            for key, (name, cast) in _KEYS.items():
+                value = doc
+                for part in key.split("."):
+                    value = None if value is None else value.get(part)
+                if value is not None:
+                    values[name] = cast(value)
+            cfg = cls(**values)
+        except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"malformed config: {exc}") from exc
+        _check_legacy_mode(doc.get("mode"), cfg.law_name)
         return cfg.validate()
 
 
@@ -183,10 +179,6 @@ def _check_legacy_mode(mode, law_name: str) -> None:
         raise ConfigError("mode must be 'linear' or 'nonlinear'")
     if law_name != "identity":
         raise ConfigError(f"mode 'linear' is the identity law; it contradicts velocity_law {law_name!r}")
-
-
-def _opt_float(v):
-    return None if v is None else float(v)
 
 
 def _initial_from_dict(doc: dict) -> InitialData:
@@ -206,19 +198,56 @@ def _initial_from_dict(doc: dict) -> InitialData:
     raise ConfigError(f"unknown initial kind {kind!r}")
 
 
-def load_config(path, overrides: dict | None = None) -> SimConfig:
-    """Read a JSON config file and apply flat field overrides."""
+def _to_json(value):
+    if isinstance(value, tuple):
+        return list(value)
+    if not isinstance(value, InitialData):
+        return value
+    if value.is_atomic:
+        return {"kind": "atoms", "atoms": np.column_stack([value.atoms.positions, value.atoms.masses]).tolist()}
+    return {"kind": "bumps", "bumps": [asdict(b) for b in value.bumps]}
+
+
+def _floats(values) -> tuple[float, ...]:
+    return tuple(float(v) for v in values)
+
+
+def _ints(values) -> tuple[int, ...]:
+    return tuple(int(v) for v in values)
+
+
+# JSON key (a dot steps into a nested object) -> SimConfig field, cast from JSON
+_KEYS = {
+    "label": ("label", str),
+    "potential.name": ("potential_name", str),
+    "potential.sigma": ("potential_sigma", float),
+    "velocity_law.name": ("law_name", str),
+    "velocity_law.k": ("law_k", float),
+    "velocity_law.scale": ("law_scale", float),
+    "domain": ("domain", _floats),
+    "n_cells": ("n_cells", int),
+    "gamma": ("gamma", float),
+    "t_end": ("t_end", float),
+    "sample_times": ("sample_times", _floats),
+    "initial": ("initial", _initial_from_dict),
+    "output_dir": ("output_dir", str),
+    "compare_particles": ("compare_particles", int),
+    "converge_particles": ("converge_particles", int),
+    "levels": ("levels", _ints),
+}
+
+
+def load_config(path) -> SimConfig:
+    """Read and validate a JSON config file."""
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    cfg = SimConfig.from_dict(doc)
-    if overrides:
-        cfg = replace(cfg, **overrides).validate()
-    return cfg
+    return SimConfig.from_dict(doc)
 
 
-_ATAN_SCALE = 2.0 / math.pi
+def _sample_grid(stop: float, step: float) -> tuple[float, ...]:
+    return tuple(np.round(np.arange(0.0, stop, step), 10))
 
 
 def example_preset(number: int) -> SimConfig:
@@ -230,49 +259,13 @@ def example_preset(number: int) -> SimConfig:
     3: W = -|x|/250, identity law (linear speed), three bumps — the center
        bump sharpens before the outer ones.
     """
-    base = SimConfig(
-        domain=(-2.5, 2.5),
-        n_cells=1000,
-        gamma=0.9,
-        compare_particles=256,
-        converge_particles=512,
-    )
-    if number == 1:
-        cfg = replace(
-            base,
-            label="example1",
-            potential_name="exp_pointy",
-            law_name="atan",
-            law_k=50.0,
-            law_scale=_ATAN_SCALE,
-            t_end=3.0,
-            sample_times=tuple(np.round(np.arange(0.0, 3.01, 0.25), 10)),
-            initial=builtin_initial("init1"),
-        )
-    elif number == 2:
-        cfg = replace(
-            base,
-            label="example2",
-            potential_name="abs_scaled",
-            potential_sigma=1.0 / 250.0,
-            law_name="atan",
-            law_k=50.0,
-            law_scale=_ATAN_SCALE,
-            t_end=15.0,
-            sample_times=tuple(np.round(np.arange(0.0, 15.01, 1.0), 10)),
-            initial=builtin_initial("init1"),
-        )
-    elif number == 3:
-        cfg = replace(
-            base,
-            label="example3",
-            potential_name="abs_scaled",
-            potential_sigma=1.0 / 250.0,
-            law_name="identity",
-            t_end=500.0,
-            sample_times=tuple(np.round(np.arange(0.0, 500.01, 25.0), 10)),
-            initial=builtin_initial("init2"),
-        )
-    else:
+    atan = {"law_name": "atan", "law_k": 50.0, "law_scale": 2.0 / math.pi}
+    kink = {"potential_name": "abs_scaled", "potential_sigma": 1.0 / 250.0}
+    presets = {
+        1: {"potential_name": "exp_pointy", **atan, "t_end": 3.0, "sample_times": _sample_grid(3.01, 0.25)},
+        2: {**kink, **atan, "t_end": 15.0, "sample_times": _sample_grid(15.01, 1.0)},
+        3: {**kink, "t_end": 500.0, "sample_times": _sample_grid(500.01, 25.0), "initial": builtin_initial("init2")},
+    }
+    if number not in presets:
         raise ConfigError("example presets are 1, 2 or 3")
-    return cfg.validate()
+    return SimConfig(label=f"example{number}", **presets[number]).validate()

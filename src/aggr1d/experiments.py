@@ -20,7 +20,7 @@ import numpy as np
 from . import fv, particles
 from .config import ConfigError, SimConfig
 from .initial import sample_particles
-from .measure import DiscreteMeasure, wasserstein1, write_atoms_csv
+from .measure import DiscreteMeasure, wasserstein1, write_atoms_csv, write_csv
 
 __all__ = [
     "RunArtifacts",
@@ -80,16 +80,17 @@ def _write_manifest(cfg: SimConfig, command: str, out_dir: Path, files: list[Pat
     return RunArtifacts(out_dir=out_dir, files=sorted(files) + [path], manifest=manifest)
 
 
-def _run_dir(cfg: SimConfig, suffix: str = "") -> Path:
-    d = Path(cfg.output_dir) / (cfg.label + suffix)
+def _run_dir(cfg: SimConfig) -> Path:
+    d = Path(cfg.output_dir) / cfg.label
     d.mkdir(parents=True, exist_ok=True)
     return d
 
 
-def _initial_for_fv(cfg: SimConfig):
-    if cfg.initial.is_atomic:
-        return cfg.initial.atoms
-    return cfg.initial.density
+def _run_fv(cfg: SimConfig, n_cells: int, times):
+    """Run the scheme from the config's initial data on ``n_cells`` cells, sampling at ``times``."""
+    initial = cfg.initial.atoms if cfg.initial.is_atomic else cfg.initial.density
+    state0 = fv.project_initial(initial, cfg.make_grid(n_cells))
+    return fv.run(state0, cfg.make_potential(), cfg.make_law(), cfg.t_end, cfg.gamma, times)
 
 
 def _write_snapshot_csv(path: Path, m: DiscreteMeasure, grid: fv.Grid) -> Path:
@@ -98,27 +99,18 @@ def _write_snapshot_csv(path: Path, m: DiscreteMeasure, grid: fv.Grid) -> Path:
     if m.n_atoms:
         idx = np.rint((m.positions - grid.x_min) / grid.dx).astype(int)
         rho[idx] = m.masses / grid.dx
-    lines = ["x,rho"]
-    for x, r in zip(grid.centers, rho):
-        lines.append(f"{x:.17g},{r:.17g}")
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    return write_csv(path, "x,rho", zip(grid.centers, rho))
 
 
 def cmd_simulate(cfg: SimConfig) -> RunArtifacts:
     """Run the finite-volume scheme; write snapshots, diagnostics and manifest."""
     cfg.validate()
     out = _run_dir(cfg)
-    grid = cfg.make_grid()
-    pot = cfg.make_potential()
-    law = cfg.make_law()
-    state0 = fv.project_initial(_initial_for_fv(cfg), grid)
     t0 = _time.perf_counter()
-    snapshots, diag = fv.run(state0, pot, law, cfg.t_end, cfg.gamma, cfg.sample_times)
+    snapshots, diag = _run_fv(cfg, cfg.n_cells, cfg.schedule())
     runtime = _time.perf_counter() - t0
-    files = []
-    for k, (t, m) in enumerate(snapshots):
-        files.append(_write_snapshot_csv(out / f"snapshot_{k:03d}_t{t:.6f}.csv", m, grid))
+    grid = cfg.make_grid()
+    files = [_write_snapshot_csv(out / f"snapshot_{k:03d}_t{t:.6f}.csv", m, grid) for k, (t, m) in enumerate(snapshots)]
     diag_path = out / "diagnostics.csv"
     diag.write_csv(diag_path)
     files.append(diag_path)
@@ -145,19 +137,13 @@ def cmd_particles(cfg: SimConfig) -> RunArtifacts:
     out = _run_dir(cfg)
     ps = _particle_system(cfg, n=cfg.initial.atoms.n_atoms)
     log = particles.TrajectoryLog()
-    log.record(0.0, "sample", particles.snapshot(ps))
-    times = sorted({float(t) for t in cfg.sample_times if 0.0 < t <= cfg.t_end} | ({cfg.t_end} if cfg.t_end > 0 else set()))
     t0 = _time.perf_counter()
-    for t in times:
+    for t in cfg.schedule():
         ps = particles.advance_to(ps, t, log)
         log.record(t, "sample", particles.snapshot(ps))
     runtime = _time.perf_counter() - t0
-    traj_path = out / "trajectory.csv"
-    lines = ["time,event,positions_then_masses"]
-    for ev in log.events:
-        vals = [f"{v:.17g}" for v in ev.snapshot.positions] + [f"{v:.17g}" for v in ev.snapshot.masses]
-        lines.append(",".join([f"{ev.time:.17g}", ev.kind] + vals))
-    traj_path.write_text("\n".join(lines) + "\n")
+    rows = ([ev.time, ev.kind, *ev.snapshot.positions, *ev.snapshot.masses] for ev in log.events)
+    traj_path = write_csv(out / "trajectory.csv", "time,event,positions_then_masses", rows)
     final_path = write_atoms_csv(particles.snapshot(ps), out / "final_atoms.csv")
     merges = [ev for ev in log.events if ev.kind == "merge"]
     summary = {
@@ -174,22 +160,15 @@ def cmd_compare(cfg: SimConfig) -> CompareResult:
     """Scheme vs particle oracle: W1 between snapshots at shared sample times."""
     cfg.validate()
     out = _run_dir(cfg)
-    times = sorted({0.0, float(cfg.t_end)} | {float(t) for t in cfg.sample_times if 0.0 <= t <= cfg.t_end})
-    grid = cfg.make_grid()
-    pot = cfg.make_potential()
-    law = cfg.make_law()
-    state0 = fv.project_initial(_initial_for_fv(cfg), grid)
     t0 = _time.perf_counter()
-    fv_snaps, _ = fv.run(state0, pot, law, cfg.t_end, cfg.gamma, times)
+    fv_snaps, _ = _run_fv(cfg, cfg.n_cells, cfg.schedule())
     ps = _particle_system(cfg, n=cfg.compare_particles)
     series = []
     for t, fv_m in fv_snaps:
         ps = particles.advance_to(ps, t)
         series.append((t, wasserstein1(fv_m, particles.snapshot(ps))))
     runtime = _time.perf_counter() - t0
-    path = out / "w1_compare.csv"
-    lines = ["time,w1"] + [f"{t:.17g},{w:.17g}" for t, w in series]
-    path.write_text("\n".join(lines) + "\n")
+    path = write_csv(out / "w1_compare.csv", "time,w1", series)
     summary = {
         "runtime_s": runtime,
         "oracle_particles": ps.n,
@@ -215,8 +194,6 @@ def cmd_converge(cfg: SimConfig) -> ConvergenceReport:
     if any(b % a for a, b in zip(levels, levels[1:])):
         raise ConfigError("each refinement level must divide the next")
     out = _run_dir(cfg)
-    pot = cfg.make_potential()
-    law = cfg.make_law()
 
     oracle = _particle_system(cfg, n=cfg.converge_particles)
     oracle = particles.advance_to(oracle, cfg.t_end)
@@ -225,18 +202,13 @@ def cmd_converge(cfg: SimConfig) -> ConvergenceReport:
     rows = []
     for n_cells in levels:
         t0 = _time.perf_counter()
-        grid = cfg.make_grid(n_cells)
-        state0 = fv.project_initial(_initial_for_fv(cfg), grid)
-        snaps, _ = fv.run(state0, pot, law, cfg.t_end, cfg.gamma, [cfg.t_end])
+        snaps, _ = _run_fv(cfg, n_cells, [cfg.t_end])
         err = wasserstein1(snaps[-1][1], oracle_final)
-        rows.append(ConvergenceRow(dx=grid.dx, n_cells=n_cells, w1_error=err, runtime_s=_time.perf_counter() - t0))
+        dx = cfg.make_grid(n_cells).dx
+        rows.append(ConvergenceRow(dx=dx, n_cells=n_cells, w1_error=err, runtime_s=_time.perf_counter() - t0))
     ratios = [b.w1_error / a.w1_error for a, b in zip(rows, rows[1:])]
-    path = out / "convergence.csv"
-    lines = ["dx,n_cells,w1_error,ratio"]
-    for i, r in enumerate(rows):
-        ratio = "" if i == 0 else f"{ratios[i - 1]:.17g}"
-        lines.append(f"{r.dx:.17g},{r.n_cells},{r.w1_error:.17g},{ratio}")
-    path.write_text("\n".join(lines) + "\n")
+    table = [(r.dx, r.n_cells, r.w1_error, ratio) for r, ratio in zip(rows, ["", *ratios])]
+    path = write_csv(out / "convergence.csv", "dx,n_cells,w1_error,ratio", table)
     summary = {
         "oracle_particles": cfg.converge_particles,
         "runtimes_s": {str(r.n_cells): r.runtime_s for r in rows},

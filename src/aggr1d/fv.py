@@ -34,11 +34,10 @@ gradients are exactly antisymmetric.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
-from .measure import DiscreteMeasure, from_cells
+from .measure import DiscreteMeasure, from_cells, write_csv
 from .potentials import PointyPotential, VelocityLaw, velocity_sup_bound
 
 __all__ = [
@@ -432,14 +431,9 @@ class DiagnosticsReport:
         return [hi - lo + 1 if lo >= 0 else 0 for lo, hi in zip(self.support_lo, self.support_hi)]
 
     def write_csv(self, path) -> None:
-        lines = ["step,time,mass,min_rho,max_abs_a,moment1,support_cells,tv_cumulative,entropy_residual"]
-        for i, width in enumerate(self.support_cells):
-            lines.append(
-                f"{self.step_index[i]},{self.time[i]:.17g},{self.mass[i]:.17g},"
-                f"{self.min_rho[i]:.17g},{self.max_abs_a[i]:.17g},{self.moment1[i]:.17g},"
-                f"{width},{self.tv_cumulative[i]:.17g},{self.entropy_residual[i]:.17g}"
-            )
-        Path(path).write_text("\n".join(lines) + "\n")
+        header = "step,time,mass,min_rho,max_abs_a,moment1,support_cells,tv_cumulative,entropy_residual"
+        columns = (self.step_index, self.time, self.mass, self.min_rho, self.max_abs_a, self.moment1)
+        write_csv(path, header, zip(*columns, self.support_cells, self.tv_cumulative, self.entropy_residual))
 
 
 def _boundary_mass(state: FVState) -> float:

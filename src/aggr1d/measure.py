@@ -26,6 +26,7 @@ __all__ = [
     "first_moment",
     "merge_runs",
     "write_atoms_csv",
+    "write_csv",
 ]
 
 # Atoms closer than this are merged on construction; particle collisions
@@ -156,11 +157,21 @@ def first_moment(m: DiscreteMeasure) -> float:
     return float(np.sum(m.masses * np.abs(m.positions)))
 
 
-def write_atoms_csv(m: DiscreteMeasure, path) -> Path:
-    """Dump atoms as ``position,mass`` lines, 17 significant digits."""
+def write_csv(path, header: str, rows) -> Path:
+    """Write the header line and one comma-separated line per row.
+
+    Floats, numpy floats included, are written with 17 significant digits,
+    which round-trips every double; every other value is written with str.
+    This is the one CSV format of the package's artifacts.
+    """
+    lines = [header] + [
+        ",".join([f"{v:.17g}" if isinstance(v, (float, np.floating)) else str(v) for v in row]) for row in rows
+    ]
     path = Path(path)
-    lines = ["position,mass"]
-    for x, w in zip(m.positions, m.masses):
-        lines.append(f"{x:.17g},{w:.17g}")
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def write_atoms_csv(m: DiscreteMeasure, path) -> Path:
+    """Dump atoms as ``position,mass`` lines."""
+    return write_csv(path, "position,mass", zip(m.positions, m.masses))

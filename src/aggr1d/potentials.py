@@ -101,14 +101,16 @@ class PointyPotential:
 class VelocityLaw:
     """Nondecreasing C^1 speed law a with antiderivative A, A(0) = 0.
 
-    alpha bounds a' from above; the upwind CFL and the one-sided Lipschitz
-    diagnostics both consume it.
+    The scheme reads a only through divided differences of A between
+    interface gradients (a itself where two gradients coincide), and the
+    CFL bound from the values of a at the ends of the gradient range
+    (:func:`velocity_sup_bound`).  ``is_identity`` marks a(x) = x, whose
+    divided difference is the interface midpoint.
     """
 
     name: str
     a_eval: Callable[[np.ndarray], np.ndarray]
     a_antideriv: Callable[[np.ndarray], np.ndarray]
-    alpha: float
     is_identity: bool = False
 
 
@@ -167,7 +169,6 @@ def make_velocity_law(name: str, k: float | None = None, scale: float | None = N
             name="identity",
             a_eval=lambda x: np.asarray(x, dtype=float),
             a_antideriv=lambda x: 0.5 * np.square(np.asarray(x, dtype=float)),
-            alpha=1.0,
             is_identity=True,
         )
     if name == "atan":
@@ -184,7 +185,7 @@ def make_velocity_law(name: str, k: float | None = None, scale: float | None = N
             x = np.asarray(x, dtype=float)
             return sc * (x * np.arctan(kk * x) - np.log1p(np.square(kk * x)) / (2.0 * kk))
 
-        return VelocityLaw(name=f"atan({kk!r},{sc!r})", a_eval=a_eval, a_antideriv=a_antideriv, alpha=sc * kk)
+        return VelocityLaw(name=f"atan({kk!r},{sc!r})", a_eval=a_eval, a_antideriv=a_antideriv)
     raise ValueError(f"unknown velocity law {name!r}")
 
 

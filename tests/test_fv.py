@@ -153,6 +153,17 @@ def test_nu_kernel_pair_relation_exact():
     assert np.max(np.abs(rel)) <= 1e-12
 
 
+def test_nu_kernel_tail_beyond_truncated_support():
+    # past the truncated support the kernel weight is zero, so the left-anchor
+    # weight of source cell j is the w-mass left of the first center alone:
+    # int_{-inf}^{-j dx} e^{-|y|}/2 dy = e^{-j dx}/2
+    g = Grid.from_domain(-40.0, 40.0, 1500)
+    k = build_nu_kernel(EXP_POINTY, g)
+    assert 0 < k.half_width < g.n_cells - 1
+    j = np.arange(k.half_width + 1, g.n_cells)
+    np.testing.assert_allclose(k.tail[j], 0.5 * np.exp(-j * g.dx), rtol=1e-12, atol=0.0)
+
+
 def test_nu_matches_direct_convolution_quadrature():
     # nu_i should approximate (w * rho)(x_i); compare against a midpoint
     # quadrature of the exact convolution for a smooth state

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from aggr1d import fv
 from aggr1d.cli import main as cli_main
 from aggr1d.config import ConfigError, SimConfig, example_preset, load_config
 from aggr1d.experiments import cmd_compare, cmd_converge, cmd_particles, cmd_simulate
@@ -130,6 +131,13 @@ def test_cmd_simulate_t_end_zero(tmp_path):
     snaps = [p for p in art.files if p.name.startswith("snapshot_")]
     assert len(snaps) == 1
     assert "t0.000000" in snaps[0].name
+
+
+def test_cmd_simulate_always_samples_t0(tmp_path):
+    cfg = replace(example_preset(1), output_dir=str(tmp_path), t_end=0.25, sample_times=(0.1, 0.25), n_cells=200)
+    art = cmd_simulate(cfg)
+    names = sorted(p.name for p in art.files if p.name.startswith("snapshot_"))
+    assert names == ["snapshot_000_t0.000000.csv", "snapshot_001_t0.100000.csv", "snapshot_002_t0.250000.csv"]
 
 
 def test_cmd_simulate_deterministic_outputs(tmp_path):
@@ -422,3 +430,42 @@ def test_legacy_normalize_key(tmp_path):
     p.write_text(json.dumps(doc))
     assert cli_main(["simulate", "--config", str(p)]) == 2
     assert not (tmp_path / "out").exists()
+
+
+_HALF_MASS_ATOMS = {"kind": "atoms", "atoms": [[-1.0, 0.25], [1.0, 0.25]]}
+_OFF_GRID_BUMP = {"kind": "bumps", "bumps": [{"amplitude": 1.0, "center": 50.0, "width": 0.316}]}
+_GATE_CASES = {
+    "atoms-half-mass-simulate": ("simulate", {"initial": _HALF_MASS_ATOMS}),
+    "atoms-half-mass-particles": ("particles", {"initial": _HALF_MASS_ATOMS}),
+    "sigma-nan": ("simulate", {"potential": {"name": "abs_scaled", "sigma": math.nan}}),
+    "k-nan": ("simulate", {"velocity_law": {"name": "atan", "k": math.nan, "scale": 0.5}}),
+    "k-inf": ("simulate", {"velocity_law": {"name": "atan", "k": math.inf, "scale": 0.5}}),
+    "domain-inf": ("simulate", {"domain": [-2.5, math.inf]}),
+    "bump-off-grid": ("simulate", {"initial": _OFF_GRID_BUMP}),
+    "list-document": ("simulate", None),
+    "domain-three-endpoints": ("simulate", {"domain": [-1.0, 0.0, 1.0]}),
+    "sample-time-nan": ("simulate", {"sample_times": [math.nan, 0.25]}),
+}
+
+
+@pytest.mark.parametrize("command, fields", list(_GATE_CASES.values()), ids=list(_GATE_CASES))
+def test_cli_input_gate(tmp_path, command, fields):
+    doc = [] if fields is None else {"label": "gate", "n_cells": 50, "t_end": 0.1, **fields}
+    p = tmp_path / "gate.json"
+    p.write_text(json.dumps(doc))  # NaN and Infinity are written as bare tokens
+    with pytest.raises(ConfigError):
+        load_config(p)
+    out = tmp_path / "out"
+    assert cli_main([command, "--config", str(p), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_cli_value_error_is_not_an_abort(tmp_path, monkeypatch):
+    # past the input gate a ValueError from an engine is a bug, so it surfaces
+    # as a traceback instead of a runtime abort (exit 3)
+    def broken_run(*args, **kwargs):
+        raise ValueError("engine bug")
+
+    monkeypatch.setattr(fv, "run", broken_run)
+    with pytest.raises(ValueError, match="engine bug"):
+        cli_main(["simulate", "--example", "1", "--cells", "50", "--t-end", "0.1", "--out", str(tmp_path)])

@@ -52,9 +52,7 @@ def test_linear_fast_path_matches_direct_sum():
 def test_nonlinear_matches_linear_for_identity_law():
     # the jump quotient of A = x^2/2, evaluated as for any nonlinear law,
     # collapses to the midpoint the identity law takes directly
-    quotient_identity = VelocityLaw(
-        name="identity-quotient", a_eval=IDENTITY.a_eval, a_antideriv=IDENTITY.a_antideriv, alpha=1.0
-    )
+    quotient_identity = VelocityLaw(name="identity-quotient", a_eval=IDENTITY.a_eval, a_antideriv=IDENTITY.a_antideriv)
     rng = np.random.default_rng(43)
     for pot in (ABS_HALF, EXP_POINTY):
         for _ in range(30):

@@ -111,7 +111,6 @@ def test_identity_law():
     law = make_velocity_law("identity")
     assert law.a_antideriv(3.0) == 4.5
     assert law.a_antideriv(0.0) == 0.0
-    assert law.alpha == 1.0
     assert law.is_identity
 
 
@@ -123,7 +122,6 @@ def test_atan_law_values():
     q, _ = quad(lambda y: float(law.a_eval(y)), 0.0, 0.5, epsabs=1e-14)
     assert float(law.a_antideriv(0.5)) == pytest.approx(q, abs=1e-12)
     assert float(law.a_antideriv(0.5)) == pytest.approx(0.4462802109775598, abs=1e-13)
-    assert law.alpha == pytest.approx(50.0 * 2.0 / math.pi)
 
 
 def test_bad_law_parameters():
