@@ -34,7 +34,8 @@ legacy ``"normalize": true`` beside the bumps is ignored and ``false`` is
 an error.
 
 Validation raises :class:`ConfigError` (CLI exit 2, nothing written) unless
-the document is a JSON object, every number in it is finite, the domain
+the document is a JSON object whose every key is one named above (or the
+legacy ``mode`` and ``normalize``), every number in it is finite, the domain
 has exactly two increasing endpoints, the label names one directory inside
 ``output_dir``, atoms lie in the half-open domain [lo, hi) and their masses
 sum to 1 within 1e-9, and bump data are positive at some cell center of
@@ -156,6 +157,9 @@ class SimConfig:
     def from_dict(cls, doc) -> "SimConfig":
         if not isinstance(doc, dict):
             raise ConfigError("a config must be a JSON object")
+        unknown = list(_unknown_keys(doc))
+        if unknown:
+            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         values = {}
         try:
             for key, (name, cast) in _KEYS.items():
@@ -235,6 +239,25 @@ _KEYS = {
     "converge_particles": ("converge_particles", int),
     "levels": ("levels", _ints),
 }
+
+
+# every path a document may hold: the _KEYS paths and the objects on them, the
+# initial object's keys (a bump's inside its list) and the legacy ``mode``
+_DOC_PATHS = {*_KEYS, "potential", "velocity_law", "mode"}
+_DOC_PATHS |= {f"initial.{k}" for k in ("kind", "name", "bumps", "atoms", "normalize")}
+_DOC_PATHS |= {f"initial.bumps.{k}" for k in ("amplitude", "center", "width")}
+
+
+def _unknown_keys(node: dict, prefix: str = ""):
+    """Yield the dotted path of every key that no field reads, in nested objects and lists of them too."""
+    for key, value in node.items():
+        path = prefix + str(key)
+        if path not in _DOC_PATHS:
+            yield path
+            continue
+        for item in value if isinstance(value, list) else [value]:
+            if isinstance(item, dict):
+                yield from _unknown_keys(item, path + ".")
 
 
 def load_config(path) -> SimConfig:

@@ -81,8 +81,22 @@ def _write_manifest(cfg: SimConfig, command: str, out_dir: Path, files: list[Pat
 
 
 def _run_dir(cfg: SimConfig) -> Path:
+    """The run directory, created or cleared of the files its previous manifest lists.
+
+    Call it after the computation, so an aborted run leaves the previous one as it was.
+    """
     d = Path(cfg.output_dir) / cfg.label
     d.mkdir(parents=True, exist_ok=True)
+    old = d / "manifest.json"
+    if old.is_file():
+        try:
+            listed = [entry["path"] for entry in json.loads(old.read_text())["outputs"]]
+        except ValueError:  # a manifest cut short by a killed run lists nothing
+            listed = []
+        for name in listed:
+            if Path(name).name == name and (d / name).is_file():  # a bare file name
+                (d / name).unlink()
+        old.unlink()
     return d
 
 
@@ -105,10 +119,10 @@ def _write_snapshot_csv(path: Path, m: DiscreteMeasure, grid: fv.Grid) -> Path:
 def cmd_simulate(cfg: SimConfig) -> RunArtifacts:
     """Run the finite-volume scheme; write snapshots, diagnostics and manifest."""
     cfg.validate()
-    out = _run_dir(cfg)
     t0 = _time.perf_counter()
     snapshots, diag = _run_fv(cfg, cfg.n_cells, cfg.schedule())
     runtime = _time.perf_counter() - t0
+    out = _run_dir(cfg)
     grid = cfg.make_grid()
     files = [_write_snapshot_csv(out / f"snapshot_{k:03d}_t{t:.6f}.csv", m, grid) for k, (t, m) in enumerate(snapshots)]
     diag_path = out / "diagnostics.csv"
@@ -134,7 +148,6 @@ def cmd_particles(cfg: SimConfig) -> RunArtifacts:
     cfg.validate()
     if not cfg.initial.is_atomic:
         raise ConfigError("the particles command requires atomic initial data")
-    out = _run_dir(cfg)
     ps = _particle_system(cfg, n=cfg.initial.atoms.n_atoms)
     log = particles.TrajectoryLog()
     t0 = _time.perf_counter()
@@ -142,6 +155,7 @@ def cmd_particles(cfg: SimConfig) -> RunArtifacts:
         ps = particles.advance_to(ps, t, log)
         log.record(t, "sample", particles.snapshot(ps))
     runtime = _time.perf_counter() - t0
+    out = _run_dir(cfg)
     rows = ([ev.time, ev.kind, *ev.snapshot.positions, *ev.snapshot.masses] for ev in log.events)
     traj_path = write_csv(out / "trajectory.csv", "time,event,positions_then_masses", rows)
     final_path = write_atoms_csv(particles.snapshot(ps), out / "final_atoms.csv")
@@ -159,7 +173,6 @@ def cmd_particles(cfg: SimConfig) -> RunArtifacts:
 def cmd_compare(cfg: SimConfig) -> CompareResult:
     """Scheme vs particle oracle: W1 between snapshots at shared sample times."""
     cfg.validate()
-    out = _run_dir(cfg)
     t0 = _time.perf_counter()
     fv_snaps, _ = _run_fv(cfg, cfg.n_cells, cfg.schedule())
     ps = _particle_system(cfg, n=cfg.compare_particles)
@@ -168,6 +181,7 @@ def cmd_compare(cfg: SimConfig) -> CompareResult:
         ps = particles.advance_to(ps, t)
         series.append((t, wasserstein1(fv_m, particles.snapshot(ps))))
     runtime = _time.perf_counter() - t0
+    out = _run_dir(cfg)
     path = write_csv(out / "w1_compare.csv", "time,w1", series)
     summary = {
         "runtime_s": runtime,
@@ -193,7 +207,6 @@ def cmd_converge(cfg: SimConfig) -> ConvergenceReport:
         raise ConfigError("refinement levels must be strictly increasing")
     if any(b % a for a, b in zip(levels, levels[1:])):
         raise ConfigError("each refinement level must divide the next")
-    out = _run_dir(cfg)
 
     oracle = _particle_system(cfg, n=cfg.converge_particles)
     oracle = particles.advance_to(oracle, cfg.t_end)
@@ -208,6 +221,7 @@ def cmd_converge(cfg: SimConfig) -> ConvergenceReport:
         rows.append(ConvergenceRow(dx=dx, n_cells=n_cells, w1_error=err, runtime_s=_time.perf_counter() - t0))
     ratios = [b.w1_error / a.w1_error for a, b in zip(rows, rows[1:])]
     table = [(r.dx, r.n_cells, r.w1_error, ratio) for r, ratio in zip(rows, ["", *ratios])]
+    out = _run_dir(cfg)
     path = write_csv(out / "convergence.csv", "dx,n_cells,w1_error,ratio", table)
     summary = {
         "oracle_particles": cfg.converge_particles,

@@ -43,7 +43,6 @@ from .potentials import PointyPotential, VelocityLaw, velocity_sup_bound
 __all__ = [
     "Grid",
     "FVState",
-    "VelocityField",
     "NuKernel",
     "DiagnosticsReport",
     "SchemeError",
@@ -55,8 +54,6 @@ __all__ = [
     "nonlinear_velocity",
     "cfl_dt",
     "step",
-    "entropy_residual",
-    "cumulative_tv",
     "run",
 ]
 
@@ -69,6 +66,12 @@ KERNEL_TRUNC = 1e-14
 # run() aborts when this much mass sits within BOUNDARY_CELLS of an edge
 BOUNDARY_CELLS = 5
 BOUNDARY_MASS_TOL = 1e-8
+
+# 5-point Gauss-Legendre rule on [-1, 1], the values of
+# numpy.polynomial.legendre.leggauss(5) bit for bit (the closed form 128/225
+# of the middle weight differs in the last bit)
+GAUSS5_NODES = (-0.906179845938664, -0.5384693101056831, 0.0, 0.5384693101056831, 0.906179845938664)
+GAUSS5_WEIGHTS = (0.23692688505618928, 0.4786286704993663, 0.5688888888888887, 0.4786286704993663, 0.23692688505618928)
 
 
 class SchemeError(RuntimeError):
@@ -132,20 +135,6 @@ class FVState:
 
 
 @dataclass(frozen=True)
-class VelocityField:
-    """Per-cell speeds with the intermediates they were computed from.
-
-    ``s_grad`` holds the n+1 interface gradients s_{i-1/2}, i = 0..n;
-    ``nu`` the per-cell w-convolution.  Both are None for a field built
-    from given speeds, which carries no gradients to check.
-    """
-
-    a_cell: np.ndarray
-    s_grad: np.ndarray | None = None
-    nu: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
 class NuKernel:
     """Discretization kernel g for nu_i = dx * sum_k rho_k g_{i-k}.
 
@@ -191,9 +180,8 @@ def project_initial(initial, grid: Grid) -> FVState:
             raise ValueError("atom support extends outside the grid")
         np.add.at(rho, idx, initial.masses / dx)
     elif callable(initial):
-        nodes, weights = np.polynomial.legendre.leggauss(5)
         centers = grid.centers
-        for xi, wi in zip(nodes, weights):
+        for xi, wi in zip(GAUSS5_NODES, GAUSS5_WEIGHTS):
             vals = np.asarray(initial(centers + 0.5 * dx * xi), dtype=float)
             if np.any(vals < -1e-13):
                 raise ValueError("initial density must be nonnegative")
@@ -317,13 +305,12 @@ def velocity_from_gradients(law: VelocityLaw, s: np.ndarray) -> np.ndarray:
 
 def nonlinear_velocity(
     state: FVState, pot: PointyPotential, law: VelocityLaw, kernel: NuKernel | None = None
-) -> VelocityField:
-    """Cell speeds for any speed law; nu and the interface gradients ride along."""
+) -> np.ndarray:
+    """Per-cell speeds a_i for any speed law, as an array; the nu kernel is built when not given."""
     if kernel is None:
         kernel = build_nu_kernel(pot, state.grid)
     nu = compute_nu(state, kernel)
-    s = solve_s_gradient(state, pot, nu, kernel)
-    return VelocityField(a_cell=velocity_from_gradients(law, s), s_grad=s, nu=nu)
+    return velocity_from_gradients(law, solve_s_gradient(state, pot, nu, kernel))
 
 
 def cfl_dt(vel_bound: float, dx: float, gamma: float, dt_cap: float | None = None) -> float:
@@ -340,8 +327,8 @@ def cfl_dt(vel_bound: float, dx: float, gamma: float, dt_cap: float | None = Non
     return dt if dt_cap is None else min(dt, dt_cap)
 
 
-def step(state: FVState, vel: VelocityField, dt: float) -> FVState:
-    """One upwind step under CFL, in positivity-preserving form.
+def step(state: FVState, a: np.ndarray, dt: float) -> FVState:
+    """One upwind step with per-cell speeds ``a`` under CFL, in positivity-preserving form.
 
     rho_i^{n+1} = rho_i (1 - (dt/dx)|a_i|) + (dt/dx)[(a_{i-1})_+ rho_{i-1}
                   - (a_{i+1})_- rho_{i+1}]; every addend is nonnegative once
@@ -349,7 +336,6 @@ def step(state: FVState, vel: VelocityField, dt: float) -> FVState:
     """
     if dt < 0.0:
         raise ValueError("dt must be nonnegative")
-    a = vel.a_cell
     dx = state.grid.dx
     lam = dt / dx
     amax = float(np.max(np.abs(a))) if a.size else 0.0
@@ -365,41 +351,14 @@ def step(state: FVState, vel: VelocityField, dt: float) -> FVState:
     return replace(state, rho=new, time=state.time + dt, step_index=state.step_index + 1)
 
 
-def entropy_residual(state: FVState, vel: VelocityField, pot: PointyPotential) -> float:
-    """Discrete entropy-condition residual, max_i [(s_{i+1/2}-s_{i-1/2})/dx - nu_i]/c.
-
-    By the cumulative solve this equals max_i(-rho_i) <= 0 for any
-    nonnegative state; a positive value flags a corrupted gradient field.
-    """
-    if vel.s_grad is None or vel.nu is None:
-        raise ValueError("entropy residual needs the interface gradients and nu")
-    c = pot.decomposition.c
-    s = vel.s_grad
-    res = ((s[1:] - s[:-1]) / state.grid.dx - vel.nu) / c
-    return float(np.max(res))
-
-
-def _cumulative_tv(rho: np.ndarray, dx: float) -> float:
-    m = np.cumsum(rho * dx)
-    return float(abs(m[0]) + np.sum(np.abs(np.diff(m))))
-
-
-def cumulative_tv(states) -> list[float]:
-    """Total variation of the cumulative mass function per time level."""
-    states = list(states)
-    if not states:
-        return []
-    g0 = states[0].grid
-    for s in states:
-        if s.grid != g0:
-            raise ValueError("states must share a grid")
-    return [_cumulative_tv(s.rho, g0.dx) for s in states]
-
-
 @dataclass
 class DiagnosticsReport:
-    """Per-time-level scheme diagnostics, one row per level (including t=0)."""
+    """Per-time-level scheme diagnostics, one row per level (including t=0).
 
+    ``abs_x`` holds |x_i| on the run's grid, the weights of ``moment1``.
+    """
+
+    abs_x: np.ndarray
     step_index: list[int] = field(default_factory=list)
     time: list[float] = field(default_factory=list)
     mass: list[float] = field(default_factory=list)
@@ -408,32 +367,27 @@ class DiagnosticsReport:
     moment1: list[float] = field(default_factory=list)
     support_lo: list[int] = field(default_factory=list)
     support_hi: list[int] = field(default_factory=list)
-    tv_cumulative: list[float] = field(default_factory=list)
-    entropy_residual: list[float] = field(default_factory=list)
 
-    def record(self, state: FVState, vel: VelocityField, ent: float) -> None:
+    def record(self, state: FVState, a: np.ndarray) -> None:
         rho = state.rho
-        dx = state.grid.dx
         nz = np.nonzero(rho > 0.0)[0]
         self.step_index.append(state.step_index)
         self.time.append(state.time)
         self.mass.append(state.mass)
         self.min_rho.append(float(np.min(rho)))
-        self.max_abs_a.append(float(np.max(np.abs(vel.a_cell))))
-        self.moment1.append(float(np.sum(np.abs(state.grid.centers) * rho * dx)))
+        self.max_abs_a.append(float(np.max(np.abs(a))))
+        self.moment1.append(float(np.sum(self.abs_x * rho * state.grid.dx)))
         self.support_lo.append(int(nz[0]) if nz.size else -1)
         self.support_hi.append(int(nz[-1]) if nz.size else -1)
-        self.tv_cumulative.append(_cumulative_tv(rho, dx))
-        self.entropy_residual.append(ent)
 
     @property
     def support_cells(self) -> list[int]:
         return [hi - lo + 1 if lo >= 0 else 0 for lo, hi in zip(self.support_lo, self.support_hi)]
 
     def write_csv(self, path) -> None:
-        header = "step,time,mass,min_rho,max_abs_a,moment1,support_cells,tv_cumulative,entropy_residual"
+        header = "step,time,mass,min_rho,max_abs_a,moment1,support_cells"
         columns = (self.step_index, self.time, self.mass, self.min_rho, self.max_abs_a, self.moment1)
-        write_csv(path, header, zip(*columns, self.support_cells, self.tv_cumulative, self.entropy_residual))
+        write_csv(path, header, zip(*columns, self.support_cells))
 
 
 def _boundary_mass(state: FVState) -> float:
@@ -473,12 +427,12 @@ def run(
     time_tol = 1e-9 * max(1.0, t_end)
 
     snapshots: list[tuple[float, DiscreteMeasure]] = []
-    diag = DiagnosticsReport()
+    diag = DiagnosticsReport(abs_x=np.abs(state0.grid.centers))
     state = state0
     max_steps = int(t_end / dt_cfl) * 4 + 10_000
     while True:
-        vel = nonlinear_velocity(state, pot, law, kernel=kernel)
-        diag.record(state, vel, entropy_residual(state, vel, pot))
+        a = nonlinear_velocity(state, pot, law, kernel=kernel)
+        diag.record(state, a)
         while targets and state.time >= targets[0] - time_tol:
             snapshots.append((targets[0], snapshot_measure(state)))
             targets.pop(0)
@@ -489,7 +443,7 @@ def run(
         if _boundary_mass(state) > BOUNDARY_MASS_TOL:
             raise SchemeError("mass reached the grid boundary; enlarge the domain")
         dt = min(dt_cfl, targets[0] - state.time)
-        state = step(state, vel, dt)
+        state = step(state, a, dt)
         if abs(state.time - targets[0]) < 1e-12:
             state = replace(state, time=targets[0])  # land on the sample time exactly
     return snapshots, diag

@@ -1,19 +1,23 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import aggr1d
 from aggr1d.fv import (
+    GAUSS5_NODES,
+    GAUSS5_WEIGHTS,
     FVState,
     Grid,
     NuKernel,
     SchemeError,
-    VelocityField,
     build_nu_kernel,
     cfl_dt,
     compute_nu,
-    cumulative_tv,
-    entropy_residual,
     nonlinear_velocity,
     project_initial,
     run,
@@ -24,6 +28,7 @@ from aggr1d.fv import (
 from aggr1d.initial import builtin_initial
 from aggr1d.measure import DiscreteMeasure
 from aggr1d.potentials import make_builtin_potential, make_velocity_law, velocity_sup_bound
+from conservation import conservation_residual, state_from_snapshot
 from direct_sums import cell_speeds, nu_sum
 
 ABS_HALF = make_builtin_potential("abs_half")
@@ -81,6 +86,26 @@ def test_project_init1_normalized():
     assert np.all(st.rho >= 0)
 
 
+def test_gauss5_rule_is_leggauss_bit_for_bit():
+    nodes, weights = np.polynomial.legendre.leggauss(5)
+    np.testing.assert_array_equal(GAUSS5_NODES, nodes)
+    np.testing.assert_array_equal(GAUSS5_WEIGHTS, weights)
+
+
+def test_projection_does_not_import_numpy_polynomial():
+    code = (
+        "import sys\n"
+        "from aggr1d.fv import Grid, project_initial\n"
+        "from aggr1d.initial import builtin_initial\n"
+        "project_initial(builtin_initial('init1').density, Grid.from_domain(-2.5, 2.5, 100))\n"
+        "print('numpy.polynomial' in sys.modules)\n"
+    )
+    src = str(Path(aggr1d.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_project_atom_outside_grid():
     g = Grid(x_min=0.0, dx=1.0, n_cells=3)
     with pytest.raises(ValueError):
@@ -93,14 +118,14 @@ def test_project_atom_outside_grid():
 def test_linear_velocity_two_pulses():
     g = Grid(x_min=0.0, dx=1.0, n_cells=4)
     st = FVState(grid=g, rho=np.array([0.5, 0.0, 0.0, 0.5]))
-    a = nonlinear_velocity(st, ABS_HALF, IDENTITY).a_cell
+    a = nonlinear_velocity(st, ABS_HALF, IDENTITY)
     np.testing.assert_allclose(a, [0.25, 0.0, 0.0, -0.25], atol=0)
 
 
 def test_linear_velocity_single_cell_diagonal_excluded():
     g = Grid(x_min=0.0, dx=1.0, n_cells=3)
     st = FVState(grid=g, rho=np.array([0.0, 1.0, 0.0]))
-    a = nonlinear_velocity(st, ABS_HALF, IDENTITY).a_cell
+    a = nonlinear_velocity(st, ABS_HALF, IDENTITY)
     assert a[1] == 0.0
 
 
@@ -113,7 +138,7 @@ def test_linear_velocity_antisymmetric_for_even_data():
             rho = np.concatenate([half[::-1], half])
             rho /= rho.sum() * g.dx
             st = FVState(grid=g, rho=rho)
-            a = nonlinear_velocity(st, pot, IDENTITY).a_cell
+            a = nonlinear_velocity(st, pot, IDENTITY)
             assert np.max(np.abs(a + a[::-1])) <= 1e-12
 
 
@@ -250,7 +275,7 @@ def test_linear_nonlinear_equivalence_random_states():
             for _ in range(25):
                 st = random_state(rng, g)
                 a_lin = cell_speeds(st, pot)
-                a_non = nonlinear_velocity(st, pot, IDENTITY).a_cell
+                a_non = nonlinear_velocity(st, pot, IDENTITY)
                 worst = max(worst, float(np.max(np.abs(a_lin - a_non))))
             assert worst <= 1e-12
 
@@ -270,7 +295,7 @@ def test_divided_difference_equal_branch():
 def test_nonlinear_velocity_antisymmetric_two_cells():
     g = Grid.from_domain(-1.0, 1.0, 2)
     st = FVState(grid=g, rho=np.array([0.5, 0.5]))
-    a = nonlinear_velocity(st, ABS_HALF, ATAN).a_cell
+    a = nonlinear_velocity(st, ABS_HALF, ATAN)
     assert a[0] == pytest.approx(-a[1], abs=1e-12)
     assert a[0] > 0  # mutual attraction
 
@@ -306,7 +331,7 @@ def test_step_zero_velocity_is_identity():
     g = Grid.from_domain(0.0, 1.0, 8)
     rng = np.random.default_rng(73)
     st = random_state(rng, g)
-    new = step(st, VelocityField(a_cell=np.zeros(8)), 0.05)
+    new = step(st, np.zeros(8), 0.05)
     np.testing.assert_array_equal(new.rho, st.rho)
 
 
@@ -315,17 +340,15 @@ def test_step_isolated_dirac_is_stationary():
     rho = np.zeros(11)
     rho[5] = 1.0 / g.dx
     st = FVState(grid=g, rho=rho)
-    vel = nonlinear_velocity(st, ABS_HALF, IDENTITY)
-    new = step(st, vel, cfl_dt(0.5, g.dx, 0.9))
+    new = step(st, nonlinear_velocity(st, ABS_HALF, IDENTITY), cfl_dt(0.5, g.dx, 0.9))
     np.testing.assert_array_equal(new.rho, st.rho)
 
 
 def test_step_rejects_cfl_violation():
     g = Grid(x_min=0.0, dx=0.1, n_cells=4)
     st = FVState(grid=g, rho=np.array([0.0, 5.0, 5.0, 0.0]))
-    vel = VelocityField(a_cell=np.array([1.0, 1.0, 1.0, 1.0]))
     with pytest.raises(SchemeError):
-        step(st, vel, 0.2)
+        step(st, np.array([1.0, 1.0, 1.0, 1.0]), 0.2)
 
 
 def test_step_positivity_exact():
@@ -334,71 +357,34 @@ def test_step_positivity_exact():
     st = random_state(rng, g)
     dt = cfl_dt(0.5, g.dx, 1.0)
     for _ in range(200):
-        vel = nonlinear_velocity(st, ABS_HALF, IDENTITY)
-        st = step(st, vel, dt)
+        st = step(st, nonlinear_velocity(st, ABS_HALF, IDENTITY), dt)
         assert float(np.min(st.rho)) >= 0.0
 
 
-# ---------------------------------------------------------------- diagnostics
+# ---------------------------------------------------------------- conservation relation
 
 
-def _nonlinear_field(st, pot, law):
-    k = build_nu_kernel(pot, st.grid)
-    return nonlinear_velocity(st, pot, law, kernel=k)
-
-
-def test_entropy_residual_nonpositive():
+def test_conservation_relation_random_state():
     rng = np.random.default_rng(83)
     g = Grid.from_domain(-3.0, 3.0, 80)
     st = random_state(rng, g)
-    vel = _nonlinear_field(st, EXP_POINTY, ATAN)
-    assert entropy_residual(st, vel, EXP_POINTY) <= 1e-12
+    assert conservation_residual(st, EXP_POINTY, build_nu_kernel(EXP_POINTY, g)) <= 1e-12
 
 
-def test_entropy_residual_zero_state():
+def test_conservation_relation_zero_state():
     g = Grid.from_domain(-1.0, 1.0, 10)
     st = FVState(grid=g, rho=np.zeros(10))
-    vel = _nonlinear_field(st, EXP_POINTY, ATAN)
-    assert entropy_residual(st, vel, EXP_POINTY) == 0.0
+    assert conservation_residual(st, EXP_POINTY, build_nu_kernel(EXP_POINTY, g)) == 0.0
 
 
-def test_entropy_residual_flags_corruption():
+def test_conservation_relation_flags_corruption():
     rng = np.random.default_rng(89)
     g = Grid.from_domain(-3.0, 3.0, 80)
     st = random_state(rng, g)
-    vel = _nonlinear_field(st, EXP_POINTY, ATAN)
-    bad = np.array(vel.s_grad)
+    k = build_nu_kernel(EXP_POINTY, g)
+    bad = solve_s_gradient(st, EXP_POINTY, compute_nu(st, k), k)
     bad[40] += 1e-6  # hand-corrupted gradient
-    corrupted = VelocityField(a_cell=vel.a_cell, s_grad=bad, nu=vel.nu)
-    assert entropy_residual(st, corrupted, EXP_POINTY) > 0.0
-
-
-def test_cumulative_tv_probability_data():
-    g = Grid.from_domain(-2.0, 2.0, 64)
-    rng = np.random.default_rng(97)
-    st = random_state(rng, g)
-    tv = cumulative_tv([st])[0]
-    assert tv == pytest.approx(1.0, abs=1e-12)
-
-
-def test_cumulative_tv_nonincreasing_over_steps():
-    rng = np.random.default_rng(101)
-    g = Grid.from_domain(-2.0, 2.0, 64)
-    st = random_state(rng, g)
-    states = [st]
-    dt = cfl_dt(0.5, g.dx, 0.9)
-    for _ in range(60):
-        st = step(st, nonlinear_velocity(st, ABS_HALF, IDENTITY), dt)
-        states.append(st)
-    tv = cumulative_tv(states)
-    assert all(b <= a + 1e-12 for a, b in zip(tv, tv[1:]))
-
-
-def test_cumulative_tv_grid_mismatch():
-    a = FVState(grid=Grid.from_domain(0, 1, 10), rho=np.zeros(10))
-    b = FVState(grid=Grid.from_domain(0, 1, 20), rho=np.zeros(20))
-    with pytest.raises(ValueError):
-        cumulative_tv([a, b])
+    assert conservation_residual(st, EXP_POINTY, k, bad) > 1e-12
 
 
 # ---------------------------------------------------------------- full runs
@@ -447,7 +433,8 @@ def test_run_velocity_bound_and_positivity():
     a_inf = velocity_sup_bound(EXP_POINTY, ATAN)
     assert max(diag.max_abs_a) <= a_inf + 1e-12
     assert min(diag.min_rho) >= 0.0
-    assert max(diag.entropy_residual) <= 1e-12
+    k = build_nu_kernel(EXP_POINTY, g)
+    assert max(conservation_residual(state_from_snapshot(m, g), EXP_POINTY, k) for _, m in snaps) <= 1e-12
     assert [t for t, _ in snaps] == [0.5, 1.0]
 
 
@@ -506,12 +493,8 @@ def test_run_preset3_keeps_lip_step_count():
     snaps, diag = run(st, pot, cfg.make_law(), cfg.t_end, cfg.gamma, cfg.sample_times)
     assert diag.step_index[-1] == 460
     assert max(diag.max_abs_a) <= pot.lip + 1e-15
-    g = st.grid
-    final = snaps[-1][1]
-    rho = np.zeros(g.n_cells)
-    rho[np.rint((final.positions - g.x_min) / g.dx).astype(int)] = final.masses / g.dx
-    end = FVState(grid=g, rho=rho)
-    assert np.max(np.abs(nonlinear_velocity(end, pot, IDENTITY).a_cell - cell_speeds(end, pot))) <= 1e-12
+    end = state_from_snapshot(snaps[-1][1], st.grid)
+    assert np.max(np.abs(nonlinear_velocity(end, pot, IDENTITY) - cell_speeds(end, pot))) <= 1e-12
 
 
 def test_diagnostics_csv_format(tmp_path):
@@ -521,5 +504,5 @@ def test_diagnostics_csv_format(tmp_path):
     path = tmp_path / "diag.csv"
     diag.write_csv(path)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "step,time,mass,min_rho,max_abs_a,moment1,support_cells,tv_cumulative,entropy_residual"
+    assert lines[0] == "step,time,mass,min_rho,max_abs_a,moment1,support_cells"
     assert len(lines) == len(diag.time) + 1

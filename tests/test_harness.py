@@ -152,13 +152,27 @@ def test_cmd_simulate_deterministic_outputs(tmp_path):
 
 
 def test_manifest_lists_all_outputs_with_checksums(tmp_path):
-    cfg = replace(example_preset(2), output_dir=str(tmp_path), t_end=0.5, sample_times=(0.5,), n_cells=200)
-    art = cmd_simulate(cfg)
-    listed = {entry["path"]: entry["sha256"] for entry in art.manifest["outputs"]}
-    produced = {p.name for p in art.out_dir.iterdir() if p.name != "manifest.json"}
-    assert set(listed) == produced
-    for name, digest in listed.items():
-        assert hashlib.sha256((art.out_dir / name).read_bytes()).hexdigest() == digest
+    # a run into a reused directory leaves its own outputs and the files no manifest
+    # listed: a rerun with fewer sample times, then a converge after a compare under one label
+    cfg = replace(example_preset(2), output_dir=str(tmp_path), t_end=0.5, sample_times=(0.25,), n_cells=200)
+    shared = replace(cfg, label="shared", compare_particles=16, converge_particles=16, levels=(50, 100, 200))
+    runs = (
+        lambda: cmd_simulate(cfg),
+        lambda: cmd_simulate(replace(cfg, sample_times=())),
+        lambda: cmd_compare(shared).artifacts,
+        lambda: cmd_converge(shared).artifacts,
+    )
+    (tmp_path / "example2").mkdir()
+    (tmp_path / "example2" / "manifest.json").write_text('{"outputs": [')  # cut short
+    for k, run in enumerate(runs):
+        art = run()
+        (art.out_dir / "notes.txt").write_text("kept")
+        listed = {entry["path"]: entry["sha256"] for entry in art.manifest["outputs"]}
+        produced = {p.name for p in art.out_dir.iterdir() if p.name not in ("manifest.json", "notes.txt")}
+        assert set(listed) == produced, f"run {k}"
+        for name, digest in listed.items():
+            assert hashlib.sha256((art.out_dir / name).read_bytes()).hexdigest() == digest
+    assert (tmp_path / "example2" / "notes.txt").read_text() == "kept"
 
 
 def test_cmd_compare_initial_projection_error(tmp_path):
@@ -310,6 +324,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     p = tmp_path / "abort.json"
     p.write_text(json.dumps(cfgdoc))
     assert cli_main(["simulate", "--config", str(p)]) == 3
+    assert not (tmp_path / "abort").exists()
 
 
 def test_cli_converge_roundtrip(tmp_path):
@@ -445,6 +460,13 @@ _GATE_CASES = {
     "list-document": ("simulate", None),
     "domain-three-endpoints": ("simulate", {"domain": [-1.0, 0.0, 1.0]}),
     "sample-time-nan": ("simulate", {"sample_times": [math.nan, 0.25]}),
+    "key-t-ned": ("simulate", {"t_ned": 9.0}),
+    "key-potential-sigmaa": ("simulate", {"potential": {"name": "abs_half", "sigmaa": 0.5}}),
+    "key-velocity-law-kk": ("simulate", {"velocity_law": {"name": "identity", "kk": 50.0}}),
+    "key-bump-centre": (
+        "simulate",
+        {"initial": {"kind": "bumps", "bumps": [{"amplitude": 1.0, "centre": 0.7, "width": 0.316}]}},
+    ),
 }
 
 
