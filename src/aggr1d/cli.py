@@ -3,9 +3,10 @@
 Subcommands: simulate | particles | compare | converge.  A run is defined
 by either a JSON config (--config) or a preset (--example 1|2|3), not
 both; the other flags override individual fields.  Exit codes: 0 success,
-2 configuration or usage error (nothing is written), 3 runtime abort
-(CFL/boundary/particle-oracle failure).  Any other exception is a bug and
-surfaces as a traceback.
+2 configuration or usage error (nothing is written), 3 runtime abort (CFL
+violation, mass leaving the grid, a step that does not advance the time,
+particle-oracle failure).  Any other exception is a bug and surfaces as a
+traceback.
 """
 
 from __future__ import annotations

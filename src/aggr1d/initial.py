@@ -18,6 +18,9 @@ from .measure import DiscreteMeasure
 
 __all__ = ["GaussianBump", "InitialData", "builtin_initial", "sample_particles"]
 
+# cells of the fine grid on which sample_particles inverts the cumulative mass
+QUANTILE_RESOLUTION = 1 << 18
+
 
 @dataclass(frozen=True)
 class GaussianBump:
@@ -68,7 +71,7 @@ def builtin_initial(name: str) -> InitialData:
     raise ValueError(f"unknown initial profile {name!r}")
 
 
-def sample_particles(initial: InitialData, n: int, domain: tuple[float, float], resolution: int = 1 << 18):
+def sample_particles(initial: InitialData, n: int, domain: tuple[float, float]):
     """Equal-mass quantile discretization of the initial data.
 
     Returns (positions, masses) of n particles at F^{-1}((i + 1/2)/n) with
@@ -77,14 +80,13 @@ def sample_particles(initial: InitialData, n: int, domain: tuple[float, float], 
     """
     if initial.is_atomic:
         atoms = initial.atoms
-        total = atoms.total_mass
-        if abs(total - 1.0) > 1e-9:
+        if not atoms.is_probability():
             raise ValueError("atomic initial data must carry unit mass")
-        return atoms.positions.copy(), atoms.masses / total
+        return atoms.positions.copy(), atoms.masses / atoms.total_mass
     if n < 1:
         raise ValueError("need at least one particle")
     lo, hi = domain
-    edges = np.linspace(lo, hi, resolution + 1)
+    edges = np.linspace(lo, hi, QUANTILE_RESOLUTION + 1)
     mids = 0.5 * (edges[1:] + edges[:-1])
     cell_mass = initial.density(mids) * (edges[1] - edges[0])
     cum = np.cumsum(cell_mass)

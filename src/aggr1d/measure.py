@@ -92,8 +92,8 @@ class DiscreteMeasure:
     def cumulative(self) -> np.ndarray:
         return np.cumsum(self.masses)
 
-    def is_probability(self, tol: float = PROBABILITY_TOL) -> bool:
-        return abs(self.total_mass - 1.0) <= tol
+    def is_probability(self) -> bool:
+        return abs(self.total_mass - 1.0) <= PROBABILITY_TOL
 
 
 def from_cells(grid_origin: float, dx: float, densities) -> DiscreteMeasure:

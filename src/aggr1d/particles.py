@@ -12,7 +12,9 @@ and m_i x_i' = -(A(u(x_i+)) - A(u(x_i-))) / c.  For the identity law this
 jump quotient is the trace midpoint (u(x_i+) + u(x_i-)) / 2, which is the
 linear speed sum_{j != i} m_j W'(x_i - x_j) with the self term excluded
 exactly; it is evaluated in that form, since the quotient would cancel for
-light particles.
+light particles.  Under any other law a particle whose jump c * m_i is
+below DD_EPS moves at a of the trace midpoint, the grid scheme's
+equal-gradient rule.
 
 Integration is classical RK4 with steps of MAX_STEP (shortened only to
 land on t_end); the speeds at the end of a step are the next step's first
@@ -33,7 +35,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .measure import DiscreteMeasure, merge_runs
-from .potentials import PointyPotential, VelocityLaw
+from .potentials import DD_EPS, PointyPotential, VelocityLaw
 
 __all__ = [
     "ParticleSystem",
@@ -126,7 +128,11 @@ def _nonlinear_vel(x: np.ndarray, m: np.ndarray, pot: PointyPotential, law: Velo
     u_minus = u_plus + c * m
     if law.is_identity:
         return 0.5 * (u_plus + u_minus)
-    return -(law.a_antideriv(u_plus) - law.a_antideriv(u_minus)) / (c * m)
+    v = -(law.a_antideriv(u_plus) - law.a_antideriv(u_minus)) / (c * m)
+    light = m < DD_EPS / abs(c)  # |c| m below DD_EPS: the quotient cancels
+    if light.any():
+        v[light] = law.a_eval(0.5 * (u_plus[light] + u_minus[light]))
+    return v
 
 
 def velocities(ps: ParticleSystem):

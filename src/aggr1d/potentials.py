@@ -31,6 +31,10 @@ __all__ = [
     "velocity_sup_bound",
 ]
 
+# below this jump of the primitive gradient a divided difference of A
+# cancels; both engines take a at the midpoint instead
+DD_EPS = 1e-12
+
 
 @dataclass(frozen=True)
 class KinkDecomposition:

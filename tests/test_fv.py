@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import aggr1d
+from aggr1d import fv
 from aggr1d.fv import (
     GAUSS5_NODES,
     GAUSS5_WEIGHTS,
@@ -25,9 +26,15 @@ from aggr1d.fv import (
     step,
     velocity_from_gradients,
 )
-from aggr1d.initial import builtin_initial
+from aggr1d.initial import InitialData, builtin_initial, sample_particles
 from aggr1d.measure import DiscreteMeasure
-from aggr1d.potentials import make_builtin_potential, make_velocity_law, velocity_sup_bound
+from aggr1d.potentials import (
+    KinkDecomposition,
+    PointyPotential,
+    make_builtin_potential,
+    make_velocity_law,
+    velocity_sup_bound,
+)
 from conservation import conservation_residual, state_from_snapshot
 from direct_sums import cell_speeds, nu_sum
 
@@ -112,20 +119,32 @@ def test_project_atom_outside_grid():
         project_initial(DiscreteMeasure([7.0], [1.0]), g)
 
 
+def test_project_atoms_need_unit_mass():
+    # the same probability rule as the config gate and sample_particles
+    g = Grid(x_min=0.0, dx=1.0, n_cells=3)
+    atoms = DiscreteMeasure([0.0, 1.0], [0.5, 0.5 + 5e-7])
+    with pytest.raises(ValueError, match="unit mass"):
+        project_initial(atoms, g)
+    with pytest.raises(ValueError, match="unit mass"):
+        sample_particles(InitialData(atoms=atoms), 2, (-0.5, 2.5))
+    with pytest.raises(ValueError, match="unit mass"):
+        project_initial(DiscreteMeasure([], []), g)
+
+
 # ---------------------------------------------------------------- identity law (linear speeds)
 
 
 def test_linear_velocity_two_pulses():
     g = Grid(x_min=0.0, dx=1.0, n_cells=4)
     st = FVState(grid=g, rho=np.array([0.5, 0.0, 0.0, 0.5]))
-    a = nonlinear_velocity(st, ABS_HALF, IDENTITY)
+    a = nonlinear_velocity(st, ABS_HALF, IDENTITY, build_nu_kernel(ABS_HALF, g))
     np.testing.assert_allclose(a, [0.25, 0.0, 0.0, -0.25], atol=0)
 
 
 def test_linear_velocity_single_cell_diagonal_excluded():
     g = Grid(x_min=0.0, dx=1.0, n_cells=3)
     st = FVState(grid=g, rho=np.array([0.0, 1.0, 0.0]))
-    a = nonlinear_velocity(st, ABS_HALF, IDENTITY)
+    a = nonlinear_velocity(st, ABS_HALF, IDENTITY, build_nu_kernel(ABS_HALF, g))
     assert a[1] == 0.0
 
 
@@ -133,12 +152,13 @@ def test_linear_velocity_antisymmetric_for_even_data():
     rng = np.random.default_rng(67)
     g = Grid.from_domain(-2.0, 2.0, 120)
     for pot in (ABS_HALF, EXP_POINTY):
+        kern = build_nu_kernel(pot, g)
         for _ in range(10):
             half = rng.random(60)
             rho = np.concatenate([half[::-1], half])
             rho /= rho.sum() * g.dx
             st = FVState(grid=g, rho=rho)
-            a = nonlinear_velocity(st, pot, IDENTITY)
+            a = nonlinear_velocity(st, pot, IDENTITY, kern)
             assert np.max(np.abs(a + a[::-1])) <= 1e-12
 
 
@@ -229,7 +249,7 @@ def test_compute_nu_point_kernel_is_a_scale():
     g = Grid.from_domain(-2.0, 2.0, 40)
     rho = np.random.default_rng(5).random(40)
     st = FVState(grid=g, rho=rho)
-    k = NuKernel(values=np.array([0.7]), half_width=0, dx=g.dx, tail=np.zeros(40))
+    k = NuKernel(values=np.array([0.7]), half_width=0, tail=np.zeros(40))
     np.testing.assert_allclose(compute_nu(st, k), nu_sum(rho, k, g.dx), rtol=0, atol=1e-15)
     k0 = build_nu_kernel(ABS_HALF, g)
     assert k0.half_width == 0 and k0.spectrum is None
@@ -271,11 +291,12 @@ def test_linear_nonlinear_equivalence_random_states():
     rng = np.random.default_rng(71)
     for g in (Grid.from_domain(-3.0, 3.0, 200), Grid.from_domain(-40.0, 40.0, 1500)):
         for pot in (ABS_HALF, EXP_POINTY):
+            kern = build_nu_kernel(pot, g)
             worst = 0.0
             for _ in range(25):
                 st = random_state(rng, g)
                 a_lin = cell_speeds(st, pot)
-                a_non = nonlinear_velocity(st, pot, IDENTITY)
+                a_non = nonlinear_velocity(st, pot, IDENTITY, kern)
                 worst = max(worst, float(np.max(np.abs(a_lin - a_non))))
             assert worst <= 1e-12
 
@@ -295,7 +316,7 @@ def test_divided_difference_equal_branch():
 def test_nonlinear_velocity_antisymmetric_two_cells():
     g = Grid.from_domain(-1.0, 1.0, 2)
     st = FVState(grid=g, rho=np.array([0.5, 0.5]))
-    a = nonlinear_velocity(st, ABS_HALF, ATAN)
+    a = nonlinear_velocity(st, ABS_HALF, ATAN, build_nu_kernel(ABS_HALF, g))
     assert a[0] == pytest.approx(-a[1], abs=1e-12)
     assert a[0] > 0  # mutual attraction
 
@@ -311,7 +332,6 @@ def test_cfl_dt_values():
 
 
 def test_cfl_dt_zero_bound():
-    assert cfl_dt(0.0, 0.01, 0.9, dt_cap=0.125) == 0.125
     with pytest.raises(ValueError):
         cfl_dt(0.0, 0.01, 0.9)
     with pytest.raises(ValueError):
@@ -321,7 +341,7 @@ def test_cfl_dt_zero_bound():
 def test_step_hand_computed():
     g = Grid(x_min=0.0, dx=1.0, n_cells=4)
     st = FVState(grid=g, rho=np.array([0.5, 0.0, 0.0, 0.5]))
-    new = step(st, nonlinear_velocity(st, ABS_HALF, IDENTITY), 1.0)
+    new = step(st, nonlinear_velocity(st, ABS_HALF, IDENTITY, build_nu_kernel(ABS_HALF, g)), 1.0)
     np.testing.assert_allclose(new.rho, [0.375, 0.125, 0.125, 0.375], atol=0)
     assert new.time == 1.0
     assert new.step_index == 1
@@ -340,7 +360,7 @@ def test_step_isolated_dirac_is_stationary():
     rho = np.zeros(11)
     rho[5] = 1.0 / g.dx
     st = FVState(grid=g, rho=rho)
-    new = step(st, nonlinear_velocity(st, ABS_HALF, IDENTITY), cfl_dt(0.5, g.dx, 0.9))
+    new = step(st, nonlinear_velocity(st, ABS_HALF, IDENTITY, build_nu_kernel(ABS_HALF, g)), cfl_dt(0.5, g.dx, 0.9))
     np.testing.assert_array_equal(new.rho, st.rho)
 
 
@@ -356,8 +376,9 @@ def test_step_positivity_exact():
     g = Grid.from_domain(-2.0, 2.0, 64)
     st = random_state(rng, g)
     dt = cfl_dt(0.5, g.dx, 1.0)
+    kern = build_nu_kernel(ABS_HALF, g)
     for _ in range(200):
-        st = step(st, nonlinear_velocity(st, ABS_HALF, IDENTITY), dt)
+        st = step(st, nonlinear_velocity(st, ABS_HALF, IDENTITY, kern), dt)
         assert float(np.min(st.rho)) >= 0.0
 
 
@@ -439,8 +460,6 @@ def test_run_velocity_bound_and_positivity():
 
 
 def test_run_support_growth_per_step():
-    # [-3, 3]: at 300 cells the 5-cell boundary band is wide enough that
-    # init2's right tail would trip the boundary guard on [-2.5, 2.5]
     g = Grid.from_domain(-3.0, 3.0, 300)
     st = project_initial(builtin_initial("init2").density, g)
     _, diag = run(st, ABS_HALF, IDENTITY, 1.0, 0.9)
@@ -451,13 +470,38 @@ def test_run_support_growth_per_step():
 
 
 def test_run_aborts_when_mass_reaches_boundary():
-    # a pulse sitting against the right boundary must abort, not leak
+    # a repulsive kink (c < 0) drives a pulse filling the grid out through
+    # both end cells: the lost mass must abort the run, not leak silently
+    repulsive = PointyPotential(
+        name="repulsive",
+        w_eval=lambda x: 0.5 * np.abs(x),
+        wprime_eval=lambda x: 0.5 * np.sign(x),
+        lam=0.0,
+        lip=0.5,
+        decomposition=KinkDecomposition(c=-1.0),
+    )
+    g = Grid.from_domain(0.0, 1.0, 20)
+    st = FVState(grid=g, rho=np.ones(20))
+    with pytest.raises(SchemeError, match="left the grid"):
+        run(st, repulsive, IDENTITY, 1.0, 0.9)
+
+
+def test_run_keeps_stationary_dirac_next_to_edge():
+    # a lone Dirac two cells from the edge does not move, so no mass leaves
     g = Grid.from_domain(0.0, 1.0, 20)
     rho = np.zeros(20)
     rho[-2] = 1.0 / g.dx
-    rho[2] = 0.0
-    st = FVState(grid=g, rho=rho / (rho.sum() * g.dx))
-    with pytest.raises(SchemeError):
+    st = FVState(grid=g, rho=rho)
+    snaps, diag = run(st, ABS_HALF, IDENTITY, 1.0, 0.9)
+    assert max(abs(m - 1.0) for m in diag.mass) <= 1e-12
+    np.testing.assert_array_equal(state_from_snapshot(snaps[-1][1], g).rho, st.rho)
+
+
+def test_run_aborts_when_a_step_does_not_advance_time(monkeypatch):
+    g = Grid.from_domain(-2.5, 2.5, 100)
+    st = project_initial(builtin_initial("init1").density, g)
+    monkeypatch.setattr(fv, "step", lambda state, a, dt: state)
+    with pytest.raises(SchemeError, match="did not advance"):
         run(st, ABS_HALF, IDENTITY, 1.0, 0.9)
 
 
@@ -476,7 +520,7 @@ def test_run_symmetry_preservation_thousand_steps(equation):
         kern = build_nu_kernel(pot, g)
         asym = 0.0
         for _ in range(1000):
-            st = step(st, nonlinear_velocity(st, pot, law, kernel=kern), dt)
+            st = step(st, nonlinear_velocity(st, pot, law, kern), dt)
             asym = max(asym, float(np.max(np.abs(st.rho - st.rho[::-1]))) * g.dx)
         assert asym <= 1e-12
 
@@ -494,7 +538,8 @@ def test_run_preset3_keeps_lip_step_count():
     assert diag.step_index[-1] == 460
     assert max(diag.max_abs_a) <= pot.lip + 1e-15
     end = state_from_snapshot(snaps[-1][1], st.grid)
-    assert np.max(np.abs(nonlinear_velocity(end, pot, IDENTITY) - cell_speeds(end, pot))) <= 1e-12
+    a_end = nonlinear_velocity(end, pot, IDENTITY, build_nu_kernel(pot, st.grid))
+    assert np.max(np.abs(a_end - cell_speeds(end, pot))) <= 1e-12
 
 
 def test_diagnostics_csv_format(tmp_path):

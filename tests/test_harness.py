@@ -229,8 +229,6 @@ def test_cmd_compare_past_merge_time(tmp_path):
 def test_cmd_simulate_example3_aggregates_to_center_of_mass(tmp_path):
     # three bumps sharpen into Diracs and merge into one; linear dynamics
     # preserves the center of mass, which is where the survivor sits
-    # (preset resolution: at 500 cells the wider 5-cell boundary band would
-    # trip the guard on init2's right tail)
     cfg = replace(example_preset(3), output_dir=str(tmp_path))
     art = cmd_simulate(cfg)
     grid = cfg.make_grid()
@@ -290,7 +288,7 @@ def test_converge_dirac_projection_bound_halves(tmp_path):
         assert row.w1_error <= 0.5 * row.dx + 1e-12
 
 
-def test_cli_exit_codes(tmp_path, capsys):
+def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     # usage error: neither --config nor --example
     assert cli_main(["simulate", "--out", str(tmp_path)]) == 2
     # or both at once
@@ -318,13 +316,34 @@ def test_cli_exit_codes(tmp_path, capsys):
     )
     assert code == 0
     assert (tmp_path / "cli" / "manifest.json").exists()
-    # runtime abort: mass driven into the boundary on a tiny domain
-    cfgdoc = example_preset(3).to_dict()
-    cfgdoc.update({"domain": [-0.8, 0.8], "n_cells": 64, "t_end": 2.0, "label": "abort", "output_dir": str(tmp_path)})
-    p = tmp_path / "abort.json"
-    p.write_text(json.dumps(cfgdoc))
-    assert cli_main(["simulate", "--config", str(p)]) == 3
+    # runtime abort: a scheme failure exits 3 and writes nothing
+    def aborting_run(*args, **kwargs):
+        raise fv.SchemeError("mass left the grid")
+
+    monkeypatch.setattr(fv, "run", aborting_run)
+    assert cli_main(["simulate", "--example", "3", "--label", "abort", "--out", str(tmp_path)]) == 3
     assert not (tmp_path / "abort").exists()
+
+
+def test_cli_simulate_example3_on_a_coarse_grid(tmp_path):
+    # init2's Gaussian tail reaches the end cells at 100 cells, but the
+    # end-cell speeds point inward, so no mass leaves the grid
+    assert cli_main(["simulate", "--example", "3", "--cells", "100", "--out", str(tmp_path)]) == 0
+    diag = np.loadtxt(tmp_path / "example3" / "diagnostics.csv", delimiter=",", skiprows=1)
+    assert np.max(np.abs(diag[:, 2] - 1.0)) <= 1e-12
+
+
+def test_run_takes_one_step_per_sample_time():
+    # 19,999 sample times cut every CFL step short, so the run takes 20,000
+    # steps to t_end; it must not stop on any step count
+    t_end = 5.0
+    times = tuple(t_end * k / 20000 for k in range(1, 20000))
+    cfg = SimConfig(label="many", domain=(-10.0, 10.0), n_cells=20, t_end=t_end, sample_times=times).validate()
+    st = fv.project_initial(cfg.initial.density, cfg.make_grid())
+    snaps, diag = fv.run(st, cfg.make_potential(), cfg.make_law(), cfg.t_end, cfg.gamma, cfg.schedule())
+    assert diag.step_index[-1] == 20000
+    assert len(snaps) == 20001 and snaps[-1][0] == t_end
+    assert max(abs(m - 1.0) for m in diag.mass) <= 1e-12
 
 
 def test_cli_converge_roundtrip(tmp_path):

@@ -96,15 +96,20 @@ def test_nonlinear_single_particle_is_stationary():
 
 
 def test_nonlinear_prefix_sums_match_pairwise_matrix():
-    # the separable-kernel fast path must reproduce the full pairwise sum
+    # the separable-kernel fast path must reproduce the full pairwise sum;
+    # the last input reaches |x| ~ 400, where e^{rate*x} would overflow and
+    # the dense pairwise fallback runs instead
     rng = np.random.default_rng(45)
     dec = EXP_POINTY.decomposition
+    inputs = []
     for _ in range(30):
         n = rng.integers(2, 60)
         x = np.sort(rng.normal(size=n) * 2.5)
         if np.any(np.diff(x) <= 1e-9):
             continue
-        m = rng.random(n) + 0.05
+        inputs.append((x, rng.random(n) + 0.05))
+    inputs.append((np.array([-401.0, -399.5, -0.5, 1.0, 398.0, 400.5]), np.array([0.1, 0.2, 0.25, 0.15, 0.2, 0.1])))
+    for x, m in inputs:
         m /= m.sum()
         for law in (IDENTITY, ATAN):
             fast = velocities(system(x, m, pot=EXP_POINTY, law=law))
@@ -113,6 +118,23 @@ def test_nonlinear_prefix_sums_match_pairwise_matrix():
             u_minus = u_plus + dec.c * m
             ref = -(np.asarray(law.a_antideriv(u_plus)) - np.asarray(law.a_antideriv(u_minus))) / (dec.c * m)
             np.testing.assert_allclose(fast, ref, atol=1e-12)
+
+
+def test_light_particle_moves_at_trace_midpoint():
+    # a particle whose jump c*m is below DD_EPS takes a at the midpoint of
+    # its traces, the grid's equal-gradient rule; the quotient of A would
+    # cancel there (under abs_half the quotient gives -0.94369, the midpoint -0.93655)
+    x = np.array([-1.0, 0.0, 1.0])
+    m = np.array([0.7, 1e-15, 0.3])
+    for pot in (ABS_HALF, EXP_POINTY):
+        dec = pot.decomposition
+        u_plus = -dec.c * np.cumsum(m) + np.asarray(dec.wtilde(x[:, None] - x[None, :])) @ m
+        u_minus = u_plus + dec.c * m
+        v = velocities(system(x, m, pot=pot, law=ATAN))
+        assert abs(v[1] - float(ATAN.a_eval(0.5 * (u_plus[1] + u_minus[1])))) <= 1e-12
+        heavy = [0, 2]
+        quotient = -(ATAN.a_antideriv(u_plus[heavy]) - ATAN.a_antideriv(u_minus[heavy])) / (dec.c * m[heavy])
+        np.testing.assert_allclose(v[heavy], quotient, atol=1e-12)
 
 
 def test_system_requires_law():
