@@ -27,19 +27,15 @@ Every time-resolved run samples t = 0, t_end and each requested sample
 time in [0, t_end] (:meth:`SimConfig.schedule`).
 
 The identity law (the default) is the linear aggregation equation; every
-law runs through the same velocity engine.  A legacy ``"mode"`` key is
-still read: ``"nonlinear"`` is accepted with any law, ``"linear"`` only
-with the identity law.  Bump data are always renormalized to unit mass; a
-legacy ``"normalize": true`` beside the bumps is ignored and ``false`` is
-an error.
+law runs through the same velocity engine.  Bump data are always
+renormalized to unit mass.
 
 Validation raises :class:`ConfigError` (CLI exit 2, nothing written) unless
-the document is a JSON object whose every key is one named above (or the
-legacy ``mode`` and ``normalize``), every number in it is finite, the domain
-has exactly two increasing endpoints, the label names one directory inside
-``output_dir``, atoms lie in the half-open domain [lo, hi) and their masses
-sum to 1 within 1e-9, and bump data are positive at some cell center of
-every grid the run uses.
+the document is a JSON object whose every key is one named above, every
+number in it is finite, the domain has exactly two increasing endpoints,
+the label names one directory inside ``output_dir``, atoms lie in the
+half-open domain [lo, hi) and their masses sum to 1 within 1e-9, and bump
+data are positive at some cell center of every grid the run uses.
 """
 
 from __future__ import annotations
@@ -171,18 +167,7 @@ class SimConfig:
             cfg = cls(**values)
         except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"malformed config: {exc}") from exc
-        _check_legacy_mode(doc.get("mode"), cfg.law_name)
         return cfg.validate()
-
-
-def _check_legacy_mode(mode, law_name: str) -> None:
-    """Accept a ``mode`` key from older configs when the law agrees with it."""
-    if mode is None or mode == "nonlinear":
-        return
-    if mode != "linear":
-        raise ConfigError("mode must be 'linear' or 'nonlinear'")
-    if law_name != "identity":
-        raise ConfigError(f"mode 'linear' is the identity law; it contradicts velocity_law {law_name!r}")
 
 
 def _initial_from_dict(doc: dict) -> InitialData:
@@ -193,8 +178,6 @@ def _initial_from_dict(doc: dict) -> InitialData:
         bumps = tuple(
             GaussianBump(float(b["amplitude"]), float(b["center"]), float(b["width"])) for b in doc["bumps"]
         )
-        if doc.get("normalize", True) is not True:
-            raise ConfigError("bump data are always normalized to unit mass; normalize: false is not supported")
         return InitialData(bumps=bumps)
     if kind == "atoms":
         arr = np.asarray(doc["atoms"], dtype=float).reshape(-1, 2)
@@ -241,10 +224,10 @@ _KEYS = {
 }
 
 
-# every path a document may hold: the _KEYS paths and the objects on them, the
-# initial object's keys (a bump's inside its list) and the legacy ``mode``
-_DOC_PATHS = {*_KEYS, "potential", "velocity_law", "mode"}
-_DOC_PATHS |= {f"initial.{k}" for k in ("kind", "name", "bumps", "atoms", "normalize")}
+# every path a document may hold: the _KEYS paths and the objects on them and
+# the initial object's keys (a bump's inside its list)
+_DOC_PATHS = {*_KEYS, "potential", "velocity_law"}
+_DOC_PATHS |= {f"initial.{k}" for k in ("kind", "name", "bumps", "atoms")}
 _DOC_PATHS |= {f"initial.bumps.{k}" for k in ("amplitude", "center", "width")}
 
 

@@ -23,11 +23,13 @@ s = d/dx (W * rho), obtained from the conservation relation per cell
 
     s_{i+1/2} - s_{i-1/2} = dx * (nu_i - c * rho_i),
 
-where nu_i discretizes (w * rho)(x_i) through a kernel built from exact
-cell integrals of w.  The left anchor of the cumulative solve is the
-value of W' * rho left of the grid: the -infinity limit u_inf * mass
-plus a correction for the w-mass that the grid-limited nu sum cannot
-see, one weight per source cell that the kernel stores with its values.
+where nu_i discretizes (w * rho)(x_i) with a kernel whose two-term
+averages are the exact cell integrals of w; w is one exponential, so the
+kernel is too, and nu is two one-sided exponential sums in O(N).  The left
+anchor of the cumulative solve is the value of W' * rho left of the grid:
+the -infinity limit u_inf * mass plus a correction for the w-mass that the
+grid-limited nu sum cannot see, one weight per source cell that the kernel
+stores with its values.
 Every grid-only term is built once per grid, so a step evaluates no w.
 With this anchor the identity law
 a = id, whose divided difference is the interface midpoint, reproduces the
@@ -44,7 +46,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .measure import DiscreteMeasure, from_cells, write_csv
-from .potentials import DD_EPS, PointyPotential, VelocityLaw, velocity_sup_bound
+from .potentials import DD_EPS, PointyPotential, VelocityLaw, left_exp_sums, velocity_sup_bound
 
 __all__ = [
     "Grid",
@@ -62,8 +64,6 @@ __all__ = [
     "step",
     "run",
 ]
-
-KERNEL_TRUNC = 1e-14
 
 # run() aborts once the grid has lost this much mass through its two end cells
 BOUNDARY_MASS_TOL = 1e-8
@@ -139,27 +139,21 @@ class FVState:
 class NuKernel:
     """Discretization kernel g for nu_i = dx * sum_k rho_k g_{i-k}.
 
-    ``values[j + half_width]`` is the weight at cell offset j.  Consecutive
-    values satisfy (g_j + g_{j+1})/2 * dx = integral of w over the offset
-    cell [j*dx, (j+1)*dx], anchored at the left end by g = w(x_left); the
-    kernel is truncated where the per-cell integral of w drops below
-    ``KERNEL_TRUNC``.
+    ``values[j + half_width]`` is the weight at cell offset j, one for every
+    offset of the grid.  For w = amp*e^{-rate|x|} it is geometric,
+    g_j = beta*e^{-rate|j|dx}, and ``rate`` lets :func:`compute_nu` sum it
+    in O(N) from g_0 = beta alone.
 
     ``tail[j]`` is source cell j's left-anchor weight: its w-mass left of
     the first cell center, int_{-inf}^{-j dx} w, minus dx/2 times the
-    kernel weight at offset -j (zero beyond the truncated support).  It is
-    all zeros for kink-only potentials.
-
-    A kernel with ``half_width > 0`` also carries ``spectrum``, the real FFT
-    of ``values`` zero-padded to ``fft_len``, computed once so that every
-    convolution costs one forward and one inverse transform of the density.
+    kernel weight at offset -j.  It is all zeros for kink-only potentials,
+    whose kernel is the point kernel [0].
     """
 
     values: np.ndarray
     half_width: int
     tail: np.ndarray
-    spectrum: np.ndarray | None = None
-    fft_len: int = 0
+    rate: float = 0.0
 
 
 def project_initial(initial, grid: Grid) -> FVState:
@@ -199,61 +193,43 @@ def project_initial(initial, grid: Grid) -> FVState:
 def build_nu_kernel(pot: PointyPotential, grid: Grid) -> NuKernel:
     """Kernel of the w-convolution, from exact per-cell integrals of w.
 
-    Solves the two-term averages (g_j + g_{j+1})/2 = (1/dx) * int w over
-    the offset cell for g, anchored at the truncated left end by the point
-    value of w there.  On a uniform grid the weights depend only on the
-    offset i - k, so one kernel serves every cell.  The left-anchor weights
-    ``tail`` are built here too, so no step evaluates w.
+    The weights solve the two-term averages (g_j + g_{j+1})/2 = (1/dx) *
+    int w over the offset cell [j dx, (j+1) dx] for every offset; for
+    w = amp*e^{-rate|x|} the symmetric solution is g_j = w(j dx) *
+    tanh(h)/h with h = rate*dx/2.  On a uniform grid the weights depend
+    only on the offset i - k, so one kernel serves every cell.  The
+    left-anchor weights ``tail`` are built here too, so no step evaluates w.
     """
     dec = pot.decomposition
     dx = grid.dx
     n = grid.n_cells
     if dec.amp == 0.0:
         return NuKernel(values=np.zeros(1), half_width=0, tail=np.zeros(n))
-    half = n - 1
-    offs = np.arange(-half, half + 1)
-    cell_int = dec.w_left_integral((offs + 1) * dx) - dec.w_left_integral(offs * dx)
-    # cell_int[j + half] = int of w over [j dx, (j+1) dx], j = -half..half
-    while half > 0 and abs(cell_int[0]) < KERNEL_TRUNC and abs(cell_int[-1]) < KERNEL_TRUNC:
-        cell_int = cell_int[1:-1]
-        half -= 1
-    # alternating recursion g_{k+1} = 2 I_k / dx - g_k, vectorized through
-    # h_k = (-1)^k g_k which turns it into a cumulative sum; with half == 0
-    # it leaves the point value g = [w(0)]
-    g0 = float(dec.w_eval(-half * dx))
-    incr = cell_int[: 2 * half] / dx  # I_k at array index k = 0 .. 2*half-1
-    alt = (-1.0) ** np.arange(2 * half)
-    h = np.empty(2 * half + 1)
-    h[0] = g0
-    h[1:] = g0 + np.cumsum(-2.0 * incr * alt)
-    g = h * ((-1.0) ** np.arange(2 * half + 1))
-    edge = np.zeros(n)
-    edge[: half + 1] = g[half::-1]  # g at offsets 0, -1, ..., -half
-    tail = dec.w_left_integral(-dx * np.arange(n)) - 0.5 * dx * edge
-    if half == 0:
-        return NuKernel(values=g, half_width=0, tail=tail)
-    # length >= N + half: the circular wrap-around only reaches the discarded outputs below half
-    # power of two: an exact length like 5998 = 2*2999 (2000 cells) sends numpy's FFT down its slow Bluestein path
-    fft_len = 1 << (n + half - 1).bit_length()
-    return NuKernel(values=g, half_width=half, tail=tail, spectrum=np.fft.rfft(g, fft_len), fft_len=fft_len)
+    h = 0.5 * dec.rate * dx
+    g = dec.w_eval(dx * np.arange(1 - n, n)) * (np.tanh(h) / h)
+    tail = dec.w_left_integral(-dx * np.arange(n)) - 0.5 * dx * g[n - 1 :: -1]  # g at offsets 0, -1, ..., 1 - n
+    return NuKernel(values=g, half_width=n - 1, tail=tail, rate=dec.rate)
 
 
 def compute_nu(state: FVState, kernel: NuKernel) -> np.ndarray:
     """Discrete w-convolution nu_i = dx * sum_k rho_k g_{i-k}.
 
     A point kernel (``half_width == 0``, kink-only potentials) is a plain
-    scale; otherwise the density's spectrum is multiplied by the kernel's
-    stored one, O(N log N) per call instead of O(N * half_width).
+    scale.  A geometric kernel gives nu = g_0 * (P + Q + m) with cell
+    masses m = rho*dx and the one-sided sums P_i = sum_{k<i} m_k
+    e^{-rate (i-k) dx}, Q_i = sum_{k>i} likewise: O(N) per call.
     """
     k = kernel.half_width
     rho = state.rho
+    dx = state.grid.dx
     if k == 0:
-        return rho * kernel.values[0] * state.grid.dx
-    n = rho.size
-    if n + k > kernel.fft_len:
-        raise ValueError("the nu kernel was built for a smaller grid")
-    conv = np.fft.irfft(np.fft.rfft(rho, kernel.fft_len) * kernel.spectrum, kernel.fft_len)
-    return conv[k : k + n] * state.grid.dx
+        return rho * kernel.values[0] * dx
+    if rho.size != k + 1:
+        raise ValueError("the nu kernel was built for another grid")
+    m = rho * dx
+    x = dx * np.arange(rho.size)  # the grid is its own mirror image
+    sums = left_exp_sums(x, m, kernel.rate) + left_exp_sums(x, m[::-1], kernel.rate)[::-1]
+    return kernel.values[k] * (sums + m)
 
 
 def solve_s_gradient(state: FVState, pot: PointyPotential, nu: np.ndarray, kernel: NuKernel) -> np.ndarray:

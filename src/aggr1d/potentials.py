@@ -24,6 +24,7 @@ import numpy as np
 
 __all__ = [
     "KinkDecomposition",
+    "left_exp_sums",
     "PointyPotential",
     "VelocityLaw",
     "make_builtin_potential",
@@ -35,6 +36,10 @@ __all__ = [
 # cancels; both engines take a at the midpoint instead
 DD_EPS = 1e-12
 
+# widest block of left_exp_sums, in units of 1/rate: e^600 stays well inside
+# the float range (e^709), so no prefix sum in a block overflows
+EXP_BLOCK = 600.0
+
 
 @dataclass(frozen=True)
 class KinkDecomposition:
@@ -42,8 +47,9 @@ class KinkDecomposition:
 
     c is the Dirac mass sitting at the kink (c > 0 for attraction) and
     amp >= 0, rate > 0 describe the continuous remainder w; amp = 0 is a
-    kink-only potential.  w is separable, so particle sums over wtilde
-    reduce to prefix sums.
+    kink-only potential.  w is a single exponential, so every sum of it
+    over a sorted point set (the grid's nu convolution, the particles'
+    wtilde sums) splits into the one-sided sums of :func:`left_exp_sums`.
     """
 
     c: float
@@ -71,13 +77,31 @@ class KinkDecomposition:
         right = self.w0 - k * np.exp(-self.rate * np.maximum(x, 0.0))
         return np.where(x <= 0.0, left, right)
 
-    def wtilde(self, x):
-        """Continuous part of W': W'(x) = -c*H(x) + wtilde(x) for x != 0.
 
-        wtilde(x) = int_0^x w + c/2, evaluated through the exact left
-        integral so there is no quadrature error.
-        """
-        return self.w_left_integral(x) - 0.5 * self.w0 + 0.5 * self.c
+def left_exp_sums(x: np.ndarray, m: np.ndarray, rate: float) -> np.ndarray:
+    """P_i = sum_{j<i} m_j e^{-rate (x_i - x_j)} for sorted x, in O(N).
+
+    Exclusive prefix sums of m_j e^{rate (x_j - x_0)} run in blocks no wider
+    than ``EXP_BLOCK / rate`` from their first point x_0, so no exponent
+    overflows on any domain; each block starts from P at x_0, the earlier
+    blocks' sum carried across the gap by one exponential.  The mirrored
+    sums Q_i = sum_{j>i} are the same call on -x reversed.
+    """
+    out = np.empty(x.size)
+    width = EXP_BLOCK / rate
+    start, carry = 0, 0.0
+    while start < x.size:
+        stop = int(x.searchsorted(x[start] + width, "right"))
+        e = np.exp(rate * (x[start:stop] - x[start]))
+        block = out[start:stop]
+        block[0] = carry
+        np.multiply(m[start : stop - 1], e[:-1], out=block[1:])
+        block.cumsum(out=block)
+        block /= e
+        if stop < x.size:
+            carry = (block[-1] + m[stop - 1]) * np.exp(-rate * (x[stop] - x[stop - 1]))
+        start = stop
+    return out
 
 
 @dataclass(frozen=True)

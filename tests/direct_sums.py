@@ -4,7 +4,8 @@ The reference the velocity engine is checked against: with the identity
 law, the s-gradient / jump-quotient formulas must reproduce these sums.
 They evaluate W' itself over every pair with the self term excluded
 exactly, and share no code with the engines.  ``nu_sum`` is the term-by-
-term w-convolution that the FFT in ``fv.compute_nu`` must reproduce.
+term w-convolution that the exponential sums of ``fv.compute_nu`` must
+reproduce.
 """
 
 import numpy as np
@@ -16,6 +17,17 @@ def pairwise_speeds(x, m, pot) -> np.ndarray:
     wp = np.asarray(pot.wprime_eval(x[:, None] - x[None, :]), dtype=float)
     np.fill_diagonal(wp, 0.0)
     return wp @ np.asarray(m, dtype=float)
+
+
+def wtilde_sums(x, m, pot) -> np.ndarray:
+    """sum_j m_j wtilde(x_i - x_j) with wtilde = W' + c*H, the continuous part of W'.
+
+    H(0) = 1/2 and W'(0) = 0 (every builtin W' is odd), so the self term is c/2.
+    """
+    x = np.asarray(x, dtype=float)
+    d = x[:, None] - x[None, :]
+    wtilde = np.asarray(pot.wprime_eval(d), dtype=float) + pot.decomposition.c * np.heaviside(d, 0.5)
+    return wtilde @ np.asarray(m, dtype=float)
 
 
 def cell_speeds(state, pot) -> np.ndarray:

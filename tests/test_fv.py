@@ -99,6 +99,14 @@ def test_gauss5_rule_is_leggauss_bit_for_bit():
     np.testing.assert_array_equal(GAUSS5_WEIGHTS, weights)
 
 
+def _fresh_interpreter(code):
+    """Run ``code`` in a fresh interpreter on this package and return its last stdout line."""
+    src = str(Path(aggr1d.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return out.stdout.strip().splitlines()[-1]
+
+
 def test_projection_does_not_import_numpy_polynomial():
     code = (
         "import sys\n"
@@ -107,10 +115,14 @@ def test_projection_does_not_import_numpy_polynomial():
         "project_initial(builtin_initial('init1').density, Grid.from_domain(-2.5, 2.5, 100))\n"
         "print('numpy.polynomial' in sys.modules)\n"
     )
-    src = str(Path(aggr1d.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert _fresh_interpreter(code) == "False"
+
+
+def test_compare_does_not_import_numpy_fft(tmp_path):
+    # both engines sum w as exponentials; no run needs a Fourier transform
+    args = ["compare", "--example", "1", "--cells", "200", "--particles", "32", "--t-end", "0.2", "--out", str(tmp_path)]
+    code = f"import sys\nfrom aggr1d.cli import main\nassert main({args!r}) == 0\nprint('numpy.fft' in sys.modules)\n"
+    assert _fresh_interpreter(code) == "False"
 
 
 def test_project_atom_outside_grid():
@@ -199,14 +211,28 @@ def test_nu_kernel_pair_relation_exact():
 
 
 def test_nu_kernel_tail_beyond_truncated_support():
-    # past the truncated support the kernel weight is zero, so the left-anchor
-    # weight of source cell j is the w-mass left of the first center alone:
-    # int_{-inf}^{-j dx} e^{-|y|}/2 dy = e^{-j dx}/2
+    # the kernel spans every offset of the grid, so each left-anchor weight is
+    # the w-mass left of the first center minus half a cell of the kernel:
+    # (amp/rate - beta*dx/2) * e^{-rate*j*dx}, down to e^{-80} on [-40, 40]
     g = Grid.from_domain(-40.0, 40.0, 1500)
     k = build_nu_kernel(EXP_POINTY, g)
-    assert 0 < k.half_width < g.n_cells - 1
-    j = np.arange(k.half_width + 1, g.n_cells)
-    np.testing.assert_allclose(k.tail[j], 0.5 * np.exp(-j * g.dx), rtol=1e-12, atol=0.0)
+    assert k.half_width == g.n_cells - 1
+    dec = EXP_POINTY.decomposition
+    h = 0.5 * dec.rate * g.dx
+    beta = dec.amp * math.tanh(h) / h
+    j = np.arange(g.n_cells)
+    expect = (dec.amp / dec.rate - 0.5 * beta * g.dx) * np.exp(-dec.rate * j * g.dx)
+    np.testing.assert_allclose(k.tail, expect, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("n_cells", [10, 100, 1000])
+def test_nu_kernel_is_geometric(n_cells):
+    # g_{j+1}/g_j = e^{-rate*dx} at every offset: no alternating mode
+    g = Grid.from_domain(-2.5, 2.5, n_cells)
+    k = build_nu_kernel(EXP_POINTY, g)
+    right = k.values[k.half_width :]
+    np.testing.assert_allclose(right[1:] / right[:-1], math.exp(-g.dx), rtol=1e-13, atol=0.0)
+    np.testing.assert_array_equal(k.values, k.values[::-1])
 
 
 def test_nu_matches_direct_convolution_quadrature():
@@ -227,10 +253,10 @@ def test_nu_matches_direct_convolution_quadrature():
 @pytest.mark.parametrize(
     "n_cells, domain, half_width",
     [
-        (2000, (-2.5, 2.5), 1999),  # N + 2K - 1 = 5998 = 2 * 2999
-        (1001, (-2.5, 2.5), 1000),  # N + 2K - 1 = 3001, a prime
+        (2000, (-2.5, 2.5), 1999),
+        (1001, (-2.5, 2.5), 1000),
         (10, (-2.5, 2.5), 9),
-        (1500, (-40.0, 40.0), 536),  # truncated kernel
+        (1500, (-40.0, 40.0), 1499),  # weights down to e^{-80}
     ],
 )
 def test_compute_nu_matches_direct_sum(n_cells, domain, half_width):
@@ -252,12 +278,12 @@ def test_compute_nu_point_kernel_is_a_scale():
     k = NuKernel(values=np.array([0.7]), half_width=0, tail=np.zeros(40))
     np.testing.assert_allclose(compute_nu(st, k), nu_sum(rho, k, g.dx), rtol=0, atol=1e-15)
     k0 = build_nu_kernel(ABS_HALF, g)
-    assert k0.half_width == 0 and k0.spectrum is None
+    assert k0.half_width == 0
     np.testing.assert_array_equal(compute_nu(st, k0), nu_sum(rho, k0, g.dx))
 
 
 def test_compute_nu_rejects_kernel_of_smaller_grid():
-    # the stored spectrum's length covers the kernel's own grid, not a 10x larger one
+    # a kernel serves the grid it was built for, not a 10x larger one
     k = build_nu_kernel(EXP_POINTY, Grid.from_domain(-1.0, 1.0, 20))
     st = FVState(grid=Grid.from_domain(-10.0, 10.0, 200), rho=np.full(200, 0.05))
     with pytest.raises(ValueError):
@@ -286,8 +312,7 @@ def test_s_gradient_zero_state_constant():
 def test_linear_nonlinear_equivalence_random_states():
     # identity law: the divided difference is the interface midpoint, which
     # telescopes to the direct pairwise sum exactly
-    # the [-40, 40] grid truncates the exp kernel to 536 cells, so the left
-    # anchor also carries the w-mass beyond the truncated support
+    # on the [-40, 40] grid the kernel weights fall to e^{-80}
     rng = np.random.default_rng(71)
     for g in (Grid.from_domain(-3.0, 3.0, 200), Grid.from_domain(-40.0, 40.0, 1500)):
         for pot in (ABS_HALF, EXP_POINTY):

@@ -386,23 +386,6 @@ def test_converge_runs_levels_serially(tmp_path):
     assert dxs == sorted(dxs, reverse=True)
 
 
-def test_legacy_mode_field(tmp_path):
-    # "linear" names the identity law; "nonlinear" goes with any law
-    for mode, preset in (("linear", 3), ("nonlinear", 3), ("nonlinear", 1)):
-        doc = example_preset(preset).to_dict()
-        doc["mode"] = mode
-        p = tmp_path / f"{mode}{preset}.json"
-        p.write_text(json.dumps(doc))
-        assert load_config(p).to_dict() == example_preset(preset).to_dict()
-    for mode, preset in (("linear", 1), ("quadratic", 3)):
-        doc = example_preset(preset).to_dict()
-        doc.update({"mode": mode, "label": "legacy", "output_dir": str(tmp_path / "out")})
-        p = tmp_path / "bad.json"
-        p.write_text(json.dumps(doc))
-        assert cli_main(["simulate", "--config", str(p)]) == 2
-        assert not (tmp_path / "out").exists()
-
-
 def test_cli_rejects_nan_t_end(tmp_path):
     doc = example_preset(1).to_dict()
     doc.update({"t_end": math.nan, "label": "nan", "output_dir": str(tmp_path / "out")})
@@ -452,20 +435,6 @@ def test_label_must_stay_inside_out_dir(tmp_path):
         replace(example_preset(1), label="../x").validate()
 
 
-def test_legacy_normalize_key(tmp_path):
-    doc = example_preset(1).to_dict()
-    assert "normalize" not in doc["initial"]
-    doc["initial"]["normalize"] = True
-    p = tmp_path / "norm.json"
-    p.write_text(json.dumps(doc))
-    assert load_config(p).to_dict() == example_preset(1).to_dict()
-    doc["initial"]["normalize"] = False
-    doc.update({"label": "raw", "output_dir": str(tmp_path / "out")})
-    p.write_text(json.dumps(doc))
-    assert cli_main(["simulate", "--config", str(p)]) == 2
-    assert not (tmp_path / "out").exists()
-
-
 _HALF_MASS_ATOMS = {"kind": "atoms", "atoms": [[-1.0, 0.25], [1.0, 0.25]]}
 _OFF_GRID_BUMP = {"kind": "bumps", "bumps": [{"amplitude": 1.0, "center": 50.0, "width": 0.316}]}
 _GATE_CASES = {
@@ -485,6 +454,11 @@ _GATE_CASES = {
     "key-bump-centre": (
         "simulate",
         {"initial": {"kind": "bumps", "bumps": [{"amplitude": 1.0, "centre": 0.7, "width": 0.316}]}},
+    ),
+    "key-mode": ("simulate", {"mode": "linear"}),
+    "key-initial-normalize": (
+        "simulate",
+        {"initial": {"kind": "bumps", "bumps": [{"amplitude": 1.0, "center": 0.7, "width": 0.316}], "normalize": True}},
     ),
 }
 

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from aggr1d import particles
 from aggr1d.measure import wasserstein1
 from aggr1d.particles import ParticleSystem, TrajectoryLog, advance_to, snapshot, velocities
 from aggr1d.potentials import VelocityLaw, make_builtin_potential, make_velocity_law
-from direct_sums import pairwise_speeds
+from direct_sums import pairwise_speeds, wtilde_sums
 
 ABS_HALF = make_builtin_potential("abs_half")
 EXP_POINTY = make_builtin_potential("exp_pointy")
@@ -96,9 +97,8 @@ def test_nonlinear_single_particle_is_stationary():
 
 
 def test_nonlinear_prefix_sums_match_pairwise_matrix():
-    # the separable-kernel fast path must reproduce the full pairwise sum;
-    # the last input reaches |x| ~ 400, where e^{rate*x} would overflow and
-    # the dense pairwise fallback runs instead
+    # the exponential prefix sums must reproduce the full pairwise sum; the
+    # last input reaches |x| ~ 400, where the sums take several blocks
     rng = np.random.default_rng(45)
     dec = EXP_POINTY.decomposition
     inputs = []
@@ -113,8 +113,7 @@ def test_nonlinear_prefix_sums_match_pairwise_matrix():
         m /= m.sum()
         for law in (IDENTITY, ATAN):
             fast = velocities(system(x, m, pot=EXP_POINTY, law=law))
-            wt = np.asarray(dec.wtilde(x[:, None] - x[None, :])) @ m
-            u_plus = -dec.c * np.cumsum(m) + wt
+            u_plus = -dec.c * np.cumsum(m) + wtilde_sums(x, m, EXP_POINTY)
             u_minus = u_plus + dec.c * m
             ref = -(np.asarray(law.a_antideriv(u_plus)) - np.asarray(law.a_antideriv(u_minus))) / (dec.c * m)
             np.testing.assert_allclose(fast, ref, atol=1e-12)
@@ -128,7 +127,7 @@ def test_light_particle_moves_at_trace_midpoint():
     m = np.array([0.7, 1e-15, 0.3])
     for pot in (ABS_HALF, EXP_POINTY):
         dec = pot.decomposition
-        u_plus = -dec.c * np.cumsum(m) + np.asarray(dec.wtilde(x[:, None] - x[None, :])) @ m
+        u_plus = -dec.c * np.cumsum(m) + wtilde_sums(x, m, pot)
         u_minus = u_plus + dec.c * m
         v = velocities(system(x, m, pot=pot, law=ATAN))
         assert abs(v[1] - float(ATAN.a_eval(0.5 * (u_plus[1] + u_minus[1])))) <= 1e-12
@@ -158,6 +157,14 @@ def test_two_body_merge_time_and_point():
     assert len(merges) == 1
     assert merges[0].time == pytest.approx(4.0, abs=1e-11)
     np.testing.assert_array_equal(velocities(ps), [0.0])  # stationary after merge
+
+
+def test_stalled_contact_search_aborts(monkeypatch):
+    # a contact search that returns the start of the step leaves t and the
+    # particle count unchanged, so the pass made no progress
+    monkeypatch.setattr(particles, "_locate_contact", lambda x, *args: (0.0, x))
+    with pytest.raises(RuntimeError, match="stalled"):
+        advance_to(system([-1.0, 1.003], [0.5, 0.5]), 5.0)  # contact inside a step, at t = 4.006
 
 
 def test_single_particle_never_moves():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from aggr1d.potentials import make_builtin_potential, make_velocity_law, velocity_sup_bound
+from aggr1d.potentials import EXP_BLOCK, left_exp_sums, make_builtin_potential, make_velocity_law, velocity_sup_bound
 
 ALL_BUILTINS = [
     make_builtin_potential("abs_half"),
@@ -105,6 +105,31 @@ def test_w_left_integral_matches_quadrature():
             q += q2
         assert float(dec.w_left_integral(xx)) == pytest.approx(q, abs=1e-10)
     assert float(dec.w_left_integral(0.0)) == pytest.approx(0.5 * dec.w0, abs=1e-15)
+
+
+def _left_exp_sums_longdouble(x, m, rate):
+    """sum_{j<i} m_j e^{-rate (x_i - x_j)} term by term in extended precision."""
+    x = np.asarray(x, dtype=np.longdouble)
+    d = x[:, None] - x[None, :]
+    weights = np.where(d > 0, np.exp(-rate * np.maximum(d, 0)), 0)
+    return weights @ np.asarray(m, dtype=np.longdouble)
+
+
+@pytest.mark.parametrize("rate", [0.5, 1.0, 3.0])
+def test_left_exp_sums_match_longdouble_reference(rate):
+    # positions over [-1000, 1000] take several blocks of width EXP_BLOCK/rate;
+    # the first block's second point lies exactly one block width from its first
+    rng = np.random.default_rng(int(rate * 10))
+    width = EXP_BLOCK / rate
+    x = np.concatenate([[-1000.0, -1000.0 + width], np.sort(rng.uniform(-1000.0 + width, 1000.0, 200))])
+    assert x[1] - x[0] == width and rate * (x[-1] - x[0]) > EXP_BLOCK
+    m = rng.random(x.size) + 0.01
+    m /= m.sum()
+    left = left_exp_sums(x, m, rate)
+    right = left_exp_sums(-x[::-1], m[::-1], rate)[::-1]
+    np.testing.assert_allclose(left, _left_exp_sums_longdouble(x, m, rate), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(right, _left_exp_sums_longdouble(-x[::-1], m[::-1], rate)[::-1], rtol=0, atol=1e-15)
+    assert left[0] == 0.0 and right[-1] == 0.0
 
 
 def test_identity_law():
