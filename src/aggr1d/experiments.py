@@ -113,7 +113,7 @@ def _write_snapshot_csv(path: Path, m: DiscreteMeasure, grid: fv.Grid) -> Path:
     if m.n_atoms:
         idx = np.rint((m.positions - grid.x_min) / grid.dx).astype(int)
         rho[idx] = m.masses / grid.dx
-    return write_csv(path, "x,rho", zip(grid.centers, rho))
+    return write_csv(path, "x,rho", np.column_stack([grid.centers, rho]))
 
 
 def cmd_simulate(cfg: SimConfig) -> RunArtifacts:

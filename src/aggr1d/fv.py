@@ -17,9 +17,13 @@ grid still holds.  With an attractive potential the end-cell speeds point
 inward and nothing leaves; :func:`run` aborts once the lost mass exceeds
 ``BOUNDARY_MASS_TOL``.
 
-Cell speeds are a divided difference of the antiderivative A of the speed
-law between interface values of the cumulative primitive gradient
-s = d/dx (W * rho), obtained from the conservation relation per cell
+Cell i's speed is the mean of the speed law a over [s_{i-1/2}, s_{i+1/2}],
+between two interface values of the cumulative primitive gradient
+s = d/dx (W * rho).  ``potentials.mean_speed`` takes that mean for both
+engines: the midpoint for the identity law, else the quotient of the
+antiderivative A, or a 2-point Gauss mean on intervals shorter than
+``DD_EPS``, where the quotient would cancel.  The gradients come from the
+conservation relation per cell
 
     s_{i+1/2} - s_{i-1/2} = dx * (nu_i - c * rho_i),
 
@@ -32,7 +36,7 @@ grid-limited nu sum cannot see, one weight per source cell that the kernel
 stores with its values.
 Every grid-only term is built once per grid, so a step evaluates no w.
 With this anchor the identity law
-a = id, whose divided difference is the interface midpoint, reproduces the
+a = id, whose mean is the interface midpoint, reproduces the
 direct sum a_i = sum_{j != i} W'(x_i - x_j) rho_j dx of the linear
 aggregation equation to machine precision on any grid, so the linear
 equation needs no engine of its own; and for even data the interface
@@ -41,12 +45,12 @@ gradients are exactly antisymmetric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .measure import DiscreteMeasure, from_cells, write_csv
-from .potentials import DD_EPS, PointyPotential, VelocityLaw, left_exp_sums, velocity_sup_bound
+from .potentials import PointyPotential, VelocityLaw, left_exp_sums, mean_speed, velocity_sup_bound
 
 __all__ = [
     "Grid",
@@ -133,6 +137,15 @@ class FVState:
     @property
     def mass(self) -> float:
         return float(np.sum(self.rho) * self.grid.dx)
+
+
+def _stepped(grid: Grid, rho: np.ndarray, time: float, step_index: int) -> FVState:
+    """FVState around a density this module built nonnegative: no scan, no copy."""
+    rho.setflags(write=False)
+    state = object.__new__(FVState)
+    for name, value in (("grid", grid), ("rho", rho), ("time", time), ("step_index", step_index)):
+        object.__setattr__(state, name, value)
+    return state
 
 
 @dataclass(frozen=True)
@@ -255,26 +268,10 @@ def solve_s_gradient(state: FVState, pot: PointyPotential, nu: np.ndarray, kerne
 
 
 def velocity_from_gradients(law: VelocityLaw, s: np.ndarray) -> np.ndarray:
-    """Per-cell speed from interface gradients: divided difference of A.
-
-    a_i = (A(s_{i+1/2}) - A(s_{i-1/2})) / (s_{i+1/2} - s_{i-1/2}), with the
-    equal-gradient branch a(midpoint) taken when the difference is below
-    ``DD_EPS`` to avoid cancellation.  For the identity law the divided
-    difference IS the interface midpoint (A = x^2/2), which is evaluated
-    directly: the quotient form would lose absolute accuracy whenever a
-    cell holds very little mass.  A is evaluated once on the n+1 gradients,
-    a only on the equal-gradient cells.
-    """
-    s_lo, s_hi = s[:-1], s[1:]
-    if law.is_identity:
-        a = 0.5 * (s_hi + s_lo)
-    else:
-        diff = np.diff(s)
-        small = np.abs(diff) < DD_EPS
-        a = np.diff(law.a_antideriv(s)) / np.where(small, 1.0, diff)
-        a[small] = law.a_eval(0.5 * (s_hi[small] + s_lo[small]))
+    """Per-cell speed from interface gradients: the mean of a over [s_{i-1/2}, s_{i+1/2}]."""
+    a = mean_speed(law, s)
     if not np.all(np.isfinite(a)):
-        raise SchemeError("non-finite divided difference in the velocity")
+        raise SchemeError("non-finite mean speed in the velocity")
     return a
 
 
@@ -314,7 +311,7 @@ def step(state: FVState, a: np.ndarray, dt: float) -> FVState:
     inflow_left = -lam * np.minimum(a, 0.0) * rho  # leaves cell i leftward
     new[1:] += inflow_right[:-1]
     new[:-1] += inflow_left[1:]
-    return replace(state, rho=new, time=state.time + dt, step_index=state.step_index + 1)
+    return _stepped(state.grid, new, state.time + dt, state.step_index + 1)
 
 
 @dataclass
@@ -352,8 +349,8 @@ class DiagnosticsReport:
 
     def write_csv(self, path) -> None:
         header = "step,time,mass,min_rho,max_abs_a,moment1,support_cells"
-        columns = (self.step_index, self.time, self.mass, self.min_rho, self.max_abs_a, self.moment1)
-        write_csv(path, header, zip(*columns, self.support_cells))
+        columns = (self.step_index, self.time, self.mass, self.min_rho, self.max_abs_a, self.moment1, self.support_cells)
+        write_csv(path, header, np.column_stack(columns))
 
 
 def snapshot_measure(state: FVState) -> DiscreteMeasure:
@@ -406,5 +403,5 @@ def run(
         if not state.time > t:
             raise SchemeError(f"step {state.step_index} did not advance the time from t = {t!r}")
         if abs(state.time - targets[0]) < 1e-12:
-            state = replace(state, time=targets[0])  # land on the sample time exactly
+            state = _stepped(state.grid, state.rho, targets[0], state.step_index)  # land on the sample time exactly
     return snapshots, diag

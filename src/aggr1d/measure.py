@@ -162,16 +162,23 @@ def write_csv(path, header: str, rows) -> Path:
 
     Floats, numpy floats included, are written with 17 significant digits,
     which round-trips every double; every other value is written with str.
-    This is the one CSV format of the package's artifacts.
+    ``rows`` may also be a 2-D float array, formatted in one pass with the
+    same 17 digits; an integral value below 10**17 in it reads as str of
+    the int would.  This is the one CSV format of the package's artifacts.
     """
-    lines = [header] + [
-        ",".join([f"{v:.17g}" if isinstance(v, (float, np.floating)) else str(v) for v in row]) for row in rows
-    ]
+    if isinstance(rows, np.ndarray):
+        n, k = rows.shape
+        text = header + "\n" + (",".join(["%.17g"] * k) + "\n") * n % tuple(rows.ravel().tolist())
+    else:
+        lines = [header] + [
+            ",".join([f"{v:.17g}" if isinstance(v, (float, np.floating)) else str(v) for v in row]) for row in rows
+        ]
+        text = "\n".join(lines) + "\n"
     path = Path(path)
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(text)
     return path
 
 
 def write_atoms_csv(m: DiscreteMeasure, path) -> Path:
     """Dump atoms as ``position,mass`` lines."""
-    return write_csv(path, "position,mass", zip(m.positions, m.masses))
+    return write_csv(path, "position,mass", np.column_stack([m.positions, m.masses]))

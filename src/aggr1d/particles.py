@@ -8,13 +8,13 @@ traces
     u(x_i+) = -c * sum_{j<=i} m_j + sum_j m_j wtilde(x_i - x_j)
     u(x_i-) = u(x_i+) + c * m_i
 
-and m_i x_i' = -(A(u(x_i+)) - A(u(x_i-))) / c.  For the identity law this
-jump quotient is the trace midpoint (u(x_i+) + u(x_i-)) / 2, which is the
-linear speed sum_{j != i} m_j W'(x_i - x_j) with the self term excluded
-exactly; it is evaluated in that form, since the quotient would cancel for
-light particles.  Under any other law a particle whose jump c * m_i is
-below DD_EPS moves at a of the trace midpoint, the grid scheme's
-equal-gradient rule.
+and m_i x_i' = -(A(u(x_i+)) - A(u(x_i-))) / c: particle i moves at the
+mean of a over [u(x_i+), u(x_i-)].  ``potentials.mean_speed`` takes that
+mean, as for the grid's cells: the midpoint for the identity law, else the
+quotient of A, or a 2-point Gauss mean on jumps shorter than ``DD_EPS``,
+where the quotient would cancel.  Under the identity law the midpoint is
+the linear speed sum_{j != i} m_j W'(x_i - x_j) with the self term
+excluded exactly.
 
 Integration is classical RK4 with steps of MAX_STEP (shortened only to
 land on t_end); the speeds at the end of a step are the next step's first
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .measure import DiscreteMeasure, merge_runs
-from .potentials import DD_EPS, PointyPotential, VelocityLaw, left_exp_sums
+from .potentials import PointyPotential, VelocityLaw, left_exp_sums, mean_speed
 
 __all__ = [
     "ParticleSystem",
@@ -124,14 +124,7 @@ def _nonlinear_vel(x: np.ndarray, m: np.ndarray, pot: PointyPotential, law: Velo
     dec = pot.decomposition
     c = dec.c
     u_plus = -c * np.cumsum(m) + _wtilde_sums(x, m, dec)
-    u_minus = u_plus + c * m
-    if law.is_identity:
-        return 0.5 * (u_plus + u_minus)
-    v = -(law.a_antideriv(u_plus) - law.a_antideriv(u_minus)) / (c * m)
-    light = m < DD_EPS / abs(c)  # |c| m below DD_EPS: the quotient cancels
-    if light.any():
-        v[light] = law.a_eval(0.5 * (u_plus[light] + u_minus[light]))
-    return v
+    return mean_speed(law, np.array([u_plus, u_plus + c * m]))[0]
 
 
 def velocities(ps: ParticleSystem):

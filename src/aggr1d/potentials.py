@@ -17,6 +17,7 @@ scaled potentials like -sigma*|x| then keep an exact decomposition
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -29,12 +30,17 @@ __all__ = [
     "VelocityLaw",
     "make_builtin_potential",
     "make_velocity_law",
+    "mean_speed",
     "velocity_sup_bound",
 ]
 
-# below this jump of the primitive gradient a divided difference of A
-# cancels; both engines take a at the midpoint instead
-DD_EPS = 1e-12
+# mean_speed takes the 2-point Gauss rule on intervals shorter than this: the
+# quotient of A loses about ulp(A)/d there, while the Gauss error
+# a''''*d^4/4320 is negligible
+DD_EPS = 1e-6
+
+# node offset of the 2-point Gauss-Legendre rule on an interval of length d, in units of d
+GAUSS2_OFFSET = 0.5 / math.sqrt(3.0)
 
 # widest block of left_exp_sums, in units of 1/rate: e^600 stays well inside
 # the float range (e^709), so no prefix sum in a block overflows
@@ -129,11 +135,10 @@ class PointyPotential:
 class VelocityLaw:
     """Nondecreasing C^1 speed law a with antiderivative A, A(0) = 0.
 
-    The scheme reads a only through divided differences of A between
-    interface gradients (a itself where two gradients coincide), and the
-    CFL bound from the values of a at the ends of the gradient range
-    (:func:`velocity_sup_bound`).  ``is_identity`` marks a(x) = x, whose
-    divided difference is the interface midpoint.
+    Both engines read a only through :func:`mean_speed`, its mean over an
+    interval of gradients, and the CFL bound from the values of a at the
+    ends of the gradient range (:func:`velocity_sup_bound`).
+    ``is_identity`` marks a(x) = x, whose mean is the interval midpoint.
     """
 
     name: str
@@ -217,20 +222,45 @@ def make_velocity_law(name: str, k: float | None = None, scale: float | None = N
     raise ValueError(f"unknown velocity law {name!r}")
 
 
+def mean_speed(law: VelocityLaw, knots: np.ndarray) -> np.ndarray:
+    """Mean of a over each interval between consecutive knots along axis 0.
+
+    The identity law gives the midpoint.  Any other law gives the quotient
+    (A(hi) - A(lo)) / d, d = hi - lo, with A evaluated once per knot, where
+    |d| >= ``DD_EPS``; below it, where the quotient would cancel, the 2-point
+    Gauss-Legendre mean (a(m - d/(2 sqrt 3)) + a(m + d/(2 sqrt 3))) / 2 about
+    the midpoint m.  The grid passes its n+1 interface gradients, the
+    particles the stacked traces (u(x_i+), u(x_i-)) of every atom.
+    """
+    lo, hi = knots[:-1], knots[1:]
+    if law.is_identity:
+        return 0.5 * (hi + lo)
+    d = hi - lo
+    small = np.abs(d) < DD_EPS
+    out = np.diff(law.a_antideriv(knots), axis=0) / np.where(small, 1.0, d)
+    if small.any():
+        mid, off = 0.5 * (hi[small] + lo[small]), GAUSS2_OFFSET * d[small]
+        out[small] = 0.5 * (law.a_eval(mid - off) + law.a_eval(mid + off))
+    return out
+
+
 def velocity_sup_bound(pot: PointyPotential, law: VelocityLaw) -> float:
     """Uniform bound on the transport speed, the a_inf of the CFL condition.
 
     Identity law: the speed is the convolution W'*rho, which for a
     probability measure is bounded by the Lipschitz constant of W.
 
-    Other laws: the discrete primitive gradient that feeds a(.) never
-    leaves [-R, R] with R = |u_inf| + w0 + c (anchor value plus the total
-    variation the cumulative solve can accumulate: w-part at most w0, kink
-    part at most c for unit mass), so the speed is bounded by the larger
-    endpoint value of the nondecreasing a.
+    Other laws: every speed is a mean of the nondecreasing a over primitive
+    gradients in [-R, R], so it is bounded by the larger endpoint value.
+    For a kink-only potential (amp = 0), R = |c|/2 exactly: its interface
+    gradients are s = c*(M/2 - F), with M the mass and F the cumulative
+    mass, which runs monotonically from 0 to M = 1.  With a w-part,
+    R = |u_inf| + w0 + c (anchor value plus the total variation the
+    cumulative solve can accumulate: w-part at most w0, kink part at most c
+    for unit mass).
     """
     if law.is_identity:
         return pot.lip
     dec = pot.decomposition
-    reach = abs(dec.u_inf) + dec.w0 + dec.c
+    reach = 0.5 * abs(dec.c) if dec.amp == 0.0 else abs(dec.u_inf) + dec.w0 + dec.c
     return float(max(abs(law.a_eval(-reach)), abs(law.a_eval(reach))))

@@ -67,13 +67,13 @@ def _scheme_invariant_violations(pot, law, diag) -> list[str]:
 
 
 def test_criterion_1_scheme_invariants():
-    # Example-1 and Example-3 presets, 1000 cells, gamma = 0.9, t_end = 2
+    # presets 1 and 3 to t = 2 and preset 2 to its t_end, 1000 cells, gamma = 0.9
     bad = []
-    for number in (1, 3):
-        _, _, pot, law, _, diag = preset_run(number, 2.0)
+    for number, t_end in ((1, 2.0), (2, example_preset(2).t_end), (3, 2.0)):
+        _, _, pot, law, _, diag = preset_run(number, t_end)
         bad += [f"example {number}: {b}" for b in _scheme_invariant_violations(pot, law, diag)]
     # positivity and constant mass make the cumulative mass's total variation equal the mass: TVD
-    _report(1, not bad, "; ".join(bad) or "mass/positivity/velocity/moment/support hold on presets 1 and 3")
+    _report(1, not bad, "; ".join(bad) or "mass/positivity/velocity/moment/support hold on presets 1, 2 and 3")
 
 
 def test_criterion_2_two_particle_oracle():

@@ -301,6 +301,21 @@ def test_s_gradient_two_pulses():
     np.testing.assert_allclose(s, [0.5, 0.0, 0.0, 0.0, -0.5], atol=0)
 
 
+def test_s_gradient_kink_only_within_half_c_times_mass():
+    # amp = 0: s = c*(M/2 - F) with F the cumulative mass, so |s| <= |c|/2*M up to
+    # the rounding of the n-term cumulative sum; velocity_sup_bound relies on it
+    rng = np.random.default_rng(53)
+    for pot in (ABS_HALF, make_builtin_potential("abs_scaled", sigma=1.0 / 250.0)):
+        c = pot.decomposition.c
+        for n in (10, 200, 4000):
+            g = Grid.from_domain(-2.5, 2.5, n)
+            kern = build_nu_kernel(pot, g)
+            for _ in range(50):
+                st = FVState(grid=g, rho=rng.random(n) * (rng.random(n) < 0.7) * rng.uniform(0.1, 10.0))
+                s = solve_s_gradient(st, pot, compute_nu(st, kern), kern)
+                assert np.max(np.abs(s)) <= 0.5 * c * st.mass * (1.0 + n * np.finfo(float).eps)
+
+
 def test_s_gradient_zero_state_constant():
     g = Grid.from_domain(-1.0, 1.0, 10)
     st = FVState(grid=g, rho=np.zeros(10))
@@ -370,6 +385,22 @@ def test_step_hand_computed():
     np.testing.assert_allclose(new.rho, [0.375, 0.125, 0.125, 0.375], atol=0)
     assert new.time == 1.0
     assert new.step_index == 1
+
+
+def test_state_checks_input_and_step_returns_read_only_state():
+    g = Grid(x_min=0.0, dx=1.0, n_cells=3)
+    with pytest.raises(ValueError, match="nonnegative"):
+        FVState(grid=g, rho=np.array([0.5, -1e-300, 0.5]))
+    with pytest.raises(ValueError, match="length"):
+        FVState(grid=g, rho=np.ones(4))
+    rho = np.array([0.25, 0.5, 0.25])
+    st = FVState(grid=g, rho=rho)
+    rho[0] = 9.0
+    assert st.rho[0] == 0.25 and not st.rho.flags.writeable
+    new = step(st, np.array([0.5, 0.0, -0.5]), 1.0)
+    np.testing.assert_array_equal(new.rho, [0.125, 0.75, 0.125])
+    assert not new.rho.flags.writeable and (new.grid, new.time, new.step_index) == (g, 1.0, 1)
+    np.testing.assert_array_equal(st.rho, [0.25, 0.5, 0.25])
 
 
 def test_step_zero_velocity_is_identity():
@@ -565,6 +596,18 @@ def test_run_preset3_keeps_lip_step_count():
     end = state_from_snapshot(snaps[-1][1], st.grid)
     a_end = nonlinear_velocity(end, pot, IDENTITY, build_nu_kernel(pot, st.grid))
     assert np.max(np.abs(a_end - cell_speeds(end, pot))) <= 1e-12
+
+
+def test_run_preset2_steps_at_kink_only_bound():
+    # kink-only gradients stay in [-c/2, c/2], so preset 2 steps under
+    # a_inf = a(1/250) = 0.1257: 420 steps at 1000 cells (1155 under the reach
+    # bound a(|u_inf| + w0 + c) = 0.344)
+    from aggr1d.config import example_preset
+
+    cfg = example_preset(2)
+    st = project_initial(cfg.initial.density, cfg.make_grid())
+    _, diag = run(st, cfg.make_potential(), cfg.make_law(), cfg.t_end, cfg.gamma, cfg.sample_times)
+    assert diag.step_index[-1] == 420
 
 
 def test_diagnostics_csv_format(tmp_path):

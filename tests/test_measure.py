@@ -8,6 +8,7 @@ from aggr1d.measure import (
     quantile,
     wasserstein1,
     write_atoms_csv,
+    write_csv,
 )
 
 
@@ -176,3 +177,16 @@ def test_atoms_csv_roundtrip(tmp_path):
         mas.append(float(b))
     np.testing.assert_array_equal(pos, m.positions)  # 17 significant digits round-trip
     np.testing.assert_array_equal(mas, m.masses)
+
+
+def test_write_csv_array_rows_match_row_path(tmp_path):
+    # the one-pass array path writes the bytes of the per-value row path,
+    # integral columns included (str(3) == "%.17g" % 3.0)
+    rng = np.random.default_rng(41)
+    floats = np.concatenate([rng.normal(size=20) * 10.0 ** rng.integers(-300, 300, 20), [0.0, -0.0, 1e16, 0.1, 5e-324]])
+    counts = rng.integers(0, 10**15, floats.size)
+    rows = [(int(k), float(v), int(k % 7)) for k, v in zip(counts, floats)]
+    by_row = write_csv(tmp_path / "rows.csv", "a,b,c", rows).read_bytes()
+    by_array = write_csv(tmp_path / "array.csv", "a,b,c", np.array(rows, dtype=float)).read_bytes()
+    assert by_array == by_row
+    assert write_csv(tmp_path / "empty.csv", "a,b", np.empty((0, 2))).read_text() == "a,b\n"

@@ -120,9 +120,10 @@ def test_nonlinear_prefix_sums_match_pairwise_matrix():
 
 
 def test_light_particle_moves_at_trace_midpoint():
-    # a particle whose jump c*m is below DD_EPS takes a at the midpoint of
-    # its traces, the grid's equal-gradient rule; the quotient of A would
-    # cancel there (under abs_half the quotient gives -0.94369, the midpoint -0.93655)
+    # a particle whose jump c*m is below DD_EPS takes the 2-point Gauss mean
+    # of a over its traces, a at their midpoint up to a''*(c*m)^2/24; the
+    # quotient of A would cancel there (under abs_half the quotient gives
+    # -0.94369, the midpoint -0.93655)
     x = np.array([-1.0, 0.0, 1.0])
     m = np.array([0.7, 1e-15, 0.3])
     for pot in (ABS_HALF, EXP_POINTY):

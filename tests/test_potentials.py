@@ -4,7 +4,17 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from aggr1d.potentials import EXP_BLOCK, left_exp_sums, make_builtin_potential, make_velocity_law, velocity_sup_bound
+from aggr1d import fv
+from aggr1d.potentials import (
+    DD_EPS,
+    EXP_BLOCK,
+    left_exp_sums,
+    make_builtin_potential,
+    make_velocity_law,
+    mean_speed,
+    velocity_sup_bound,
+)
+from mean_speed_reference import atan_mean
 
 ALL_BUILTINS = [
     make_builtin_potential("abs_half"),
@@ -194,3 +204,29 @@ def test_velocity_sup_bound_nonlinear_exp_pointy():
     got = velocity_sup_bound(pot, law)
     assert got == pytest.approx(expect, abs=1e-14)
     assert got == pytest.approx(0.99363, abs=1e-5)
+
+
+def test_velocity_sup_bound_kink_only_is_a_at_half_c():
+    # kink-only gradients stay in [-c/2, c/2]: a_inf = a(c/2), not a(|u_inf| + w0 + c)
+    law = make_velocity_law("atan", k=50.0, scale=2.0 / math.pi)
+    pot = make_builtin_potential("abs_scaled", sigma=1.0 / 250.0)
+    assert velocity_sup_bound(pot, law) == float(law.a_eval(1.0 / 250.0))
+    assert velocity_sup_bound(make_builtin_potential("abs_half"), law) == float(law.a_eval(0.5))
+
+
+@pytest.mark.parametrize("d", [0.0, 1e-13, 1.01e-12, 1e-9, DD_EPS * (1 - 1e-9), DD_EPS * (1 + 1e-9), 1e-3])
+def test_mean_speed_matches_longdouble_reference(d):
+    # the speed law of presets 1 and 2 over preset 2's gradient range [-1/250, 1/250],
+    # on intervals of either orientation; both engines read a only through mean_speed
+    law = make_velocity_law("atan", k=50.0, scale=2.0 / math.pi)
+    lo = np.linspace(-0.004, 0.004, 41)
+    for sign in (1.0, -1.0):
+        hi = lo + sign * d
+        ref = atan_mean(lo, hi, 50.0, 2.0 / math.pi)
+        got = mean_speed(law, np.stack([lo, hi]))[0]
+        assert np.max(np.abs(got - ref)) <= 1e-12
+        grid = np.sort(np.concatenate([lo, hi]))[:: int(sign)]  # a gradient profile with intervals of length d
+        profile = fv.velocity_from_gradients(law, grid)
+        ref = atan_mean(grid[:-1], grid[1:], 50.0, 2.0 / math.pi)
+        assert np.max(np.abs(profile - ref)) <= 1e-12
+
