@@ -19,10 +19,8 @@ inward and nothing leaves; :func:`run` aborts once the lost mass exceeds
 
 Cell i's speed is the mean of the speed law a over [s_{i-1/2}, s_{i+1/2}],
 between two interface values of the cumulative primitive gradient
-s = d/dx (W * rho).  ``potentials.mean_speed`` takes that mean for both
-engines: the midpoint for the identity law, else the quotient of the
-antiderivative A, or a 2-point Gauss mean on intervals shorter than
-``DD_EPS``, where the quotient would cancel.  The gradients come from the
+s = d/dx (W * rho); the law states that mean itself, as ``law.mean``, in a
+closed form exact for every interval length.  The gradients come from the
 conservation relation per cell
 
     s_{i+1/2} - s_{i-1/2} = dx * (nu_i - c * rho_i),
@@ -50,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measure import DiscreteMeasure, from_cells, write_csv
-from .potentials import PointyPotential, VelocityLaw, left_exp_sums, mean_speed, velocity_sup_bound
+from .potentials import PointyPotential, VelocityLaw, left_exp_sums, velocity_sup_bound
 
 __all__ = [
     "Grid",
@@ -269,7 +267,7 @@ def solve_s_gradient(state: FVState, pot: PointyPotential, nu: np.ndarray, kerne
 
 def velocity_from_gradients(law: VelocityLaw, s: np.ndarray) -> np.ndarray:
     """Per-cell speed from interface gradients: the mean of a over [s_{i-1/2}, s_{i+1/2}]."""
-    a = mean_speed(law, s)
+    a = law.mean(s[:-1], s[1:])
     if not np.all(np.isfinite(a)):
         raise SchemeError("non-finite mean speed in the velocity")
     return a

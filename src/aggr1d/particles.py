@@ -2,17 +2,16 @@
 
 Atoms (x_i, m_i) follow the pairwise ODE between collisions and merge
 irreversibly on contact, conserving mass.  The speed of particle i comes
-from the jump of A(u) across the atom, where u = W' * rho has one-sided
-traces
+from the jump of A(u) across the atom, with A' = a the speed law and
+u = W' * rho, whose one-sided traces are
 
     u(x_i+) = -c * sum_{j<=i} m_j + sum_j m_j wtilde(x_i - x_j)
     u(x_i-) = u(x_i+) + c * m_i
 
 and m_i x_i' = -(A(u(x_i+)) - A(u(x_i-))) / c: particle i moves at the
-mean of a over [u(x_i+), u(x_i-)].  ``potentials.mean_speed`` takes that
-mean, as for the grid's cells: the midpoint for the identity law, else the
-quotient of A, or a 2-point Gauss mean on jumps shorter than ``DD_EPS``,
-where the quotient would cancel.  Under the identity law the midpoint is
+mean of a over [u(x_i+), u(x_i-)]; the law states that mean itself, as
+``law.mean``, in a closed form exact for every jump length, as for the
+grid's cells.  Under the identity law that mean is the trace midpoint,
 the linear speed sum_{j != i} m_j W'(x_i - x_j) with the self term
 excluded exactly.
 
@@ -35,7 +34,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .measure import DiscreteMeasure, merge_runs
-from .potentials import PointyPotential, VelocityLaw, left_exp_sums, mean_speed
+from .potentials import PointyPotential, VelocityLaw, left_exp_sums
 
 __all__ = [
     "ParticleSystem",
@@ -124,7 +123,7 @@ def _nonlinear_vel(x: np.ndarray, m: np.ndarray, pot: PointyPotential, law: Velo
     dec = pot.decomposition
     c = dec.c
     u_plus = -c * np.cumsum(m) + _wtilde_sums(x, m, dec)
-    return mean_speed(law, np.array([u_plus, u_plus + c * m]))[0]
+    return law.mean(u_plus, u_plus + c * m)
 
 
 def velocities(ps: ParticleSystem):

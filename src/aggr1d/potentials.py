@@ -6,9 +6,9 @@ kink explicitly, for every speed law: W'' = -c*delta_0 + w in the sense of
 distributions, with w(x) = amp*e^{-rate|x|} (amp = 0 for the |x| family).
 This module collects the potential together with every derived constant
 the schemes need (lambda, the Lipschitz bound, the three numbers
-(c, amp, rate) and the closed forms they give, the antiderivative A of the
-speed law) so that downstream code never differentiates anything
-numerically.
+(c, amp, rate) and the closed forms they give, the interval mean of the
+speed law) so that downstream code never differentiates or integrates
+anything numerically.
 
 The kink coefficient c is carried explicitly rather than hard-wired to 1;
 scaled potentials like -sigma*|x| then keep an exact decomposition
@@ -17,7 +17,6 @@ scaled potentials like -sigma*|x| then keep an exact decomposition
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -30,17 +29,8 @@ __all__ = [
     "VelocityLaw",
     "make_builtin_potential",
     "make_velocity_law",
-    "mean_speed",
     "velocity_sup_bound",
 ]
-
-# mean_speed takes the 2-point Gauss rule on intervals shorter than this: the
-# quotient of A loses about ulp(A)/d there, while the Gauss error
-# a''''*d^4/4320 is negligible
-DD_EPS = 1e-6
-
-# node offset of the 2-point Gauss-Legendre rule on an interval of length d, in units of d
-GAUSS2_OFFSET = 0.5 / math.sqrt(3.0)
 
 # widest block of left_exp_sums, in units of 1/rate: e^600 stays well inside
 # the float range (e^709), so no prefix sum in a block overflows
@@ -133,17 +123,19 @@ class PointyPotential:
 
 @dataclass(frozen=True)
 class VelocityLaw:
-    """Nondecreasing C^1 speed law a with antiderivative A, A(0) = 0.
+    """Nondecreasing C^1 speed law a and its mean over an interval.
 
-    Both engines read a only through :func:`mean_speed`, its mean over an
-    interval of gradients, and the CFL bound from the values of a at the
-    ends of the gradient range (:func:`velocity_sup_bound`).
-    ``is_identity`` marks a(x) = x, whose mean is the interval midpoint.
+    ``mean(lo, hi)`` is the exact mean of a over [lo, hi] elementwise, for
+    either orientation, in a closed form that stays well-conditioned for
+    every interval length and returns a(lo) bit for bit when lo == hi.
+    Both engines read a only through it, and the CFL bound from the values
+    of a at the ends of the gradient range (:func:`velocity_sup_bound`).
+    ``is_identity`` marks a(x) = x, whose bound is the Lipschitz constant.
     """
 
     name: str
     a_eval: Callable[[np.ndarray], np.ndarray]
-    a_antideriv: Callable[[np.ndarray], np.ndarray]
+    mean: Callable[[np.ndarray, np.ndarray], np.ndarray]
     is_identity: bool = False
 
 
@@ -201,7 +193,7 @@ def make_velocity_law(name: str, k: float | None = None, scale: float | None = N
         return VelocityLaw(
             name="identity",
             a_eval=lambda x: np.asarray(x, dtype=float),
-            a_antideriv=lambda x: 0.5 * np.square(np.asarray(x, dtype=float)),
+            mean=lambda lo, hi: 0.5 * (hi + lo),
             is_identity=True,
         )
     if name == "atan":
@@ -213,35 +205,18 @@ def make_velocity_law(name: str, k: float | None = None, scale: float | None = N
         def a_eval(x):
             return sc * np.arctan(kk * np.asarray(x, dtype=float))
 
-        def a_antideriv(x):
-            # d/dx [x*atan(kx) - log(1+k^2 x^2)/(2k)] = atan(kx)
-            x = np.asarray(x, dtype=float)
-            return sc * (x * np.arctan(kk * x) - np.log1p(np.square(kk * x)) / (2.0 * kk))
+        def mean(lo, hi):
+            # F(y) = y*atan(y) - log(1 + y^2)/2 has F' = atan; with p = k*lo,
+            # q = k*hi, d = k*(hi - lo) the mean is scale*(F(q) - F(p))/d =
+            # scale*(atan(q) + (p*(atan(q) - atan(p)) - log((1+q^2)/(1+p^2))/2)/d),
+            # whose two differences are atan2(d, 1 + p*q) and log1p(d*(p+q)/(1+p^2))
+            # without cancellation; the bracket is exactly 0 at d = 0
+            p, q, d = kk * lo, kk * hi, kk * (hi - lo)
+            bracket = p * np.arctan2(d, 1.0 + p * q) - 0.5 * np.log1p(d * (p + q) / (1.0 + p * p))
+            return sc * (np.arctan(q) + bracket / np.where(d == 0.0, 1.0, d))
 
-        return VelocityLaw(name=f"atan({kk!r},{sc!r})", a_eval=a_eval, a_antideriv=a_antideriv)
+        return VelocityLaw(name=f"atan({kk!r},{sc!r})", a_eval=a_eval, mean=mean)
     raise ValueError(f"unknown velocity law {name!r}")
-
-
-def mean_speed(law: VelocityLaw, knots: np.ndarray) -> np.ndarray:
-    """Mean of a over each interval between consecutive knots along axis 0.
-
-    The identity law gives the midpoint.  Any other law gives the quotient
-    (A(hi) - A(lo)) / d, d = hi - lo, with A evaluated once per knot, where
-    |d| >= ``DD_EPS``; below it, where the quotient would cancel, the 2-point
-    Gauss-Legendre mean (a(m - d/(2 sqrt 3)) + a(m + d/(2 sqrt 3))) / 2 about
-    the midpoint m.  The grid passes its n+1 interface gradients, the
-    particles the stacked traces (u(x_i+), u(x_i-)) of every atom.
-    """
-    lo, hi = knots[:-1], knots[1:]
-    if law.is_identity:
-        return 0.5 * (hi + lo)
-    d = hi - lo
-    small = np.abs(d) < DD_EPS
-    out = np.diff(law.a_antideriv(knots), axis=0) / np.where(small, 1.0, d)
-    if small.any():
-        mid, off = 0.5 * (hi[small] + lo[small]), GAUSS2_OFFSET * d[small]
-        out[small] = 0.5 * (law.a_eval(mid - off) + law.a_eval(mid + off))
-    return out
 
 
 def velocity_sup_bound(pot: PointyPotential, law: VelocityLaw) -> float:

@@ -7,13 +7,16 @@ from scipy.integrate import quad
 from aggr1d import particles
 from aggr1d.measure import wasserstein1
 from aggr1d.particles import ParticleSystem, TrajectoryLog, advance_to, snapshot, velocities
-from aggr1d.potentials import VelocityLaw, make_builtin_potential, make_velocity_law
+from aggr1d.potentials import make_builtin_potential, make_velocity_law
 from direct_sums import pairwise_speeds, wtilde_sums
+from mean_speed_reference import atan_antideriv, identity_antideriv
 
 ABS_HALF = make_builtin_potential("abs_half")
 EXP_POINTY = make_builtin_potential("exp_pointy")
 IDENTITY = make_velocity_law("identity")
 ATAN = make_velocity_law("atan", k=50.0, scale=2.0 / math.pi)
+# extended-precision antiderivative of each law, for quotient references
+ANTIDERIV = {IDENTITY.name: identity_antideriv, ATAN.name: lambda x: atan_antideriv(x, 50.0, 2.0 / math.pi)}
 
 
 def system(x, m, pot=ABS_HALF, law=IDENTITY):
@@ -50,24 +53,6 @@ def test_linear_fast_path_matches_direct_sum():
             np.testing.assert_allclose(velocities(system(x, m, pot=pot)), pairwise_speeds(x, m, pot), atol=1e-13)
 
 
-def test_nonlinear_matches_linear_for_identity_law():
-    # the jump quotient of A = x^2/2, evaluated as for any nonlinear law,
-    # collapses to the midpoint the identity law takes directly
-    quotient_identity = VelocityLaw(name="identity-quotient", a_eval=IDENTITY.a_eval, a_antideriv=IDENTITY.a_antideriv)
-    rng = np.random.default_rng(43)
-    for pot in (ABS_HALF, EXP_POINTY):
-        for _ in range(30):
-            n = rng.integers(1, 25)
-            x = np.sort(rng.normal(size=n) * 2)
-            if n > 1 and np.any(np.diff(x) <= 1e-9):
-                continue
-            m = rng.random(n) + 0.05
-            m /= m.sum()
-            v_nl = velocities(system(x, m, pot=pot, law=quotient_identity))
-            v_li = velocities(system(x, m, pot=pot))
-            np.testing.assert_allclose(v_nl, v_li, atol=1e-12)
-
-
 def test_nonlinear_two_body_identity():
     v = velocities(system([-1.0, 1.0], [0.5, 0.5]))
     np.testing.assert_allclose(v, [0.25, -0.25], atol=1e-15)
@@ -92,7 +77,7 @@ def test_nonlinear_single_particle_is_stationary():
             eps = 1e-9
             u_plus = float(pot.wprime_eval(eps))
             u_minus = float(pot.wprime_eval(-eps))
-            jump = float(law.a_antideriv(u_plus)) - float(law.a_antideriv(u_minus))
+            jump = float(ANTIDERIV[law.name](u_plus) - ANTIDERIV[law.name](u_minus))
             assert abs(jump / dec.c) <= 1e-8
 
 
@@ -115,15 +100,15 @@ def test_nonlinear_prefix_sums_match_pairwise_matrix():
             fast = velocities(system(x, m, pot=EXP_POINTY, law=law))
             u_plus = -dec.c * np.cumsum(m) + wtilde_sums(x, m, EXP_POINTY)
             u_minus = u_plus + dec.c * m
-            ref = -(np.asarray(law.a_antideriv(u_plus)) - np.asarray(law.a_antideriv(u_minus))) / (dec.c * m)
+            ref = -(ANTIDERIV[law.name](u_plus) - ANTIDERIV[law.name](u_minus)) / (dec.c * m)
             np.testing.assert_allclose(fast, ref, atol=1e-12)
 
 
 def test_light_particle_moves_at_trace_midpoint():
-    # a particle whose jump c*m is below DD_EPS takes the 2-point Gauss mean
-    # of a over its traces, a at their midpoint up to a''*(c*m)^2/24; the
-    # quotient of A would cancel there (under abs_half the quotient gives
-    # -0.94369, the midpoint -0.93655)
+    # a particle whose jump c*m is 1e-15 moves at the mean of a over its
+    # traces, a at their midpoint up to a''*(c*m)^2/24; a quotient of the
+    # antiderivative A in double precision would cancel there (under abs_half
+    # it gives -0.94369, the midpoint -0.93655)
     x = np.array([-1.0, 0.0, 1.0])
     m = np.array([0.7, 1e-15, 0.3])
     for pot in (ABS_HALF, EXP_POINTY):
@@ -133,7 +118,7 @@ def test_light_particle_moves_at_trace_midpoint():
         v = velocities(system(x, m, pot=pot, law=ATAN))
         assert abs(v[1] - float(ATAN.a_eval(0.5 * (u_plus[1] + u_minus[1])))) <= 1e-12
         heavy = [0, 2]
-        quotient = -(ATAN.a_antideriv(u_plus[heavy]) - ATAN.a_antideriv(u_minus[heavy])) / (dec.c * m[heavy])
+        quotient = -(ANTIDERIV[ATAN.name](u_plus[heavy]) - ANTIDERIV[ATAN.name](u_minus[heavy])) / (dec.c * m[heavy])
         np.testing.assert_allclose(v[heavy], quotient, atol=1e-12)
 
 

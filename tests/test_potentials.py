@@ -1,20 +1,21 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from aggr1d import fv
+from aggr1d.particles import ParticleSystem, velocities
 from aggr1d.potentials import (
-    DD_EPS,
     EXP_BLOCK,
+    KinkDecomposition,
     left_exp_sums,
     make_builtin_potential,
     make_velocity_law,
-    mean_speed,
     velocity_sup_bound,
 )
-from mean_speed_reference import atan_mean
+from mean_speed_reference import atan_mean, identity_mean
 
 ALL_BUILTINS = [
     make_builtin_potential("abs_half"),
@@ -144,19 +145,17 @@ def test_left_exp_sums_match_longdouble_reference(rate):
 
 def test_identity_law():
     law = make_velocity_law("identity")
-    assert law.a_antideriv(3.0) == 4.5
-    assert law.a_antideriv(0.0) == 0.0
+    assert law.a_eval(3.0) == 3.0
     assert law.is_identity
 
 
 def test_atan_law_values():
     law = make_velocity_law("atan", k=50.0, scale=2.0 / math.pi)
     assert law.a_eval(0.0) == 0.0
-    assert law.a_antideriv(0.0) == 0.0
-    # closed form against quadrature of a, then the frozen value
-    q, _ = quad(lambda y: float(law.a_eval(y)), 0.0, 0.5, epsabs=1e-14)
-    assert float(law.a_antideriv(0.5)) == pytest.approx(q, abs=1e-12)
-    assert float(law.a_antideriv(0.5)) == pytest.approx(0.4462802109775598, abs=1e-13)
+    assert float(law.a_eval(1.0 / 50.0)) == pytest.approx(0.5, abs=1e-16)
+    assert not law.is_identity
+    # frozen mean over [0, 1/2], the closing speed of two half masses under abs_half
+    assert float(law.mean(0.0, 0.5)) == pytest.approx(0.8925604219551196, abs=1e-15)
 
 
 def test_bad_law_parameters():
@@ -169,16 +168,25 @@ def test_bad_law_parameters():
 
 
 @pytest.mark.parametrize("name", ["identity", "atan"])
-def test_antiderivative_consistency(name):
-    # centered difference of A matches a to 1e-6 at step 1e-4 on [-2, 2];
-    # 4th-order stencil, since the 2nd-order truncation error of the
-    # atan(50.) law already exceeds 1e-6 near its curvature peak
+def test_mean_matches_quadrature(name):
+    # mean(lo, hi) is the integral of a over [lo, hi] divided by hi - lo on
+    # random intervals of either orientation, and a itself where lo == hi
     law = make_velocity_law(name, k=50.0, scale=2.0 / math.pi) if name == "atan" else make_velocity_law(name)
-    x = np.linspace(-2.0, 2.0, 401)
-    h = 1e-4
-    A = lambda v: np.asarray(law.a_antideriv(v))
-    fd = (-A(x + 2 * h) + 8 * A(x + h) - 8 * A(x - h) + A(x - 2 * h)) / (12.0 * h)
-    assert np.max(np.abs(fd - np.asarray(law.a_eval(x)))) <= 1e-6
+    rng = np.random.default_rng(19)
+    lo = rng.uniform(-2.0, 2.0, 200)
+    hi = lo + rng.choice([-1.0, 1.0], 200) * rng.uniform(0.05, 2.0, 200)
+    got = law.mean(lo, hi)
+    for left, right, mean in zip(lo, hi, got):
+        a, b = min(left, right), max(left, right)
+        # split at the origin, where a bends sharpest
+        integral = sum(
+            quad(lambda y: float(law.a_eval(y)), x0, x1, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+            for x0, x1 in ((a, min(b, 0.0)), (max(a, 0.0), b))
+            if x1 > x0
+        )
+        assert mean == pytest.approx(integral / (b - a), abs=1e-12)
+    x = np.concatenate([lo, [0.0, -0.0, 1e-300, -5e-324, 1e6, -1e6]])
+    assert np.array_equal(law.mean(x, x), law.a_eval(x))
 
 
 def test_velocity_sup_bound_linear():
@@ -214,19 +222,36 @@ def test_velocity_sup_bound_kink_only_is_a_at_half_c():
     assert velocity_sup_bound(make_builtin_potential("abs_half"), law) == float(law.a_eval(0.5))
 
 
-@pytest.mark.parametrize("d", [0.0, 1e-13, 1.01e-12, 1e-9, DD_EPS * (1 - 1e-9), DD_EPS * (1 + 1e-9), 1e-3])
-def test_mean_speed_matches_longdouble_reference(d):
-    # the speed law of presets 1 and 2 over preset 2's gradient range [-1/250, 1/250],
-    # on intervals of either orientation; both engines read a only through mean_speed
-    law = make_velocity_law("atan", k=50.0, scale=2.0 / math.pi)
-    lo = np.linspace(-0.004, 0.004, 41)
-    for sign in (1.0, -1.0):
-        hi = lo + sign * d
-        ref = atan_mean(lo, hi, 50.0, 2.0 / math.pi)
-        got = mean_speed(law, np.stack([lo, hi]))[0]
-        assert np.max(np.abs(got - ref)) <= 1e-12
-        grid = np.sort(np.concatenate([lo, hi]))[:: int(sign)]  # a gradient profile with intervals of length d
-        profile = fv.velocity_from_gradients(law, grid)
-        ref = atan_mean(grid[:-1], grid[1:], 50.0, 2.0 / math.pi)
-        assert np.max(np.abs(profile - ref)) <= 1e-12
+LAWS_AND_REFERENCES = [
+    (make_velocity_law("identity"), identity_mean),
+    (make_velocity_law("atan", k=50.0, scale=2.0 / math.pi), lambda lo, hi: atan_mean(lo, hi, 50.0, 2.0 / math.pi)),
+]
 
+
+# zero, one length per decade from 1e-16 to 1, and lengths around 1e-6, where a
+# quotient of the antiderivative in double precision keeps only about nine digits
+@pytest.mark.parametrize(
+    "d", sorted({0.0, *(10.0**-e for e in range(17)), 1.01e-12, 9.99999999e-07, 1.000000001e-06, 1.4678e-6, 3e-6})
+)
+def test_mean_speed_matches_longdouble_reference(d):
+    # every builtin law over exp_pointy's gradient reach [-2, 2] and preset 2's
+    # [-1/250, 1/250], on intervals of length d in either orientation, through
+    # law.mean and the speeds of both engines
+    lo = np.concatenate([np.linspace(-2.0, 2.0, 401), np.linspace(-0.004, 0.004, 41)])
+    for law, reference in LAWS_AND_REFERENCES:
+        for sign in (1.0, -1.0):
+            hi = lo + sign * d
+            assert np.max(np.abs(law.mean(lo, hi) - reference(lo, hi))) <= 1e-14
+            grid = np.sort(np.concatenate([lo, hi]))[:: int(sign)]  # a gradient profile with intervals of length d
+            profile = fv.velocity_from_gradients(law, grid)
+            assert np.max(np.abs(profile - reference(grid[:-1], grid[1:]))) <= 1e-14
+            # atoms of mass 1/41 alternate with atoms of mass d/4 under a kink of
+            # either sign, c = 4*sign, whose trace intervals [u(x_i+), u(x_i+) + c*m_i]
+            # then take the orientation of sign
+            c = 4.0 * sign
+            pot = replace(make_builtin_potential("abs_scaled", sigma=2.0), decomposition=KinkDecomposition(c=c))
+            m = np.tile([1.0 / 41.0, d / 4.0], 41)
+            m = m[m > 0.0]
+            speeds = velocities(ParticleSystem(x=np.arange(m.size, dtype=float), m=m, time=0.0, pot=pot, law=law))
+            u_plus = -c * np.cumsum(m) + 0.5 * c * np.sum(m)  # the kink-only traces as the engine forms them
+            assert np.max(np.abs(speeds - reference(u_plus, u_plus + c * m))) <= 1e-14
