@@ -76,10 +76,7 @@ class DiscreteMeasure:
         pos, mas = pos[keep], mas[keep]
         order = np.argsort(pos, kind="stable")
         pos, mas, _ = merge_runs(pos[order], mas[order], MERGE_TOL)
-        pos.setflags(write=False)
-        mas.setflags(write=False)
-        object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "masses", mas)
+        _set_atoms(self, pos, mas)
 
     @property
     def n_atoms(self) -> int:
@@ -96,6 +93,15 @@ class DiscreteMeasure:
         return abs(self.total_mass - 1.0) <= PROBABILITY_TOL
 
 
+def _set_atoms(m: DiscreteMeasure, pos: np.ndarray, mas: np.ndarray) -> DiscreteMeasure:
+    """Freeze and install atoms that already satisfy the class invariants."""
+    pos.setflags(write=False)
+    mas.setflags(write=False)
+    object.__setattr__(m, "positions", pos)
+    object.__setattr__(m, "masses", mas)
+    return m
+
+
 def from_cells(grid_origin: float, dx: float, densities) -> DiscreteMeasure:
     """Atomize cell-average data: one atom of mass rho_i*dx at each center.
 
@@ -107,7 +113,13 @@ def from_cells(grid_origin: float, dx: float, densities) -> DiscreteMeasure:
     if np.any(rho < 0.0):
         raise ValueError("densities must be nonnegative")
     centers = grid_origin + dx * np.arange(rho.size)
-    return DiscreteMeasure(centers, rho * dx)
+    mass = rho * dx
+    if centers.size > 1 and np.min(np.diff(centers)) <= MERGE_TOL:
+        return DiscreteMeasure(centers, mass)
+    # sorted centers farther apart than MERGE_TOL: the constructor's sort and
+    # merge scan would only drop the zero cells
+    keep = mass > 0.0
+    return _set_atoms(object.__new__(DiscreteMeasure), centers[keep], mass[keep])
 
 
 def quantile(m: DiscreteMeasure, z):

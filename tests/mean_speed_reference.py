@@ -3,15 +3,28 @@
 The reference ``VelocityLaw.mean`` is checked against, independent of the
 package: a(x) and its antiderivative A (A(0) = 0) are written out here in
 ``longdouble``.  The mean over [lo, hi] is the quotient of A on intervals
-longer than ``QUOTIENT_MIN``, where extended precision leaves it about
-1e-19*|A|/d off (below 4e-15 for |x| <= 3), and the 3-point Gauss-Legendre
-mean below, whose error a''''''*d^6/2016000 is below 1e-18 there for the
-atan law of the presets.
+longer than ``QUOTIENT_MIN``, where extended precision leaves it a few
+ulp(A)/d off, and below that a composite 5-point Gauss-Legendre mean over
+``PANELS`` equal panels.  For the atan law of the presets (k = 50, poles at
++-i/50) a panel is at most 1e-3 long, and the rule's error is below 1e-18.
+Against a 40-digit ``mpmath`` mean on |lo| <= 3, with lengths from 0 to 1
+in either orientation, both laws are within 4e-17.
 """
 
 import numpy as np
 
-QUOTIENT_MIN = 1e-4
+QUOTIENT_MIN = 2.0**-6
+PANELS = 16
+
+# 5-point Gauss-Legendre nodes on [-1, 1] and weights, in closed form
+_S = 2 * np.sqrt(np.longdouble(10) / 7)
+_NODES = np.array([-np.sqrt(5 + _S), -np.sqrt(5 - _S), 0, np.sqrt(5 - _S), np.sqrt(5 + _S)], dtype=np.longdouble) / 3
+_OUTER = (322 - 13 * np.sqrt(np.longdouble(70))) / 900
+_INNER = (322 + 13 * np.sqrt(np.longdouble(70))) / 900
+_WEIGHTS = np.array([_OUTER, _INNER, np.longdouble(128) / 225, _INNER, _OUTER], dtype=np.longdouble)
+# the composite rule as fractions of the interval and weights summing to 1
+_FRACTIONS = ((np.arange(PANELS, dtype=np.longdouble)[:, None] + (1 + _NODES) / 2) / PANELS).ravel()
+_MEAN_WEIGHTS = np.tile(_WEIGHTS / 2, PANELS) / PANELS
 
 
 def identity_antideriv(x):
@@ -28,15 +41,14 @@ def atan_antideriv(x, k, scale):
 
 
 def _interval_mean(a, antideriv, lo, hi):
-    lo = np.asarray(lo, dtype=np.longdouble)
-    hi = np.asarray(hi, dtype=np.longdouble)
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=np.longdouble), np.asarray(hi, dtype=np.longdouble))
     d = hi - lo
-    mid = (hi + lo) / 2
-    off = np.sqrt(np.longdouble(3) / 5) * d / 2
-    gauss = (5 * a(mid - off) + 8 * a(mid) + 5 * a(mid + off)) / 18
     long = np.abs(d) > QUOTIENT_MIN
-    quotient = (antideriv(hi) - antideriv(lo)) / np.where(long, d, 1)
-    return np.where(long, quotient, gauss)
+    out = np.empty(d.shape, dtype=np.longdouble)
+    out[long] = (antideriv(hi[long]) - antideriv(lo[long])) / d[long]
+    short = ~long
+    out[short] = a(lo[short][:, None] + d[short][:, None] * _FRACTIONS) @ _MEAN_WEIGHTS
+    return out
 
 
 def identity_mean(lo, hi):

@@ -38,6 +38,24 @@ def test_from_cells_empty_and_errors():
         from_cells(0.0, 0.0, [0.1])
 
 
+@pytest.mark.parametrize(
+    "origin, dx",
+    [(-2.4975, 0.005), (0.0, 1.0), (1e6, 2e-12), (0.0, 5e-13)],  # the last two merge through the constructor
+)
+def test_from_cells_matches_constructor(origin, dx):
+    # denormal densities whose cell mass underflows to zero are dropped too
+    rng = np.random.default_rng(3)
+    rho = rng.uniform(0.0, 1.0, 1000)
+    rho[rng.uniform(size=1000) < 0.3] = 0.0
+    rho[:3] = 5e-324
+    m = from_cells(origin, dx, rho)
+    ref = DiscreteMeasure(origin + dx * np.arange(rho.size), rho * dx)
+    np.testing.assert_array_equal(m.positions, ref.positions)
+    np.testing.assert_array_equal(m.masses, ref.masses)
+    assert not m.positions.flags.writeable and not m.masses.flags.writeable
+    assert np.all(m.masses > 0.0)
+
+
 def test_constructor_merges_close_atoms():
     m = DiscreteMeasure([1.0, 1.0 + 5e-13, 0.0], [0.25, 0.25, 0.5])
     assert m.n_atoms == 2

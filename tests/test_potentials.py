@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -15,7 +16,7 @@ from aggr1d.potentials import (
     make_velocity_law,
     velocity_sup_bound,
 )
-from mean_speed_reference import atan_mean, identity_mean
+from mean_speed_reference import QUOTIENT_MIN, atan_mean, identity_mean
 
 ALL_BUILTINS = [
     make_builtin_potential("abs_half"),
@@ -226,6 +227,27 @@ LAWS_AND_REFERENCES = [
     (make_velocity_law("identity"), identity_mean),
     (make_velocity_law("atan", k=50.0, scale=2.0 / math.pi), lambda lo, hi: atan_mean(lo, hi, 50.0, 2.0 / math.pi)),
 ]
+
+
+def test_longdouble_reference_matches_mpmath():
+    # the reference must be far more accurate than the 1e-14 it checks: 40-digit
+    # means at lengths on either side of its quotient/Gauss switch, where a
+    # longdouble quotient alone is 3.6e-15 off at d = 1.26e-4 (measured here
+    # at most 3.4e-17, just above the switch)
+    lo = np.random.default_rng(5).uniform(-3.0, 3.0, 60)
+    with mpmath.workdps(40):
+        k, scale = mpmath.mpf(50.0), mpmath.mpf(2.0 / math.pi)
+
+        def atan_antideriv(x):
+            return scale * (x * mpmath.atan(k * x) - mpmath.log1p((k * x) ** 2) / (2 * k))
+
+        for d in (1e-6, 1.26e-4, 3e-3, QUOTIENT_MIN, QUOTIENT_MIN * (1 + 1e-3), 0.2):
+            for hi in (lo + d, lo - d):
+                ends = [(mpmath.mpf(a), mpmath.mpf(b)) for a, b in zip(lo, hi)]
+                identity = [(a + b) / 2 for a, b in ends]
+                atan = [(atan_antideriv(b) - atan_antideriv(a)) / (b - a) for a, b in ends]
+                for got, exact in ((identity_mean(lo, hi), identity), (atan_mean(lo, hi, 50.0, 2.0 / math.pi), atan)):
+                    assert max(abs(mpmath.mpf(str(g)) - e) for g, e in zip(got, exact)) <= 1e-16
 
 
 # zero, one length per decade from 1e-16 to 1, and lengths around 1e-6, where a
