@@ -37,20 +37,31 @@ PROBABILITY_TOL = 1e-9
 MASS_MATCH_TOL = 1e-10
 
 
-def merge_runs(x: np.ndarray, m: np.ndarray, tol: float):
-    """Merge runs of sorted atoms whose consecutive gaps are <= tol.
+def merge_runs(x: np.ndarray, m: np.ndarray, linked: np.ndarray, *values: np.ndarray):
+    """Merge the runs of atoms that ``linked`` joins: linked[i] joins atom i to atom i + 1.
 
-    Each run becomes one atom at its mass-weighted mean position carrying
-    the summed mass.  Returns (x, m, merged); with no gap within tol the
-    inputs come back unchanged and merged is False.
+    Each run becomes one atom carrying the summed mass at the mass-weighted
+    mean position; each array in ``values`` (one entry per atom) is
+    mass-averaged over the run likewise.  Every mean is clamped into the
+    range spanned by the run's first and last entries: a rounded mean may
+    fall an ulp outside it, and sorted positions must stay strictly
+    increasing from run to run.  A lone atom therefore keeps its entries
+    bit for bit.  Returns (x, m, merged, *values); with no link the inputs
+    come back unchanged and merged is False.
     """
-    if x.size <= 1 or np.min(np.diff(x)) > tol:
-        return x, m, False
-    group = np.concatenate([[0], np.cumsum(np.diff(x) > tol)])
-    n_groups = int(group[-1]) + 1
-    gm = np.bincount(group, weights=m, minlength=n_groups)
-    gx = np.bincount(group, weights=m * x, minlength=n_groups) / gm
-    return gx, gm, True
+    if not np.any(linked):
+        return (x, m, False, *values)
+    starts = np.concatenate([[True], ~linked])
+    group = np.cumsum(starts) - 1
+    first = np.flatnonzero(starts)
+    last = np.append(first[1:] - 1, x.size - 1)
+    gm = np.bincount(group, weights=m)
+
+    def run_mean(y):
+        lo, hi = y[first], y[last]
+        return np.clip(np.bincount(group, weights=m * y) / gm, np.minimum(lo, hi), np.maximum(lo, hi))
+
+    return (run_mean(x), gm, True, *map(run_mean, values))
 
 
 @dataclass(frozen=True)
@@ -75,7 +86,8 @@ class DiscreteMeasure:
         keep = mas > 0.0
         pos, mas = pos[keep], mas[keep]
         order = np.argsort(pos, kind="stable")
-        pos, mas, _ = merge_runs(pos[order], mas[order], MERGE_TOL)
+        pos, mas = pos[order], mas[order]
+        pos, mas, _ = merge_runs(pos, mas, np.diff(pos) <= MERGE_TOL)
         _set_atoms(self, pos, mas)
 
     @property

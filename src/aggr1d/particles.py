@@ -15,16 +15,24 @@ grid's cells.  Under the identity law that mean is the trace midpoint,
 the linear speed sum_{j != i} m_j W'(x_i - x_j) with the self term
 excluded exactly.
 
-Integration is classical RK4 with steps of MAX_STEP (shortened only to
-land on t_end); the speeds at the end of a step are the next step's first
-stage.  Positions and speeds at both ends of a step define a cubic Hermite
-interpolant of every gap, and its earliest zero names the pair that makes
-contact first and estimates when.  A safeguarded regula falsi (Illinois)
-on that pair's RK4 gap then locates the contact time to BISECT_TOL; the
-system advances to it and merges every gap within the contact tolerance.
-Kink-only potentials take the same path: their speeds are constant
-between collisions, so the interpolant is exact and the root find ends
-after one RK4 evaluation.
+Kink-only potentials (amp = 0) are integrated exactly, event by event.
+There wtilde is the constant c/2, so particle i moves at the mean of
+v(mu) = a(c (M/2 - mu)) over its mass interval [mu_{i-1}, mu_i]: the
+speeds do not depend on the positions, and a merged cluster moves at the
+mass average of its members' speeds.  The speeds are evaluated once; each
+event takes the earliest contact time gap / (v_i - v_{i+1}) over the
+approaching pairs, moves every particle linearly to it (or to t_end, if
+that comes first) and merges the pairs that reach contact there.  The
+result is the isotonic projection of x0 + t v0 (Brenier & Grenier 1998).
+
+Other potentials integrate by classical RK4 with steps of MAX_STEP
+(shortened only to land on t_end); the speeds at the end of a step are the
+next step's first stage.  Positions and speeds at both ends of a step
+define a cubic Hermite interpolant of every gap, and its earliest zero
+names the pair that makes contact first and estimates when.  A safeguarded
+regula falsi (Illinois) on that pair's RK4 gap then locates the contact
+time to BISECT_TOL; the system advances to it and merges every gap within
+the contact tolerance.
 """
 
 from __future__ import annotations
@@ -225,25 +233,56 @@ def _locate_contact(x, m, k1, vel, i, h, g_end, tau, rate):
     raise RuntimeError("particle contact location did not converge")
 
 
-def _merge_contacts(x, m, tol):
-    """Merge runs of particles with consecutive gaps <= tol; returns (x, m, merged).
+def _merge_contacts(x, m, linked, *values):
+    """Merge the runs of particles that ``linked`` joins; returns (x, m, merged, *values).
 
-    The merged particle sits at the mass-weighted mean of the run (the
-    common contact point up to the gap tolerance), with the summed mass;
-    under the identity law this preserves the center of mass exactly.
+    linked[i] puts particles i and i + 1 in contact.  The merged particle
+    sits at the mass-weighted mean of the run (the common contact point up
+    to rounding), with the summed mass; each array in ``values`` is
+    mass-averaged over the run.  Under the identity law this preserves the
+    center of mass exactly.
     """
-    return merge_runs(x, m, tol)
+    return merge_runs(x, m, linked, *values)
+
+
+def _advance_kink_only(ps: ParticleSystem, t_end: float, log: TrajectoryLog | None):
+    """Exact event-driven sticky dynamics of a kink-only potential; returns (x, m) at t_end."""
+    x, m, t = ps.x, ps.m, ps.time
+    v = _nonlinear_vel(x, m, ps.pot, ps.law)
+    while x.size > 1 and t < t_end:
+        closing = v[:-1] - v[1:]
+        tau = np.divide(np.maximum(np.diff(x), 0.0), closing, out=np.full(closing.size, np.inf), where=closing > 0.0)
+        t_hit = float(np.min(tau))
+        event = t_hit <= t_end - t
+        x = x + (t_hit if event else t_end - t) * v
+        t = t + t_hit if event else t_end
+        if not np.all(np.isfinite(x)):
+            raise RuntimeError("non-finite particle state")
+        linked = np.diff(x) <= 0.0
+        if event:
+            # contact times equal up to the rounding of their quotients
+            linked |= tau <= t_hit * (1.0 + 4.0 * np.finfo(float).eps)
+        x, m, merged, v = _merge_contacts(x, m, linked, v)
+        if merged and log is not None:
+            log.record(t, "merge", DiscreteMeasure(x, m))
+        if event and not merged:
+            raise RuntimeError(f"particle events stalled at t = {t!r}: a contact merged nothing")
+    return x, m
 
 
 def advance_to(ps: ParticleSystem, t_end: float, log: TrajectoryLog | None = None) -> ParticleSystem:
     """Evolve the system to t_end, merging on contact; returns a new system.
 
     Merge events are appended to ``log`` (kind "merge", snapshot taken just
-    after the merge).  Raises RuntimeError on non-finite state and on a
-    pass that neither advances the time nor merges particles.
+    after the merge).  Raises RuntimeError on non-finite state and when the
+    integration stalls: an RK4 pass that neither advances the time nor
+    merges particles, or a contact event that merges nothing.
     """
     if t_end < ps.time:
         raise ValueError("t_end must not precede the current time")
+    if ps.pot.decomposition.amp == 0.0:
+        x, m = _advance_kink_only(ps, t_end, log)
+        return replace(ps, x=x, m=m, time=t_end)
     x = np.array(ps.x, dtype=float)
     m = np.array(ps.m, dtype=float)
     t = ps.time
@@ -255,7 +294,7 @@ def advance_to(ps: ParticleSystem, t_end: float, log: TrajectoryLog | None = Non
             break  # a lone particle is stationary
         gaps = np.diff(x)
         if np.min(gaps) <= CONTACT_TOL:
-            x, m, _ = _merge_contacts(x, m, CONTACT_TOL)
+            x, m, _ = _merge_contacts(x, m, gaps <= CONTACT_TOL)
             v = None
             if log is not None:
                 log.record(t, "merge", DiscreteMeasure(x, m))
@@ -276,7 +315,7 @@ def advance_to(ps: ParticleSystem, t_end: float, log: TrajectoryLog | None = Non
             tau, x = _locate_contact(x, m, v, vel, i, h, g_end[i], tau, max(abs(d0[i]), abs(d1[i])))
             t += tau
             vmax = max(float(np.max(np.abs(v))), float(np.max(np.abs(v_end))))
-            x, m, merged = _merge_contacts(x, m, max(CONTACT_TOL, 4.0 * vmax * BISECT_TOL))
+            x, m, merged = _merge_contacts(x, m, np.diff(x) <= max(CONTACT_TOL, 4.0 * vmax * BISECT_TOL))
             v = None
             if merged and log is not None:
                 log.record(t, "merge", DiscreteMeasure(x, m))

@@ -87,7 +87,7 @@ def test_criterion_2_two_particle_oracle():
     t_err = abs(merges[0].time - 4.0) if merges else math.inf
     x_err = abs(float(ps.x[0]))
     v_post = float(particles.velocities(ps)[0])
-    ok = len(merges) == 1 and t_err <= 1e-11 and x_err <= 1e-11 and v_post == 0.0
+    ok = len(merges) == 1 and t_err <= 1e-14 and x_err <= 1e-14 and v_post == 0.0
     _report(2, ok, f"merge time error {t_err:.2e}, point error {x_err:.2e}, post-merge speed {v_post}")
 
 
@@ -112,11 +112,11 @@ def test_criterion_3_velocity_equivalence():
 
 
 def test_criterion_4_contraction():
-    # two 64-particle systems from perturbed two-bump projections, W = -|x|/2
+    # two 4096-particle systems from perturbed two-bump projections, W = -|x|/2
     rng = np.random.default_rng(99)
     pot = make_builtin_potential("abs_half")
     ident = make_velocity_law("identity")
-    x, m = sample_particles(builtin_initial("init1"), 64, (-2.5, 2.5))
+    x, m = sample_particles(builtin_initial("init1"), 4096, (-2.5, 2.5))
     systems = []
     for _ in range(2):
         pert = np.sort(x + rng.normal(scale=0.02, size=x.size))
@@ -132,7 +132,7 @@ def test_criterion_4_contraction():
         cur = wasserstein1(particles.snapshot(a), particles.snapshot(b))
         worst_rise = max(worst_rise, cur - last)
         last = cur
-    _report(4, worst_rise <= 1e-9, f"largest W1 increase between samples {worst_rise:.3e}")
+    _report(4, worst_rise <= 1e-13, f"largest W1 increase between samples {worst_rise:.3e}")
 
 
 def test_criterion_5_convergence(tmp_path):

@@ -52,6 +52,7 @@ def test_from_cells_matches_constructor(origin, dx):
     ref = DiscreteMeasure(origin + dx * np.arange(rho.size), rho * dx)
     np.testing.assert_array_equal(m.positions, ref.positions)
     np.testing.assert_array_equal(m.masses, ref.masses)
+    assert np.all(np.diff(m.positions) > 0.0)
     assert not m.positions.flags.writeable and not m.masses.flags.writeable
     assert np.all(m.masses > 0.0)
 

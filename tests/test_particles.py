@@ -5,10 +5,13 @@ import pytest
 from scipy.integrate import quad
 
 from aggr1d import particles
-from aggr1d.measure import wasserstein1
+from aggr1d.config import example_preset
+from aggr1d.experiments import _particle_system
+from aggr1d.measure import DiscreteMeasure, wasserstein1
 from aggr1d.particles import ParticleSystem, TrajectoryLog, advance_to, snapshot, velocities
 from aggr1d.potentials import make_builtin_potential, make_velocity_law
 from direct_sums import pairwise_speeds, wtilde_sums
+from isotonic_reference import isotonic_projection
 from mean_speed_reference import atan_antideriv, identity_antideriv
 
 ABS_HALF = make_builtin_potential("abs_half")
@@ -137,11 +140,11 @@ def test_two_body_merge_time_and_point():
     log = TrajectoryLog()
     ps = advance_to(system([-1.0, 1.0], [0.5, 0.5]), 5.0, log)
     assert ps.n == 1
-    assert abs(ps.x[0]) <= 1e-11
+    assert abs(ps.x[0]) <= 1e-14
     assert ps.m[0] == 1.0
     merges = [ev for ev in log.events if ev.kind == "merge"]
     assert len(merges) == 1
-    assert merges[0].time == pytest.approx(4.0, abs=1e-11)
+    assert merges[0].time == pytest.approx(4.0, abs=1e-14)
     np.testing.assert_array_equal(velocities(ps), [0.0])  # stationary after merge
 
 
@@ -150,7 +153,47 @@ def test_stalled_contact_search_aborts(monkeypatch):
     # particle count unchanged, so the pass made no progress
     monkeypatch.setattr(particles, "_locate_contact", lambda x, *args: (0.0, x))
     with pytest.raises(RuntimeError, match="stalled"):
-        advance_to(system([-1.0, 1.003], [0.5, 0.5]), 5.0)  # contact inside a step, at t = 4.006
+        # d' = -e^{-d}/2 from d = 1/2: contact inside a step, at t = 2(e^{1/2} - 1) = 1.2974...
+        advance_to(system([-0.25, 0.25], [0.5, 0.5], pot=EXP_POINTY), 5.0)
+
+
+def test_kink_only_event_merging_nothing_aborts(monkeypatch):
+    # a merge that leaves every particle in place makes the contact event no progress
+    monkeypatch.setattr(particles, "_merge_contacts", lambda x, m, linked, *values: (x, m, False, *values))
+    with pytest.raises(RuntimeError, match="stalled"):
+        advance_to(system([-1.0, 1.0], [0.5, 0.5]), 5.0)
+
+
+def test_kink_only_path_is_exact_and_steps_nothing(monkeypatch):
+    # speeds are evaluated once per call; no RK4 step, gap interpolant or root find
+    def forbidden(*args):
+        raise AssertionError("the kink-only path takes no time step")
+
+    for name in ("_rk4", "_first_gap_zero", "_locate_contact"):
+        monkeypatch.setattr(particles, name, forbidden)
+    calls = []
+    vel = particles._nonlinear_vel
+    monkeypatch.setattr(particles, "_nonlinear_vel", lambda *args: calls.append(1) or vel(*args))
+    ps = system([-1.0, -0.2, 0.4, 1.3], [0.25, 0.25, 0.25, 0.25], pot=make_builtin_potential("abs_scaled", sigma=3.0))
+    for k, t in enumerate((0.5, 1.0, 8.0), start=1):
+        ps = advance_to(ps, t)
+        assert len(calls) == k
+    assert ps.n == 1
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024])
+@pytest.mark.parametrize("preset", [2, 3])
+def test_kink_only_matches_isotonic_projection(preset, n):
+    # presets 2 and 3 are kink-only: the state is the PAVA fit of x0 + t v0
+    cfg = example_preset(preset)
+    ps0 = _particle_system(cfg, n)
+    v0 = velocities(ps0)
+    ps = ps0
+    for t in (0.5 * cfg.t_end, cfg.t_end):
+        ps = advance_to(ps, t)
+        x, m = isotonic_projection(ps0.x + t * v0, ps0.m)
+        assert ps.n == x.size
+        assert wasserstein1(snapshot(ps), DiscreteMeasure(x, m)) <= 1e-14
 
 
 def test_single_particle_never_moves():
@@ -165,10 +208,10 @@ def test_three_body_collapse():
     ps0 = system([-1.0, 0.0, 1.0], [0.25, 0.5, 0.25])
     ps = advance_to(ps0, 4.0, log)
     assert ps.n == 1
-    assert abs(ps.x[0]) <= 1e-11
+    assert abs(ps.x[0]) <= 1e-14
     assert ps.m[0] == 1.0
     merges = [ev for ev in log.events if ev.kind == "merge"]
-    assert merges[0].time == pytest.approx(8.0 / 3.0, abs=1e-11)
+    assert merges[0].time == pytest.approx(8.0 / 3.0, abs=1e-14)
 
 
 def test_exp_two_body_merge_time_analytic():
@@ -211,8 +254,6 @@ def test_three_body_against_fixed_step_rk4():
     else:
         # the event-driven run already merged: states agree as measures
         # (the oracle endpoint may have touching atoms, hence the raw measure)
-        from aggr1d.measure import DiscreteMeasure
-
         assert wasserstein1(snapshot(ps), DiscreteMeasure(y, m)) <= 1e-5
 
 
