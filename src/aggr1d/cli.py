@@ -5,8 +5,8 @@ by either a JSON config (--config) or a preset (--example 1|2|3), not
 both; the other flags override individual fields.  Exit codes: 0 success,
 2 configuration or usage error (nothing is written), 3 runtime abort (CFL
 violation, mass leaving the grid, a step that does not advance the time,
-particle-oracle failure).  Any other exception is a bug and surfaces as a
-traceback.
+non-finite speed, particle-oracle failure).  Any other exception is a bug
+and surfaces as a traceback.
 """
 
 from __future__ import annotations

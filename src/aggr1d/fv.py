@@ -134,7 +134,7 @@ class FVState:
 
     @property
     def mass(self) -> float:
-        return float(np.sum(self.rho) * self.grid.dx)
+        return float(self.rho.sum() * self.grid.dx)
 
 
 def _stepped(grid: Grid, rho: np.ndarray, time: float, step_index: int) -> FVState:
@@ -257,10 +257,15 @@ def solve_s_gradient(state: FVState, pot: PointyPotential, nu: np.ndarray, kerne
     rho = state.rho
     cell_mass = rho * dx
     dec = pot.decomposition
-    u_left = dec.u_inf * float(np.sum(cell_mass)) + float(np.dot(cell_mass, kernel.tail))
+    u_left = dec.u_inf * float(cell_mass.sum())
+    if kernel.half_width:  # the point kernel's tail is all zeros
+        u_left += float(cell_mass.dot(kernel.tail))
+    rhs = dec.c * rho
+    np.subtract(nu, rhs, out=rhs)
+    rhs *= dx
     s = np.empty(state.grid.n_cells + 1)
     s[0] = u_left
-    np.cumsum(dx * (nu - dec.c * rho), out=s[1:])
+    rhs.cumsum(out=s[1:])
     s[1:] += u_left
     return s
 
@@ -268,7 +273,7 @@ def solve_s_gradient(state: FVState, pot: PointyPotential, nu: np.ndarray, kerne
 def velocity_from_gradients(law: VelocityLaw, s: np.ndarray) -> np.ndarray:
     """Per-cell speed from interface gradients: the mean of a over [s_{i-1/2}, s_{i+1/2}]."""
     a = law.mean(s[:-1], s[1:])
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise SchemeError("non-finite mean speed in the velocity")
     return a
 
@@ -299,16 +304,17 @@ def step(state: FVState, a: np.ndarray, dt: float) -> FVState:
         raise ValueError("dt must be nonnegative")
     dx = state.grid.dx
     lam = dt / dx
-    amax = float(np.max(np.abs(a))) if a.size else 0.0
+    abs_a = np.abs(a)
+    amax = float(abs_a.max()) if a.size else 0.0
     if lam * amax > 1.0 + 1e-9:
         raise SchemeError(f"CFL violation: dt*max|a|/dx = {lam * amax:.6g} > 1")
     rho = state.rho
-    stay = np.maximum(1.0 - lam * np.abs(a), 0.0)
-    new = rho * stay
-    inflow_right = lam * np.maximum(a, 0.0) * rho  # leaves cell i rightward
-    inflow_left = -lam * np.minimum(a, 0.0) * rho  # leaves cell i leftward
-    new[1:] += inflow_right[:-1]
-    new[:-1] += inflow_left[1:]
+    new = lam * abs_a  # becomes rho_i * max(1 - lam*|a_i|, 0) in place
+    np.subtract(1.0, new, out=new)
+    np.maximum(new, 0.0, out=new)
+    new *= rho
+    new[1:] += lam * np.maximum(a[:-1], 0.0) * rho[:-1]  # leaves cell i rightward
+    new[:-1] += -lam * np.minimum(a[1:], 0.0) * rho[1:]  # leaves cell i leftward
     return _stepped(state.grid, new, state.time + dt, state.step_index + 1)
 
 
@@ -331,15 +337,19 @@ class DiagnosticsReport:
 
     def record(self, state: FVState, a: np.ndarray) -> None:
         rho = state.rho
-        nz = np.nonzero(rho > 0.0)[0]
+        positive = rho > 0.0
+        lo = int(positive.argmax())
+        hi = rho.size - 1 - int(positive[::-1].argmax())
+        if not positive[lo]:
+            lo = hi = -1
         self.step_index.append(state.step_index)
         self.time.append(state.time)
         self.mass.append(state.mass)
-        self.min_rho.append(float(np.min(rho)))
-        self.max_abs_a.append(float(np.max(np.abs(a))))
-        self.moment1.append(float(np.sum(self.abs_x * rho * state.grid.dx)))
-        self.support_lo.append(int(nz[0]) if nz.size else -1)
-        self.support_hi.append(int(nz[-1]) if nz.size else -1)
+        self.min_rho.append(float(rho.min()))
+        self.max_abs_a.append(float(np.abs(a).max()))
+        self.moment1.append(float((self.abs_x * rho * state.grid.dx).sum()))
+        self.support_lo.append(lo)
+        self.support_hi.append(hi)
 
     @property
     def support_cells(self) -> list[int]:

@@ -151,6 +151,16 @@ def quantile(m: DiscreteMeasure, z):
     return float(out) if np.isscalar(z) else out
 
 
+def _breakpoints(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """np.unique of 0 and both cumulative masses: sort, then drop equal neighbours.
+
+    np.unique itself imports all of numpy.ma on its first call.
+    """
+    edges = np.concatenate(([0.0], c1, c2))
+    edges.sort()
+    return edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
+
+
 def wasserstein1(m1: DiscreteMeasure, m2: DiscreteMeasure) -> float:
     """Exact W1 distance: integral over (0,1) of |F1^{-1} - F2^{-1}|.
 
@@ -166,12 +176,12 @@ def wasserstein1(m1: DiscreteMeasure, m2: DiscreteMeasure) -> float:
         raise ValueError("wasserstein1 between an empty and a nonempty measure")
     c1 = m1.cumulative()
     c2 = m2.cumulative()
-    edges = np.unique(np.concatenate([[0.0], c1, c2]))
+    edges = _breakpoints(c1, c2)
     mids = 0.5 * (edges[1:] + edges[:-1])
     dz = np.diff(edges)
     q1 = m1.positions[np.minimum(np.searchsorted(c1, mids, side="right"), m1.n_atoms - 1)]
     q2 = m2.positions[np.minimum(np.searchsorted(c2, mids, side="right"), m2.n_atoms - 1)]
-    return float(np.sum(np.abs(q1 - q2) * dz))
+    return float((np.abs(q1 - q2) * dz).sum())
 
 
 def first_moment(m: DiscreteMeasure) -> float:

@@ -31,12 +31,14 @@ from aggr1d.measure import DiscreteMeasure
 from aggr1d.potentials import (
     KinkDecomposition,
     PointyPotential,
+    VelocityLaw,
     make_builtin_potential,
     make_velocity_law,
     velocity_sup_bound,
 )
 from conservation import conservation_residual, state_from_snapshot
 from direct_sums import cell_speeds, nu_sum
+from step_reference import DIAGNOSTIC_COLUMNS, reference_run
 
 ABS_HALF = make_builtin_potential("abs_half")
 EXP_POINTY = make_builtin_potential("exp_pointy")
@@ -119,10 +121,19 @@ def test_projection_does_not_import_numpy_polynomial():
 
 
 def test_compare_does_not_import_numpy_fft(tmp_path):
-    # both engines sum w as exponentials; no run needs a Fourier transform
+    # both engines sum w as exponentials; no run needs a Fourier transform,
+    # and exact W1 merges its breakpoints without np.unique, which imports numpy.ma
     args = ["compare", "--example", "1", "--cells", "200", "--particles", "32", "--t-end", "0.2", "--out", str(tmp_path)]
-    code = f"import sys\nfrom aggr1d.cli import main\nassert main({args!r}) == 0\nprint('numpy.fft' in sys.modules)\n"
-    assert _fresh_interpreter(code) == "False"
+    converge = ["converge", "--example", "3", "--levels", "50,100,200", "--particles", "32", "--out", str(tmp_path)]
+    code = (
+        "import sys\n"
+        "from aggr1d.cli import main\n"
+        f"assert main({args!r}) == 0\n"
+        "after_compare = ['numpy.fft' in sys.modules, 'numpy.ma' in sys.modules]\n"
+        f"assert main({converge!r}) == 0\n"
+        "print(after_compare, 'numpy.ma' in sys.modules)\n"
+    )
+    assert _fresh_interpreter(code) == "[False, False] False"
 
 
 def test_project_atom_outside_grid():
@@ -608,6 +619,74 @@ def test_run_preset2_steps_at_kink_only_bound():
     st = project_initial(cfg.initial.density, cfg.make_grid())
     _, diag = run(st, cfg.make_potential(), cfg.make_law(), cfg.t_end, cfg.gamma, cfg.sample_times)
     assert diag.step_index[-1] == 420
+
+
+def _preset_case(number, n_cells, t_end=None):
+    from aggr1d.config import example_preset
+
+    cfg = example_preset(number)
+    t_end = cfg.t_end if t_end is None else t_end
+    st = project_initial(cfg.initial.density, cfg.make_grid(n_cells))
+    return st, cfg.make_potential(), cfg.make_law(), t_end, cfg.gamma, cfg.sample_times
+
+
+def _two_atom_case():
+    # at gamma = 1 each atom's trailing cell keeps the fraction m_i of its
+    # mass per step, so it underflows to an exact zero and the support shrinks
+    g = Grid.from_domain(-2.0, 2.0, 40)
+    st = project_initial(DiscreteMeasure([-1.0, 1.0], [0.5, 0.5]), g)
+    return st, ABS_HALF, IDENTITY, 3.0, 1.0, (1.0, 2.0)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        pytest.param(lambda: _preset_case(1, 200, t_end=1.0), id="preset1-200"),
+        pytest.param(lambda: _preset_case(2, 200), id="preset2-200"),
+        pytest.param(lambda: _preset_case(3, 100), id="preset3-100"),
+        pytest.param(_two_atom_case, id="two-atoms"),
+    ],
+)
+def test_run_matches_reference_loop_bit_for_bit(case):
+    # every snapshot and every diagnostics column equals the plain-numpy
+    # reference loop under ==, with no tolerance
+    st, pot, law, t_end, gamma, sample_times = case()
+    snaps, diag = run(st, pot, law, t_end, gamma, sample_times)
+    ref_snaps, ref_columns = reference_run(st, pot, law, t_end, gamma, sample_times)
+    assert [t for t, _ in snaps] == [t for t, _ in ref_snaps]
+    for (_, m), (_, ref) in zip(snaps, ref_snaps):
+        assert np.array_equal(m.positions, ref.positions)
+        assert np.array_equal(m.masses, ref.masses)
+    for name in DIAGNOSTIC_COLUMNS:
+        assert getattr(diag, name) == ref_columns[name], name
+    if case is _two_atom_case:  # the case exists to move both support edges
+        assert len(set(diag.support_lo)) > 1 and len(set(diag.support_hi)) > 1
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("law", [IDENTITY, ATAN], ids=["identity", "atan"])
+def test_velocity_from_gradients_rejects_non_finite_speed(law, bad):
+    s = np.linspace(-0.5, 0.5, 11)
+    s[4] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(SchemeError, match="non-finite mean speed"):
+        velocity_from_gradients(law, s)
+
+
+def test_run_aborts_on_non_finite_speed_before_stepping(monkeypatch):
+    def mean(lo, hi):
+        out = IDENTITY.mean(lo, hi)
+        out[out.size // 2] = math.nan
+        return out
+
+    law = VelocityLaw(name="nan-in-one-cell", a_eval=IDENTITY.a_eval, mean=mean, is_identity=True)
+    st = project_initial(builtin_initial("init1").density, Grid.from_domain(-2.5, 2.5, 100))
+
+    def no_step(*args):
+        raise AssertionError("stepped with a non-finite speed")
+
+    monkeypatch.setattr(fv, "step", no_step)
+    with pytest.raises(SchemeError, match="non-finite mean speed"):
+        run(st, ABS_HALF, law, 1.0, 0.9)
 
 
 def test_diagnostics_csv_format(tmp_path):

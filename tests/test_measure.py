@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from aggr1d import measure
 from aggr1d.measure import (
     DiscreteMeasure,
     first_moment,
@@ -175,6 +176,33 @@ def test_wasserstein_translation_exact():
         m1s = DiscreteMeasure(m1.positions + s, m1.masses)
         m2s = DiscreteMeasure(m2.positions + s, m2.masses)
         assert wasserstein1(m1s, m2s) == wasserstein1(m1, m2)
+
+
+def _tied_cumulatives(rng):
+    """Pairs of cumulative masses with forced ties, as wasserstein1 receives them."""
+    for n1, n2 in [(1, 1), (3, 5), (64, 64), (512, 2000)]:
+        m1, m2 = _random_probability(rng, n1), _random_probability(rng, n2)
+        c1 = m1.cumulative()
+        yield c1, m2.cumulative()
+        yield c1, c1.copy()  # equal measures
+        shared = np.concatenate([c1[::2], rng.random(n2) * c1[-1]])
+        shared.sort()
+        yield c1, shared  # every other breakpoint shared
+    # dyadic masses: the coarse cumulative masses are exact sums of the fine ones
+    yield np.cumsum(np.full(8, 0.125)), np.cumsum([0.25, 0.5, 0.25])
+    # a mass below one ulp of its running sum repeats that sum
+    tiny = np.cumsum([0.3, 1e-20, 0.2, 1e-300, 0.5])
+    assert tiny[0] == tiny[1] and tiny[2] == tiny[3]
+    yield tiny, np.cumsum([0.3, 0.7])
+
+
+def test_breakpoint_merge_is_np_unique_bit_for_bit():
+    rng = np.random.default_rng(37)
+    for c1, c2 in _tied_cumulatives(rng):
+        got = measure._breakpoints(c1, c2)
+        want = np.unique(np.concatenate([[0.0], c1, c2]))
+        assert got.dtype == want.dtype
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_first_moment():
