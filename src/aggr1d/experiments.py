@@ -21,6 +21,7 @@ from . import fv, particles
 from .config import ConfigError, SimConfig
 from .initial import sample_particles
 from .measure import DiscreteMeasure, wasserstein1, write_atoms_csv, write_csv
+from .potentials import velocity_sup_bound
 
 __all__ = [
     "RunArtifacts",
@@ -119,6 +120,7 @@ def _write_snapshot_csv(path: Path, m: DiscreteMeasure, grid: fv.Grid) -> Path:
 def cmd_simulate(cfg: SimConfig) -> RunArtifacts:
     """Run the finite-volume scheme; write snapshots, diagnostics and manifest."""
     cfg.validate()
+    a_inf = velocity_sup_bound(cfg.make_potential(), cfg.make_law())
     t0 = _time.perf_counter()
     snapshots, diag = _run_fv(cfg, cfg.n_cells, cfg.schedule())
     runtime = _time.perf_counter() - t0
@@ -134,6 +136,7 @@ def cmd_simulate(cfg: SimConfig) -> RunArtifacts:
         "final_mass": diag.mass[-1],
         "final_support_cells": diag.support_cells[-1],
         "max_abs_velocity": max(diag.max_abs_a),
+        "a_inf": a_inf,
     }
     return _write_manifest(cfg, "simulate", out, files, summary)
 

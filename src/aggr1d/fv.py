@@ -5,9 +5,12 @@ The density update is the conservative upwind step
     rho_i^{n+1} = rho_i^n - (dt/dx) * (J_{i+1/2} - J_{i-1/2}),
     J_{i+1/2}   = (a_i)_+ rho_i + (a_{i+1})_- rho_{i+1},
 
-run under the CFL restriction a_inf * dt / dx <= 1, which makes the update
-a convex combination of neighboring cells: densities stay nonnegative
-exactly and the cumulative mass function is total-variation diminishing.
+run under the CFL restriction a_inf * dt / dx <= 1 with a_inf =
+max(|a(-lip)|, |a(lip)|), lip = sup|W'|: every interface gradient below
+lies in [-lip, lip] for unit mass (the proof is in ``velocity_sup_bound``).
+The restriction makes the update a convex combination of neighboring
+cells: densities stay nonnegative exactly and the cumulative mass
+function is total-variation diminishing.
 The update is evaluated in that convex-combination form (not as a flux
 difference) so positivity survives floating point.
 

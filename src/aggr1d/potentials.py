@@ -1,14 +1,13 @@
 """Pointy interaction potentials and velocity nonlinearities.
 
 The whole solver family is driven by an even, Lipschitz, lambda-concave
-potential W with a kink at the origin.  The velocity engine resolves the
-kink explicitly, for every speed law: W'' = -c*delta_0 + w in the sense of
-distributions, with w(x) = amp*e^{-rate|x|} (amp = 0 for the |x| family).
-This module collects the potential together with every derived constant
-the schemes need (lambda, the Lipschitz bound, the three numbers
-(c, amp, rate) and the closed forms they give, the interval mean of the
-speed law) so that downstream code never differentiates or integrates
-anything numerically.
+potential W with a kink at the origin.  A potential is its decomposition
+W'' = -c*delta_0 + w in the sense of distributions, with w(x) =
+amp*e^{-rate|x|} (amp = 0 for the |x| family): the three numbers
+(c, amp, rate) give every constant the schemes need (the Lipschitz bound,
+the closed forms of w and its integral, and with the interval mean of the
+speed law the CFL bound), so downstream code never differentiates or
+integrates anything numerically.
 
 The kink coefficient c is carried explicitly rather than hard-wired to 1;
 scaled potentials like -sigma*|x| then keep an exact decomposition
@@ -104,21 +103,18 @@ def left_exp_sums(x: np.ndarray, m: np.ndarray, rate: float) -> np.ndarray:
 class PointyPotential:
     """Even Lipschitz potential with one-sided Lipschitz derivative.
 
-    ``wprime_eval`` is W' away from the origin.  The engines never call it
-    or ``w_eval``: they work from the kink decomposition, and direct
-    pairwise sums over ``wprime_eval`` (self term excluded, so W'(0) never
-    matters) serve as their independent reference.
-
-    lam is the concavity constant: W(x) - lam/2 x^2 concave, equivalently
-    W'(x) - W'(y) <= lam*(x - y) for x > y away from 0.
+    Both engines work from the kink decomposition alone; W and W' follow
+    from it, W'(x) = u_inf + int_{-inf}^x w - c*H(x).
     """
 
     name: str
-    w_eval: Callable[[np.ndarray], np.ndarray]
-    wprime_eval: Callable[[np.ndarray], np.ndarray]
-    lam: float
-    lip: float
     decomposition: KinkDecomposition
+
+    @property
+    def lip(self) -> float:
+        """sup |W'|: W' runs monotonically from -c/2 at 0+ to -u_inf at +inf and is odd."""
+        dec = self.decomposition
+        return max(0.5 * abs(dec.c), abs(dec.u_inf))
 
 
 @dataclass(frozen=True)
@@ -130,60 +126,28 @@ class VelocityLaw:
     every interval length and returns a(lo) bit for bit when lo == hi.
     Both engines read a only through it, and the CFL bound from the values
     of a at the ends of the gradient range (:func:`velocity_sup_bound`).
-    ``is_identity`` marks a(x) = x, whose bound is the Lipschitz constant.
     """
 
     name: str
     a_eval: Callable[[np.ndarray], np.ndarray]
     mean: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    is_identity: bool = False
 
 
 def make_builtin_potential(name: str, sigma: float | None = None) -> PointyPotential:
     """Builtin potential family.
 
-    abs_half        W(x) = -|x|/2          (lam = 0, c = 1, w = 0)
-    abs_scaled      W(x) = -sigma*|x|      (lam = 0, c = 2*sigma, w = 0)
-    exp_pointy      W(x) = (e^{-|x|}-1)/2  (lam = 1/2, c = 1, w = e^{-|x|}/2)
+    abs_half        W(x) = -|x|/2          (lambda = 0, c = 1, w = 0)
+    abs_scaled      W(x) = -sigma*|x|      (lambda = 0, c = 2*sigma, w = 0)
+    exp_pointy      W(x) = (e^{-|x|}-1)/2  (lambda = 1/2, c = 1, w = e^{-|x|}/2)
     """
     if name == "abs_half":
-        return PointyPotential(
-            name="abs_half",
-            w_eval=lambda x: -0.5 * np.abs(x),
-            wprime_eval=lambda x: -0.5 * np.sign(x),
-            lam=0.0,
-            lip=0.5,
-            decomposition=KinkDecomposition(c=1.0),
-        )
+        return PointyPotential("abs_half", KinkDecomposition(c=1.0))
     if name == "abs_scaled":
         if sigma is None or sigma <= 0:
             raise ValueError("abs_scaled requires sigma > 0")
-        s = float(sigma)
-        return PointyPotential(
-            name=f"abs_scaled({s!r})",
-            w_eval=lambda x: -s * np.abs(x),
-            wprime_eval=lambda x: -s * np.sign(x),
-            lam=0.0,
-            lip=s,
-            decomposition=KinkDecomposition(c=2.0 * s),
-        )
+        return PointyPotential(f"abs_scaled({float(sigma)!r})", KinkDecomposition(c=2.0 * float(sigma)))
     if name == "exp_pointy":
-
-        def w_eval(x):
-            return 0.5 * (np.exp(-np.abs(x)) - 1.0)
-
-        def wprime(x):
-            x = np.asarray(x, dtype=float)
-            return -0.5 * np.sign(x) * np.exp(-np.abs(x))
-
-        return PointyPotential(
-            name="exp_pointy",
-            w_eval=w_eval,
-            wprime_eval=wprime,
-            lam=0.5,
-            lip=0.5,
-            decomposition=KinkDecomposition(c=1.0, amp=0.5, rate=1.0),
-        )
+        return PointyPotential("exp_pointy", KinkDecomposition(c=1.0, amp=0.5, rate=1.0))
     raise ValueError(f"unknown potential {name!r}")
 
 
@@ -194,7 +158,6 @@ def make_velocity_law(name: str, k: float | None = None, scale: float | None = N
             name="identity",
             a_eval=lambda x: np.asarray(x, dtype=float),
             mean=lambda lo, hi: 0.5 * (hi + lo),
-            is_identity=True,
         )
     if name == "atan":
         if k is None or k <= 0 or scale is None or scale <= 0:
@@ -222,20 +185,22 @@ def make_velocity_law(name: str, k: float | None = None, scale: float | None = N
 def velocity_sup_bound(pot: PointyPotential, law: VelocityLaw) -> float:
     """Uniform bound on the transport speed, the a_inf of the CFL condition.
 
-    Identity law: the speed is the convolution W'*rho, which for a
-    probability measure is bounded by the Lipschitz constant of W.
+    Every speed is a mean of the nondecreasing a over interface gradients,
+    and these obey |s_{i+1/2}| <= lip*M on a grid holding mass M <= 1, so
+    a_inf = max(|a(-lip)|, |a(lip)|).
 
-    Other laws: every speed is a mean of the nondecreasing a over primitive
-    gradients in [-R, R], so it is bounded by the larger endpoint value.
-    For a kink-only potential (amp = 0), R = |c|/2 exactly: its interface
-    gradients are s = c*(M/2 - F), with M the mass and F the cumulative
-    mass, which runs monotonically from 0 to M = 1.  With a w-part,
-    R = |u_inf| + w0 + c (anchor value plus the total variation the
-    cumulative solve can accumulate: w-part at most w0, kink part at most c
-    for unit mass).
+    The bound holds because each telescoped interface gradient is a
+    mass-weighted sum of values of W'.  Write W'(x) = u_inf + Phi(x) -
+    c*H(x) with Phi(x) = int_{-inf}^x w, nondecreasing since w >= 0.  The
+    source cell j contributes m_j*(u_inf + V_l - c*[l >= 0]) to the
+    gradient at the right interface of cell i, l = i - j, where the left
+    anchor and the kernel steps sum to V_l = Phi(l dx) + dx*g_l/2.  The
+    kernel's two-term averages are exact cell integrals of w,
+    dx*(g_l + g_{l+1})/2 = Phi((l+1) dx) - Phi(l dx), and g >= 0, so V_l
+    lies between Phi(l dx) and Phi((l+1) dx): the contribution is m_j times
+    a value W' takes on the offset cell [l dx, (l+1) dx] (its one-sided
+    limit at the origin), at most lip in modulus.  For a kink-only
+    potential this is s = c*(M/2 - F) with F the cumulative mass, and for
+    the identity law the bound is lip itself.
     """
-    if law.is_identity:
-        return pot.lip
-    dec = pot.decomposition
-    reach = 0.5 * abs(dec.c) if dec.amp == 0.0 else abs(dec.u_inf) + dec.w0 + dec.c
-    return float(max(abs(law.a_eval(-reach)), abs(law.a_eval(reach))))
+    return float(max(abs(law.a_eval(-pot.lip)), abs(law.a_eval(pot.lip))))

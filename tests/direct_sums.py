@@ -2,19 +2,21 @@
 
 The reference the velocity engine is checked against: with the identity
 law, the s-gradient / jump-quotient formulas must reproduce these sums.
-They evaluate W' itself over every pair with the self term excluded
-exactly, and share no code with the engines.  ``nu_sum`` is the term-by-
-term w-convolution that the exponential sums of ``fv.compute_nu`` must
-reproduce.
+They evaluate the hand-written W' of ``potential_reference`` over every
+pair with the self term excluded exactly, and share no code with the
+engines.  ``nu_sum`` is the term-by-term w-convolution that the
+exponential sums of ``fv.compute_nu`` must reproduce.
 """
 
 import numpy as np
+
+from potential_reference import closed_form
 
 
 def pairwise_speeds(x, m, pot) -> np.ndarray:
     """sum_{j != i} m_j W'(x_i - x_j) for every i."""
     x = np.asarray(x, dtype=float)
-    wp = np.asarray(pot.wprime_eval(x[:, None] - x[None, :]), dtype=float)
+    wp = np.asarray(closed_form(pot).wprime(x[:, None] - x[None, :]), dtype=float)
     np.fill_diagonal(wp, 0.0)
     return wp @ np.asarray(m, dtype=float)
 
@@ -26,7 +28,7 @@ def wtilde_sums(x, m, pot) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     d = x[:, None] - x[None, :]
-    wtilde = np.asarray(pot.wprime_eval(d), dtype=float) + pot.decomposition.c * np.heaviside(d, 0.5)
+    wtilde = np.asarray(closed_form(pot).wprime(d), dtype=float) + pot.decomposition.c * np.heaviside(d, 0.5)
     return wtilde @ np.asarray(m, dtype=float)
 
 

@@ -1,0 +1,47 @@
+"""Hand-written closed forms of the potentials, for tests only.
+
+W, W' and the concavity constant lambda of each builtin potential, keyed
+by its name and written out by hand, never derived from the
+``KinkDecomposition`` the engines use, so they stay an independent
+reference for it.  lambda is the one-sided Lipschitz constant of W':
+W'(x) - W'(y) <= lambda*(x - y) for x > y away from 0.  ``REPULSIVE`` is
+the kink of the wrong sign, W(x) = |x|/2, which has no such constant.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+
+from aggr1d.potentials import KinkDecomposition, PointyPotential
+
+REPULSIVE = PointyPotential("repulsive", KinkDecomposition(c=-1.0))
+
+
+@dataclass(frozen=True)
+class ClosedForm:
+    w: Callable[[np.ndarray], np.ndarray]
+    wprime: Callable[[np.ndarray], np.ndarray]
+    lam: float
+
+
+def closed_form(pot: PointyPotential) -> ClosedForm:
+    """W, W' (away from the origin) and lambda of ``pot``, looked up by its name."""
+    name = pot.name
+    if name == "abs_half":
+        return ClosedForm(lambda x: -0.5 * np.abs(x), lambda x: -0.5 * np.sign(x), 0.0)
+    if name.startswith("abs_scaled(") and name.endswith(")"):
+        s = float(name[len("abs_scaled(") : -1])  # the name holds repr(sigma), which round-trips
+        return ClosedForm(lambda x: -s * np.abs(x), lambda x: -s * np.sign(x), 0.0)
+    if name == "exp_pointy":
+        return ClosedForm(
+            lambda x: 0.5 * (np.exp(-np.abs(x)) - 1.0),
+            lambda x: -0.5 * np.sign(x) * np.exp(-np.abs(x)),
+            0.5,
+        )
+    if name == "repulsive":
+        return ClosedForm(lambda x: 0.5 * np.abs(x), lambda x: 0.5 * np.sign(x), math.inf)
+    raise KeyError(f"no closed form for potential {name!r}")

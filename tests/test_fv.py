@@ -29,8 +29,6 @@ from aggr1d.fv import (
 from aggr1d.initial import InitialData, builtin_initial, sample_particles
 from aggr1d.measure import DiscreteMeasure
 from aggr1d.potentials import (
-    KinkDecomposition,
-    PointyPotential,
     VelocityLaw,
     make_builtin_potential,
     make_velocity_law,
@@ -38,6 +36,7 @@ from aggr1d.potentials import (
 )
 from conservation import conservation_residual, state_from_snapshot
 from direct_sums import cell_speeds, nu_sum
+from potential_reference import REPULSIVE
 from step_reference import DIAGNOSTIC_COLUMNS, reference_run
 
 ABS_HALF = make_builtin_potential("abs_half")
@@ -312,19 +311,28 @@ def test_s_gradient_two_pulses():
     np.testing.assert_allclose(s, [0.5, 0.0, 0.0, 0.0, -0.5], atol=0)
 
 
-def test_s_gradient_kink_only_within_half_c_times_mass():
-    # amp = 0: s = c*(M/2 - F) with F the cumulative mass, so |s| <= |c|/2*M up to
-    # the rounding of the n-term cumulative sum; velocity_sup_bound relies on it
+def test_s_gradient_within_lip_times_mass():
+    # each interface gradient sums, per source cell, its mass times a value of
+    # W', so |s| <= lip*M up to the rounding of the n-term cumulative sum;
+    # velocity_sup_bound relies on it.  Kink-only potentials have lip = c/2
+    # and s = c*(M/2 - F) with F the cumulative mass.  Random states, and
+    # single-cell Diracs in the first, second, middle and last cells, where
+    # |s| comes closest to the bound; the last grid is the wide CI domain
     rng = np.random.default_rng(53)
-    for pot in (ABS_HALF, make_builtin_potential("abs_scaled", sigma=1.0 / 250.0)):
-        c = pot.decomposition.c
-        for n in (10, 200, 4000):
-            g = Grid.from_domain(-2.5, 2.5, n)
+    for domain, n in (((-2.5, 2.5), 10), ((-2.5, 2.5), 200), ((-2.5, 2.5), 4000), ((-700.0, 700.0), 1400)):
+        g = Grid.from_domain(*domain, n)
+        diracs = []
+        for i in (0, 1, n // 2, n - 1):
+            rho = np.zeros(n)
+            rho[i] = 1.0 / g.dx
+            diracs.append(rho)
+        for pot in (ABS_HALF, make_builtin_potential("abs_scaled", sigma=1.0 / 250.0), EXP_POINTY):
             kern = build_nu_kernel(pot, g)
-            for _ in range(50):
-                st = FVState(grid=g, rho=rng.random(n) * (rng.random(n) < 0.7) * rng.uniform(0.1, 10.0))
+            states = [rng.random(n) * (rng.random(n) < 0.7) * rng.uniform(0.1, 10.0) for _ in range(50)]
+            for rho in states + diracs:
+                st = FVState(grid=g, rho=rho)
                 s = solve_s_gradient(st, pot, compute_nu(st, kern), kern)
-                assert np.max(np.abs(s)) <= 0.5 * c * st.mass * (1.0 + n * np.finfo(float).eps)
+                assert np.max(np.abs(s)) <= pot.lip * st.mass * (1.0 + n * np.finfo(float).eps)
 
 
 def test_s_gradient_zero_state_constant():
@@ -539,18 +547,10 @@ def test_run_support_growth_per_step():
 def test_run_aborts_when_mass_reaches_boundary():
     # a repulsive kink (c < 0) drives a pulse filling the grid out through
     # both end cells: the lost mass must abort the run, not leak silently
-    repulsive = PointyPotential(
-        name="repulsive",
-        w_eval=lambda x: 0.5 * np.abs(x),
-        wprime_eval=lambda x: 0.5 * np.sign(x),
-        lam=0.0,
-        lip=0.5,
-        decomposition=KinkDecomposition(c=-1.0),
-    )
     g = Grid.from_domain(0.0, 1.0, 20)
     st = FVState(grid=g, rho=np.ones(20))
     with pytest.raises(SchemeError, match="left the grid"):
-        run(st, repulsive, IDENTITY, 1.0, 0.9)
+        run(st, REPULSIVE, IDENTITY, 1.0, 0.9)
 
 
 def test_run_keeps_stationary_dirac_next_to_edge():
@@ -594,8 +594,8 @@ def test_run_symmetry_preservation_thousand_steps(equation):
 
 def test_run_preset3_keeps_lip_step_count():
     # the identity law steps under a_inf = lip: 460 steps for preset 3 at
-    # 1000 cells (the general-law reach bound would triple them), and the
-    # engine still agrees with the direct sum on the final, concentrated state
+    # 1000 cells, and the engine still agrees with the direct sum on the
+    # final, concentrated state
     from aggr1d.config import example_preset
 
     cfg = example_preset(3)
@@ -611,14 +611,27 @@ def test_run_preset3_keeps_lip_step_count():
 
 def test_run_preset2_steps_at_kink_only_bound():
     # kink-only gradients stay in [-c/2, c/2], so preset 2 steps under
-    # a_inf = a(1/250) = 0.1257: 420 steps at 1000 cells (1155 under the reach
-    # bound a(|u_inf| + w0 + c) = 0.344)
+    # a_inf = a(1/250) = 0.1257: 420 steps at 1000 cells
     from aggr1d.config import example_preset
 
     cfg = example_preset(2)
     st = project_initial(cfg.initial.density, cfg.make_grid())
     _, diag = run(st, cfg.make_potential(), cfg.make_law(), cfg.t_end, cfg.gamma, cfg.sample_times)
     assert diag.step_index[-1] == 420
+
+
+def test_run_preset1_steps_at_lip_bound():
+    # exp_pointy's gradients stay in [-lip, lip] = [-1/2, 1/2], so preset 1
+    # steps under a_inf = a(1/2) = 0.97455: 660 steps at 1000 cells, and no
+    # speed exceeds that bound
+    from aggr1d.config import example_preset
+
+    cfg = example_preset(1)
+    pot, law = cfg.make_potential(), cfg.make_law()
+    st = project_initial(cfg.initial.density, cfg.make_grid())
+    _, diag = run(st, pot, law, cfg.t_end, cfg.gamma, cfg.sample_times)
+    assert diag.step_index[-1] == 660
+    assert max(diag.max_abs_a) <= velocity_sup_bound(pot, law) + 1e-12
 
 
 def _preset_case(number, n_cells, t_end=None):
@@ -678,7 +691,7 @@ def test_run_aborts_on_non_finite_speed_before_stepping(monkeypatch):
         out[out.size // 2] = math.nan
         return out
 
-    law = VelocityLaw(name="nan-in-one-cell", a_eval=IDENTITY.a_eval, mean=mean, is_identity=True)
+    law = VelocityLaw(name="nan-in-one-cell", a_eval=IDENTITY.a_eval, mean=mean)
     st = project_initial(builtin_initial("init1").density, Grid.from_domain(-2.5, 2.5, 100))
 
     def no_step(*args):

@@ -242,6 +242,10 @@ def test_cmd_simulate_example3_aggregates_to_center_of_mass(tmp_path):
     assert near >= 0.999
     assert abs(x[pk] - com0) <= 2.0 * grid.dx
     assert float(np.max(rho1)) >= 10.0 * float(np.max(rho0))
+    # the manifest reports the CFL bound the run stepped under, lip = 1/250 here
+    summary = art.manifest["summary"]
+    assert summary["a_inf"] == 1.0 / 250.0
+    assert summary["max_abs_velocity"] <= summary["a_inf"] + 1e-12
 
 
 def test_cmd_converge_level_validation(tmp_path):

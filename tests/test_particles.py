@@ -13,6 +13,7 @@ from aggr1d.potentials import make_builtin_potential, make_velocity_law
 from direct_sums import pairwise_speeds, wtilde_sums
 from isotonic_reference import isotonic_projection
 from mean_speed_reference import atan_antideriv, identity_antideriv
+from potential_reference import closed_form
 
 ABS_HALF = make_builtin_potential("abs_half")
 EXP_POINTY = make_builtin_potential("exp_pointy")
@@ -78,8 +79,8 @@ def test_nonlinear_single_particle_is_stationary():
             # brute-force jump of A(W' * rho) across the lone atom
             dec = pot.decomposition
             eps = 1e-9
-            u_plus = float(pot.wprime_eval(eps))
-            u_minus = float(pot.wprime_eval(-eps))
+            wprime = closed_form(pot).wprime
+            u_plus, u_minus = float(wprime(eps)), float(wprime(-eps))
             jump = float(ANTIDERIV[law.name](u_plus) - ANTIDERIV[law.name](u_minus))
             assert abs(jump / dec.c) <= 1e-8
 
@@ -235,7 +236,7 @@ def test_three_body_against_fixed_step_rk4():
 
     def vel(y):
         diff = y[:, None] - y[None, :]
-        wp = np.asarray(pot.wprime_eval(diff))
+        wp = np.asarray(closed_form(pot).wprime(diff))
         np.fill_diagonal(wp, 0.0)
         return wp @ m
 
@@ -299,7 +300,7 @@ def test_contraction_growth_bound_lambda_positive():
     a = system(x1, m, pot=EXP_POINTY)
     b = system(x2, m, pot=EXP_POINTY)
     d0 = wasserstein1(snapshot(a), snapshot(b))
-    lam = EXP_POINTY.lam
+    lam = closed_form(EXP_POINTY).lam
     for t in (0.25, 0.5, 1.0, 2.0):
         at, bt = advance_to(a, t), advance_to(b, t)
         d = wasserstein1(snapshot(at), snapshot(bt))
@@ -310,6 +311,7 @@ def test_velocity_osl_diagnostic():
     # v_i - v_j <= lam (x_i - x_j) * total mass for i right of j
     rng = np.random.default_rng(61)
     for pot in (ABS_HALF, EXP_POINTY):
+        lam = closed_form(pot).lam
         for _ in range(40):
             n = rng.integers(2, 30)
             x = np.sort(rng.normal(size=n) * 2.0)
@@ -318,7 +320,7 @@ def test_velocity_osl_diagnostic():
             m = rng.random(n) + 0.02
             v = velocities(system(x, m, pot=pot))
             i, j = np.triu_indices(n, k=1)
-            slack = v[j] - v[i] - pot.lam * (x[j] - x[i]) * m.sum()  # j > i here
+            slack = v[j] - v[i] - lam * (x[j] - x[i]) * m.sum()  # j > i here
             assert np.max(slack) <= 1e-9
 
 

@@ -17,6 +17,7 @@ from aggr1d.potentials import (
     velocity_sup_bound,
 )
 from mean_speed_reference import QUOTIENT_MIN, atan_mean, identity_mean
+from potential_reference import REPULSIVE, closed_form
 
 ALL_BUILTINS = [
     make_builtin_potential("abs_half"),
@@ -28,18 +29,15 @@ ALL_BUILTINS = [
 
 def test_abs_half_values():
     pot = make_builtin_potential("abs_half")
-    assert pot.w_eval(2.0) == -1.0
-    assert pot.w_eval(-2.0) == -1.0
-    assert pot.lam == 0.0
     assert pot.lip == 0.5
     assert pot.decomposition.c == 1.0
     assert pot.decomposition.w0 == 0.0
 
 
 def test_exp_pointy_derivative():
-    pot = make_builtin_potential("exp_pointy")
-    assert pot.wprime_eval(1.0) == pytest.approx(-0.5 * math.exp(-1.0), abs=1e-15)
-    assert pot.wprime_eval(1.0) == pytest.approx(-0.18393972058572117, abs=1e-12)
+    wprime = closed_form(make_builtin_potential("exp_pointy")).wprime
+    assert wprime(1.0) == pytest.approx(-0.5 * math.exp(-1.0), abs=1e-15)
+    assert wprime(1.0) == pytest.approx(-0.18393972058572117, abs=1e-12)
 
 
 def test_exp_pointy_decomposition_identity_at_one():
@@ -50,7 +48,7 @@ def test_exp_pointy_decomposition_identity_at_one():
     integral, err = quad(lambda y: float(dec.w_eval(y)), 0.0, 1.0, epsabs=1e-14)
     assert err < 1e-12
     lhs = -1.0 + integral + 0.5 * dec.c
-    assert lhs == pytest.approx(float(pot.wprime_eval(1.0)), abs=1e-12)
+    assert lhs == pytest.approx(float(closed_form(pot).wprime(1.0)), abs=1e-12)
     assert lhs == pytest.approx(-0.5 / math.e, abs=1e-12)
 
 
@@ -67,10 +65,11 @@ def test_potential_symmetries():
     rng = np.random.default_rng(7)
     x = rng.uniform(0.05, 10.0, size=500)
     for pot in ALL_BUILTINS:
-        assert pot.w_eval(0.0) == 0.0
-        np.testing.assert_allclose(pot.w_eval(x), pot.w_eval(-x), rtol=0, atol=0)
-        np.testing.assert_allclose(pot.wprime_eval(-x), -np.asarray(pot.wprime_eval(x)), rtol=0, atol=0)
-        assert np.max(np.abs(pot.wprime_eval(x))) <= pot.lip + 1e-15
+        ref = closed_form(pot)
+        assert ref.w(0.0) == 0.0
+        np.testing.assert_allclose(ref.w(x), ref.w(-x), rtol=0, atol=0)
+        np.testing.assert_allclose(ref.wprime(-x), -np.asarray(ref.wprime(x)), rtol=0, atol=0)
+        assert np.max(np.abs(ref.wprime(x))) <= pot.lip + 1e-15
 
 
 def test_one_sided_lipschitz_bound():
@@ -83,7 +82,8 @@ def test_one_sided_lipschitz_bound():
         x, y = np.maximum(a, b), np.minimum(a, b)
         keep = x > y
         x, y = x[keep], y[keep]
-        gap = np.asarray(pot.wprime_eval(x)) - np.asarray(pot.wprime_eval(y)) - pot.lam * (x - y)
+        ref = closed_form(pot)
+        gap = np.asarray(ref.wprime(x)) - np.asarray(ref.wprime(y)) - ref.lam * (x - y)
         assert np.max(gap) <= 1e-12
 
 
@@ -91,7 +91,8 @@ def test_wprime_below_lambda_x():
     rng = np.random.default_rng(13)
     x = rng.uniform(1e-6, 10.0, size=2000)
     for pot in ALL_BUILTINS:
-        assert np.max(np.asarray(pot.wprime_eval(x)) - pot.lam * x) <= 1e-12
+        ref = closed_form(pot)
+        assert np.max(np.asarray(ref.wprime(x)) - ref.lam * x) <= 1e-12
 
 
 def test_decomposition_reconstructs_wprime():
@@ -103,7 +104,7 @@ def test_decomposition_reconstructs_wprime():
         dec = pot.decomposition
         int0x = np.asarray(dec.w_left_integral(x)) - float(dec.w_left_integral(0.0))
         recon = -dec.c * (x > 0) + int0x + 0.5 * dec.c
-        assert np.max(np.abs(np.asarray(pot.wprime_eval(x)) - recon)) <= 1e-10
+        assert np.max(np.abs(np.asarray(closed_form(pot).wprime(x)) - recon)) <= 1e-10
 
 
 def test_w_left_integral_matches_quadrature():
@@ -147,14 +148,12 @@ def test_left_exp_sums_match_longdouble_reference(rate):
 def test_identity_law():
     law = make_velocity_law("identity")
     assert law.a_eval(3.0) == 3.0
-    assert law.is_identity
 
 
 def test_atan_law_values():
     law = make_velocity_law("atan", k=50.0, scale=2.0 / math.pi)
     assert law.a_eval(0.0) == 0.0
     assert float(law.a_eval(1.0 / 50.0)) == pytest.approx(0.5, abs=1e-16)
-    assert not law.is_identity
     # frozen mean over [0, 1/2], the closing speed of two half masses under abs_half
     assert float(law.mean(0.0, 0.5)) == pytest.approx(0.8925604219551196, abs=1e-15)
 
@@ -201,26 +200,37 @@ def test_velocity_sup_bound_linear():
 def test_velocity_sup_bound_nonlinear_abs_half():
     pot = make_builtin_potential("abs_half")
     law = make_velocity_law("identity")
-    # lip, not the anchor reach 1/2 + 0 + 1 = 3/2 of the general-law bound
+    # the identity law gives lip itself: |a(+-1/2)| = 1/2
     assert velocity_sup_bound(pot, law) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_velocity_sup_bound_nonlinear_exp_pointy():
     pot = make_builtin_potential("exp_pointy")
     law = make_velocity_law("atan", k=50.0, scale=2.0 / math.pi)
-    # anchor 0, reach w0 + c = 2
-    expect = (2.0 / math.pi) * math.atan(100.0)
+    # lip = max(c/2, |u_inf|) = 1/2, so a_inf = a(1/2) = (2/pi)*atan(25)
+    expect = (2.0 / math.pi) * math.atan(25.0)
     got = velocity_sup_bound(pot, law)
     assert got == pytest.approx(expect, abs=1e-14)
-    assert got == pytest.approx(0.99363, abs=1e-5)
+    assert got == pytest.approx(0.9745487773040165, abs=1e-15)
 
 
 def test_velocity_sup_bound_kink_only_is_a_at_half_c():
-    # kink-only gradients stay in [-c/2, c/2]: a_inf = a(c/2), not a(|u_inf| + w0 + c)
+    # kink-only: u_inf = c/2, so lip = c/2 and a_inf = a(c/2) bit for bit
     law = make_velocity_law("atan", k=50.0, scale=2.0 / math.pi)
     pot = make_builtin_potential("abs_scaled", sigma=1.0 / 250.0)
     assert velocity_sup_bound(pot, law) == float(law.a_eval(1.0 / 250.0))
     assert velocity_sup_bound(make_builtin_potential("abs_half"), law) == float(law.a_eval(0.5))
+
+
+@pytest.mark.parametrize("pot", [*ALL_BUILTINS, REPULSIVE], ids=lambda pot: pot.name)
+def test_lip_is_sup_of_wprime(pot):
+    # the derived lip against the hand-written W' over a dense grid and its
+    # limits at 0- and 0+ and at -inf and +inf
+    wprime = closed_form(pot).wprime
+    x = np.concatenate([-np.geomspace(1e-12, 1e3, 4001), np.geomspace(1e-12, 1e3, 4001)])
+    grid_sup = float(np.max(np.abs(wprime(x))))
+    limits = [abs(float(wprime(v))) for v in (-5e-324, 5e-324, -math.inf, math.inf)]
+    assert pot.lip == max(grid_sup, *limits)
 
 
 LAWS_AND_REFERENCES = [
@@ -256,9 +266,9 @@ def test_longdouble_reference_matches_mpmath():
     "d", sorted({0.0, *(10.0**-e for e in range(17)), 1.01e-12, 9.99999999e-07, 1.000000001e-06, 1.4678e-6, 3e-6})
 )
 def test_mean_speed_matches_longdouble_reference(d):
-    # every builtin law over exp_pointy's gradient reach [-2, 2] and preset 2's
-    # [-1/250, 1/250], on intervals of length d in either orientation, through
-    # law.mean and the speeds of both engines
+    # every builtin law over [-2, 2], four times exp_pointy's gradient range
+    # [-1/2, 1/2], and preset 2's [-1/250, 1/250], on intervals of length d in
+    # either orientation, through law.mean and the speeds of both engines
     lo = np.concatenate([np.linspace(-2.0, 2.0, 401), np.linspace(-0.004, 0.004, 41)])
     for law, reference in LAWS_AND_REFERENCES:
         for sign in (1.0, -1.0):
