@@ -5,13 +5,18 @@ engines, writes CSV artifacts plus a JSON run manifest into the run
 directory, and returns an in-memory result object.  CSV contents are a
 pure function of the config (runtimes live only in the manifest), so
 repeated runs of the same config produce bit-identical CSV files.
+``compare`` runs its particle oracle in a forked child while the scheme
+runs, where ``os.fork`` exists, with byte-identical results either way.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import pickle
 import time as _time
+import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -173,22 +178,86 @@ def cmd_particles(cfg: SimConfig) -> RunArtifacts:
     return _write_manifest(cfg, "particles", out, [traj_path, final_path], summary)
 
 
+class ChildTraceback(Exception):
+    """Traceback text of an exception raised in a forked child, the cause of its re-raise."""
+
+
+def _start(fn, *args):
+    """Call fn(*args) in a forked child process, or inline in ``wait`` without ``os.fork``.
+
+    Returns ``wait``: ``wait()`` reaps the child and returns fn's result or
+    raises its exception; ``wait(kill=True)`` kills and reaps it.
+    """
+    if not hasattr(os, "fork"):
+        return lambda kill=False: None if kill else fn(*args)
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child never returns
+        try:
+            try:
+                reply = (None, fn(*args))
+            except Exception as exc:
+                reply = (traceback.format_exc(), exc)
+            with os.fdopen(w, "wb") as pipe:
+                pickle.dump(reply, pipe)
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(w)
+    pipe = os.fdopen(r, "rb")
+
+    def wait(kill=False):
+        try:
+            if kill:
+                os.kill(pid, 9)  # SIGKILL
+                return None
+            data = pipe.read()
+        finally:
+            pipe.close()
+            status = os.waitpid(pid, 0)[1]
+        if status or not data:
+            raise RuntimeError(f"the child process ended without a result (wait status {status})")
+        text, value = pickle.loads(data)
+        if text is not None:
+            raise value from ChildTraceback(text)
+        return value
+
+    return wait
+
+
+def _oracle_series(cfg: SimConfig):
+    """The particle oracle at every sample time: ([(positions, masses)], atoms left, its seconds)."""
+    t0 = _time.perf_counter()
+    ps = _particle_system(cfg, n=cfg.compare_particles)
+    states = []
+    for t in cfg.schedule():
+        ps = particles.advance_to(ps, t)
+        states.append((ps.x, ps.m))
+    return states, ps.n, _time.perf_counter() - t0
+
+
 def cmd_compare(cfg: SimConfig) -> CompareResult:
     """Scheme vs particle oracle: W1 between snapshots at shared sample times."""
     cfg.validate()
     t0 = _time.perf_counter()
-    fv_snaps, _ = _run_fv(cfg, cfg.n_cells, cfg.schedule())
-    ps = _particle_system(cfg, n=cfg.compare_particles)
-    series = []
-    for t, fv_m in fv_snaps:
-        ps = particles.advance_to(ps, t)
-        series.append((t, wasserstein1(fv_m, particles.snapshot(ps))))
+    wait = _start(_oracle_series, cfg)
+    try:
+        fv_snaps, _ = _run_fv(cfg, cfg.n_cells, cfg.schedule())
+    except BaseException:
+        wait(kill=True)
+        raise
+    grid_s = _time.perf_counter() - t0
+    states, atoms, oracle_s = wait()
+    series = [(t, wasserstein1(fv_m, DiscreteMeasure(x, m))) for (t, fv_m), (x, m) in zip(fv_snaps, states)]
     runtime = _time.perf_counter() - t0
     out = _run_dir(cfg)
     path = write_csv(out / "w1_compare.csv", "time,w1", series)
     summary = {
         "runtime_s": runtime,
-        "oracle_particles": ps.n,
+        "grid_s": grid_s,
+        "oracle_s": oracle_s,
+        "oracle_labels": cfg.compare_particles,
+        "oracle_atoms_final": atoms,
         "w1_initial": series[0][1],
         "w1_final": series[-1][1],
     }
@@ -227,7 +296,7 @@ def cmd_converge(cfg: SimConfig) -> ConvergenceReport:
     out = _run_dir(cfg)
     path = write_csv(out / "convergence.csv", "dx,n_cells,w1_error,ratio", table)
     summary = {
-        "oracle_particles": cfg.converge_particles,
+        "oracle_labels": cfg.converge_particles,
         "runtimes_s": {str(r.n_cells): r.runtime_s for r in rows},
         "w1_errors": {str(r.n_cells): r.w1_error for r in rows},
         "ratios": ratios,

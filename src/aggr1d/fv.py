@@ -35,7 +35,7 @@ anchor of the cumulative solve is the value of W' * rho left of the grid:
 the -infinity limit u_inf * mass plus a correction for the w-mass that the
 grid-limited nu sum cannot see, one weight per source cell that the kernel
 stores with its values.
-Every grid-only term is built once per grid, so a step evaluates no w.
+Every grid-only term is built once per grid, so a step evaluates no exponential.
 With this anchor the identity law
 a = id, whose mean is the interface midpoint, reproduces the
 direct sum a_i = sum_{j != i} W'(x_i - x_j) rho_j dx of the linear
@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measure import DiscreteMeasure, from_cells, write_csv
-from .potentials import PointyPotential, VelocityLaw, left_exp_sums, velocity_sup_bound
+from .potentials import PointyPotential, VelocityLaw, block_exp_sums, exp_blocks, velocity_sup_bound
 
 __all__ = [
     "Grid",
@@ -155,8 +155,9 @@ class NuKernel:
 
     ``values[j + half_width]`` is the weight at cell offset j, one for every
     offset of the grid.  For w = amp*e^{-rate|x|} it is geometric,
-    g_j = beta*e^{-rate|j|dx}, and ``rate`` lets :func:`compute_nu` sum it
-    in O(N) from g_0 = beta alone.
+    g_j = beta*e^{-rate|j|dx}, and :func:`compute_nu` sums it in O(N) from
+    g_0 = beta and ``blocks``, the position-only part of the one-sided sums
+    (:func:`~aggr1d.potentials.exp_blocks` on the offsets 0, dx, 2 dx, ...).
 
     ``tail[j]`` is source cell j's left-anchor weight: its w-mass left of
     the first cell center, int_{-inf}^{-j dx} w, minus dx/2 times the
@@ -167,7 +168,7 @@ class NuKernel:
     values: np.ndarray
     half_width: int
     tail: np.ndarray
-    rate: float = 0.0
+    blocks: tuple = ()
 
 
 def project_initial(initial, grid: Grid) -> FVState:
@@ -222,7 +223,8 @@ def build_nu_kernel(pot: PointyPotential, grid: Grid) -> NuKernel:
     h = 0.5 * dec.rate * dx
     g = dec.w_eval(dx * np.arange(1 - n, n)) * (np.tanh(h) / h)
     tail = dec.w_left_integral(-dx * np.arange(n)) - 0.5 * dx * g[n - 1 :: -1]  # g at offsets 0, -1, ..., 1 - n
-    return NuKernel(values=g, half_width=n - 1, tail=tail, rate=dec.rate)
+    blocks = exp_blocks(dx * np.arange(n), dec.rate)  # the grid is its own mirror image
+    return NuKernel(values=g, half_width=n - 1, tail=tail, blocks=blocks)
 
 
 def compute_nu(state: FVState, kernel: NuKernel) -> np.ndarray:
@@ -241,12 +243,11 @@ def compute_nu(state: FVState, kernel: NuKernel) -> np.ndarray:
     if rho.size != k + 1:
         raise ValueError("the nu kernel was built for another grid")
     m = rho * dx
-    x = dx * np.arange(rho.size)  # the grid is its own mirror image
-    sums = left_exp_sums(x, m, kernel.rate) + left_exp_sums(x, m[::-1], kernel.rate)[::-1]
+    sums = block_exp_sums(kernel.blocks, m) + block_exp_sums(kernel.blocks, m[::-1])[::-1]
     return kernel.values[k] * (sums + m)
 
 
-def solve_s_gradient(state: FVState, pot: PointyPotential, nu: np.ndarray, kernel: NuKernel) -> np.ndarray:
+def solve_s_gradient(state: FVState, pot: PointyPotential, nu: np.ndarray | None, kernel: NuKernel) -> np.ndarray:
     """Interface gradients of the primitive: n+1 values s_{i-1/2}, i = 0..n.
 
     Cumulative solve of  s_{i+1/2} = s_{i-1/2} + dx*(nu_i - c*rho_i),
@@ -254,18 +255,21 @@ def solve_s_gradient(state: FVState, pot: PointyPotential, nu: np.ndarray, kerne
     u_inf*mass + sum_j m_j tail_j with the kernel's stored left-anchor
     weights.  Those use the kernel's own left-edge values, so the
     telescoped interface gradients agree with the direct convolution
-    identically.
+    identically.  The point kernel's nu and tail are all zeros, so there
+    ``nu`` is not read (``None`` will do) and the sums run on -c*rho*dx.
     """
     dx = state.grid.dx
     rho = state.rho
     cell_mass = rho * dx
     dec = pot.decomposition
     u_left = dec.u_inf * float(cell_mass.sum())
-    if kernel.half_width:  # the point kernel's tail is all zeros
-        u_left += float(cell_mass.dot(kernel.tail))
     rhs = dec.c * rho
-    np.subtract(nu, rhs, out=rhs)
-    rhs *= dx
+    if kernel.half_width:
+        u_left += float(cell_mass.dot(kernel.tail))
+        np.subtract(nu, rhs, out=rhs)
+        rhs *= dx
+    else:
+        rhs *= -dx
     s = np.empty(state.grid.n_cells + 1)
     s[0] = u_left
     rhs.cumsum(out=s[1:])
@@ -283,7 +287,7 @@ def velocity_from_gradients(law: VelocityLaw, s: np.ndarray) -> np.ndarray:
 
 def nonlinear_velocity(state: FVState, pot: PointyPotential, law: VelocityLaw, kernel: NuKernel) -> np.ndarray:
     """Per-cell speeds a_i for any speed law, as an array, with the grid's nu kernel."""
-    nu = compute_nu(state, kernel)
+    nu = compute_nu(state, kernel) if kernel.half_width else None
     return velocity_from_gradients(law, solve_s_gradient(state, pot, nu, kernel))
 
 

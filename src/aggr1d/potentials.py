@@ -24,6 +24,8 @@ import numpy as np
 __all__ = [
     "KinkDecomposition",
     "left_exp_sums",
+    "exp_blocks",
+    "block_exp_sums",
     "PointyPotential",
     "VelocityLaw",
     "make_builtin_potential",
@@ -82,20 +84,30 @@ def left_exp_sums(x: np.ndarray, m: np.ndarray, rate: float) -> np.ndarray:
     blocks' sum carried across the gap by one exponential.  The mirrored
     sums Q_i = sum_{j>i} are the same call on -x reversed.
     """
-    out = np.empty(x.size)
-    width = EXP_BLOCK / rate
-    start, carry = 0, 0.0
+    return block_exp_sums(exp_blocks(x, rate), m)
+
+
+def exp_blocks(x: np.ndarray, rate: float) -> tuple:
+    """Position-only part of :func:`left_exp_sums`: per block (start, stop, e^{rate (x - x_start)}, carry factor)."""
+    blocks, start = [], 0
     while start < x.size:
-        stop = int(x.searchsorted(x[start] + width, "right"))
-        e = np.exp(rate * (x[start:stop] - x[start]))
+        stop = int(x.searchsorted(x[start] + EXP_BLOCK / rate, "right"))
+        gap = np.exp(-rate * (x[stop] - x[stop - 1])) if stop < x.size else 0.0  # carries the sum to the next block
+        blocks.append((start, stop, np.exp(rate * (x[start:stop] - x[start])), gap))
+        start = stop
+    return tuple(blocks)
+
+
+def block_exp_sums(blocks: tuple, m: np.ndarray) -> np.ndarray:
+    """Mass part of :func:`left_exp_sums`, on the blocks of :func:`exp_blocks`."""
+    out, carry = np.empty(m.size), 0.0
+    for start, stop, e, gap in blocks:
         block = out[start:stop]
         block[0] = carry
         np.multiply(m[start : stop - 1], e[:-1], out=block[1:])
         block.cumsum(out=block)
         block /= e
-        if stop < x.size:
-            carry = (block[-1] + m[stop - 1]) * np.exp(-rate * (x[stop] - x[stop - 1]))
-        start = stop
+        carry = (block[-1] + m[stop - 1]) * gap
     return out
 
 

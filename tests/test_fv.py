@@ -30,6 +30,8 @@ from aggr1d.initial import InitialData, builtin_initial, sample_particles
 from aggr1d.measure import DiscreteMeasure
 from aggr1d.potentials import (
     VelocityLaw,
+    block_exp_sums,
+    left_exp_sums,
     make_builtin_potential,
     make_velocity_law,
     velocity_sup_bound,
@@ -38,6 +40,8 @@ from conservation import conservation_residual, state_from_snapshot
 from direct_sums import cell_speeds, nu_sum
 from potential_reference import REPULSIVE
 from step_reference import DIAGNOSTIC_COLUMNS, reference_run
+from step_reference import gradients as reference_gradients
+from step_reference import nu as reference_nu
 
 ABS_HALF = make_builtin_potential("abs_half")
 EXP_POINTY = make_builtin_potential("exp_pointy")
@@ -298,6 +302,37 @@ def test_compute_nu_rejects_kernel_of_smaller_grid():
     st = FVState(grid=Grid.from_domain(-10.0, 10.0, 200), rho=np.full(200, 0.05))
     with pytest.raises(ValueError):
         compute_nu(st, k)
+
+
+@pytest.mark.parametrize("domain, n_cells, n_blocks", [((-2.5, 2.5), 2000, 1), ((-700.0, 700.0), 1400, 3)])
+def test_compute_nu_cached_blocks_equal_left_exp_sums(domain, n_cells, n_blocks):
+    # the kernel stores the exponentials of the grid's offsets once; summing
+    # on them repeats left_exp_sums' float operations, within a block and
+    # across the carries between blocks, so the sums agree under ==
+    g = Grid.from_domain(*domain, n_cells)
+    k = build_nu_kernel(EXP_POINTY, g)
+    assert len(k.blocks) == n_blocks
+    x = g.dx * np.arange(n_cells)
+    rho = np.random.default_rng(n_cells).random(n_cells)
+    m = rho * g.dx
+    for masses in (m, m[::-1]):
+        assert np.array_equal(block_exp_sums(k.blocks, masses), left_exp_sums(x, masses, EXP_POINTY.decomposition.rate))
+    assert np.array_equal(compute_nu(FVState(grid=g, rho=rho), k), reference_nu(rho, g.dx, EXP_POINTY.decomposition, k))
+
+
+def test_kink_only_speeds_skip_the_zero_nu_pass(monkeypatch):
+    # the point kernel's nu is all zeros, so kink-only speeds never compute it;
+    # the gradients are those of the explicit zero nu, also in the sign of zero cells
+    g = Grid.from_domain(-2.5, 2.5, 200)
+    st = project_initial(DiscreteMeasure([-1.0, 1.0], [0.5, 0.5]), g)
+    k = build_nu_kernel(ABS_HALF, g)
+    zero_nu = reference_nu(st.rho, g.dx, ABS_HALF.decomposition, k)
+    expected = reference_gradients(st.rho, g.dx, ABS_HALF.decomposition, zero_nu, k)
+    s = solve_s_gradient(st, ABS_HALF, None, k)
+    assert 0.0 in s  # between the atoms
+    assert np.array_equal(s, expected) and np.array_equal(np.signbit(s), np.signbit(expected))
+    monkeypatch.setattr(fv, "compute_nu", lambda *args: pytest.fail("compute_nu called for the point kernel"))
+    assert np.array_equal(nonlinear_velocity(st, ABS_HALF, IDENTITY, k), IDENTITY.mean(s[:-1], s[1:]))
 
 
 # ---------------------------------------------------------------- s gradient

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -224,6 +227,123 @@ def test_cmd_compare_past_merge_time(tmp_path):
     ).validate()
     res = cmd_compare(cfg)
     assert res.w1[-1] <= res.w1[0] + 5e-2
+
+
+# ---------------------------------------------------------------- compare's oracle process
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the oracle runs inline without os.fork")
+
+
+def _compare_args(out, label):
+    flags = ["--example", "1", "--cells", "200", "--particles", "64", "--t-end", "0.5"]
+    return ["compare", *flags, "--label", label, "--out", str(out)]
+
+
+def _compare_config(out):
+    # the config of _compare_args, for direct cmd_compare calls
+    return replace(example_preset(1), n_cells=200, compare_particles=64, t_end=0.5, output_dir=str(out)).validate()
+
+
+def _assert_no_children():
+    # every child the run started has been reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _spy_forks(monkeypatch):
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+@needs_fork
+def test_compare_forked_and_inline_write_identical_csv(tmp_path, monkeypatch):
+    pids = _spy_forks(monkeypatch)
+    assert cli_main(_compare_args(tmp_path, "forked")) == 0
+    assert len(pids) == 1
+    _assert_no_children()
+    monkeypatch.delattr(os, "fork")  # the inline path
+    assert cli_main(_compare_args(tmp_path, "inline")) == 0
+    assert len(pids) == 1
+    forked, inline = (tmp_path / label / "w1_compare.csv" for label in ("forked", "inline"))
+    assert forked.read_bytes() == inline.read_bytes()
+    for label in ("forked", "inline"):
+        summary = json.loads((tmp_path / label / "manifest.json").read_text())["summary"]
+        assert summary["oracle_labels"] == 64
+        assert 1 <= summary["oracle_atoms_final"] <= 64
+        assert 0.0 < summary["grid_s"] <= summary["runtime_s"]
+        assert 0.0 < summary["oracle_s"] <= summary["runtime_s"]
+        assert "oracle_particles" not in summary
+    _assert_no_children()
+
+
+@needs_fork
+def test_compare_oracle_error_in_child_reaches_caller(tmp_path, monkeypatch):
+    from aggr1d import experiments, particles
+
+    def failing_advance(ps, t, log=None):
+        raise RuntimeError(f"oracle stalled in process {os.getpid()}")
+
+    monkeypatch.setattr(particles, "advance_to", failing_advance)
+    with pytest.raises(RuntimeError, match="oracle stalled in process") as info:
+        cmd_compare(_compare_config(tmp_path))
+    assert type(info.value) is RuntimeError
+    assert str(info.value) != f"oracle stalled in process {os.getpid()}"  # raised in the child
+    cause = info.value.__cause__
+    assert isinstance(cause, experiments.ChildTraceback)
+    assert "Traceback (most recent call last)" in str(cause) and "failing_advance" in str(cause)
+    _assert_no_children()
+    assert cli_main(_compare_args(tmp_path / "cli", "err")) == 3
+    assert not (tmp_path / "cli").exists()
+    _assert_no_children()
+
+
+@needs_fork
+@pytest.mark.parametrize("death, status", [("exit", 7 << 8), ("kill", 9)])
+def test_compare_child_dying_without_result_names_its_status(tmp_path, monkeypatch, death, status):
+    from aggr1d import particles
+
+    def dying_advance(ps, t, log=None):
+        if death == "exit":
+            os._exit(7)
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(particles, "advance_to", dying_advance)
+    with pytest.raises(RuntimeError, match=f"wait status {status}\\b"):
+        cmd_compare(_compare_config(tmp_path))
+    assert not (tmp_path / "example1").exists()
+    _assert_no_children()
+
+
+@needs_fork
+def test_compare_scheme_error_wins_and_kills_the_child(tmp_path, monkeypatch):
+    from aggr1d import particles
+
+    pids = _spy_forks(monkeypatch)
+    monkeypatch.setattr(particles, "advance_to", lambda ps, t, log=None: time.sleep(60.0))
+
+    def aborting_run(*args, **kwargs):
+        raise fv.SchemeError("mass left the grid")
+
+    monkeypatch.setattr(fv, "run", aborting_run)
+    t0 = time.perf_counter()
+    assert cli_main(_compare_args(tmp_path, "abort")) == 3
+    assert time.perf_counter() - t0 < 30.0  # the sleeping child did not run out its minute
+    assert len(pids) == 1
+    with pytest.raises(ProcessLookupError):
+        os.kill(pids[0], 0)  # killed and reaped
+    assert not (tmp_path / "abort").exists()
+    with pytest.raises(fv.SchemeError, match="mass left the grid"):
+        cmd_compare(_compare_config(tmp_path))
+    _assert_no_children()
 
 
 def test_cmd_simulate_example3_aggregates_to_center_of_mass(tmp_path):
