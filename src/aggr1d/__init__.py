@@ -6,7 +6,7 @@ oracle), ``fv`` (upwind finite-volume scheme), and the experiment harness
 (``config``, ``experiments``, ``cli``).
 """
 
-from .measure import DiscreteMeasure, first_moment, from_cells, quantile, wasserstein1
+from .measure import DiscreteMeasure, from_cells, quantile, wasserstein1
 from .potentials import (
     PointyPotential,
     VelocityLaw,
@@ -19,7 +19,6 @@ __all__ = [
     "DiscreteMeasure",
     "PointyPotential",
     "VelocityLaw",
-    "first_moment",
     "from_cells",
     "make_builtin_potential",
     "make_velocity_law",

@@ -113,10 +113,6 @@ class Grid:
     def left_edge(self) -> float:
         return self.x_min - 0.5 * self.dx
 
-    @property
-    def right_edge(self) -> float:
-        return self.x_min + (self.n_cells - 0.5) * self.dx
-
 
 @dataclass(frozen=True)
 class FVState:
@@ -215,15 +211,14 @@ def build_nu_kernel(pot: PointyPotential, grid: Grid) -> NuKernel:
     only on the offset i - k, so one kernel serves every cell.  The
     left-anchor weights ``tail`` are built here too, so no step evaluates w.
     """
-    dec = pot.decomposition
     dx = grid.dx
     n = grid.n_cells
-    if dec.amp == 0.0:
+    if pot.amp == 0.0:
         return NuKernel(values=np.zeros(1), half_width=0, tail=np.zeros(n))
-    h = 0.5 * dec.rate * dx
-    g = dec.w_eval(dx * np.arange(1 - n, n)) * (np.tanh(h) / h)
-    tail = dec.w_left_integral(-dx * np.arange(n)) - 0.5 * dx * g[n - 1 :: -1]  # g at offsets 0, -1, ..., 1 - n
-    blocks = exp_blocks(dx * np.arange(n), dec.rate)  # the grid is its own mirror image
+    h = 0.5 * pot.rate * dx
+    g = pot.w_eval(dx * np.arange(1 - n, n)) * (np.tanh(h) / h)
+    tail = pot.w_left_integral(-dx * np.arange(n)) - 0.5 * dx * g[n - 1 :: -1]  # g at offsets 0, -1, ..., 1 - n
+    blocks = exp_blocks(dx * np.arange(n), pot.rate)  # the grid is its own mirror image
     return NuKernel(values=g, half_width=n - 1, tail=tail, blocks=blocks)
 
 
@@ -261,9 +256,8 @@ def solve_s_gradient(state: FVState, pot: PointyPotential, nu: np.ndarray | None
     dx = state.grid.dx
     rho = state.rho
     cell_mass = rho * dx
-    dec = pot.decomposition
-    u_left = dec.u_inf * float(cell_mass.sum())
-    rhs = dec.c * rho
+    u_left = pot.u_inf * float(cell_mass.sum())
+    rhs = pot.c * rho
     if kernel.half_width:
         u_left += float(cell_mass.dot(kernel.tail))
         np.subtract(nu, rhs, out=rhs)
@@ -303,9 +297,15 @@ def cfl_dt(vel_bound: float, dx: float, gamma: float) -> float:
 def step(state: FVState, a: np.ndarray, dt: float) -> FVState:
     """One upwind step with per-cell speeds ``a`` under CFL, in positivity-preserving form.
 
-    rho_i^{n+1} = rho_i (1 - (dt/dx)|a_i|) + (dt/dx)[(a_{i-1})_+ rho_{i-1}
-                  - (a_{i+1})_- rho_{i+1}]; every addend is nonnegative once
-    dt*max|a|/dx <= 1, so min rho >= 0 holds exactly in floating point.
+    Cell i sends the share s_i = min((dt/dx)|a_i|, 1) of its content to the
+    side a_i points to and keeps the rest:
+
+    rho_i^{n+1} = rho_i (1 - s_i) + s_{i-1} rho_{i-1} [a_{i-1} > 0]
+                  + s_{i+1} rho_{i+1} [a_{i+1} < 0].
+
+    Every addend is nonnegative, so min rho >= 0 holds exactly in floating
+    point.  The cap binds only within the 1e-9 slack past dt*max|a|/dx = 1,
+    where a cell then sends all it holds and no more.
     """
     if dt < 0.0:
         raise ValueError("dt must be nonnegative")
@@ -316,12 +316,13 @@ def step(state: FVState, a: np.ndarray, dt: float) -> FVState:
     if lam * amax > 1.0 + 1e-9:
         raise SchemeError(f"CFL violation: dt*max|a|/dx = {lam * amax:.6g} > 1")
     rho = state.rho
-    new = lam * abs_a  # becomes rho_i * max(1 - lam*|a_i|, 0) in place
-    np.subtract(1.0, new, out=new)
-    np.maximum(new, 0.0, out=new)
+    share = lam * abs_a
+    np.minimum(share, 1.0, out=share)
+    new = 1.0 - share
     new *= rho
-    new[1:] += lam * np.maximum(a[:-1], 0.0) * rho[:-1]  # leaves cell i rightward
-    new[:-1] += -lam * np.minimum(a[1:], 0.0) * rho[1:]  # leaves cell i leftward
+    share *= rho  # becomes the mass each cell sends
+    new[1:] += share[:-1] * (a[:-1] > 0.0)
+    new[:-1] += share[1:] * (a[1:] < 0.0)
     return _stepped(state.grid, new, state.time + dt, state.step_index + 1)
 
 
@@ -368,11 +369,6 @@ class DiagnosticsReport:
         write_csv(path, header, np.column_stack(columns))
 
 
-def snapshot_measure(state: FVState) -> DiscreteMeasure:
-    """Atomize the state: mass rho_i*dx at each cell center."""
-    return from_cells(state.grid.x_min, state.grid.dx, state.rho)
-
-
 def run(
     state0: FVState,
     pot: PointyPotential,
@@ -409,7 +405,7 @@ def run(
         if lost > BOUNDARY_MASS_TOL:
             raise SchemeError(f"mass {lost:.3g} left the grid by t = {state.time:.6g}; enlarge the domain")
         while targets and state.time >= targets[0] - time_tol:
-            snapshots.append((targets[0], snapshot_measure(state)))
+            snapshots.append((targets[0], from_cells(state.grid.x_min, state.grid.dx, state.rho)))
             targets.pop(0)
         if not targets:
             break

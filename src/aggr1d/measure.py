@@ -23,7 +23,6 @@ __all__ = [
     "from_cells",
     "quantile",
     "wasserstein1",
-    "first_moment",
     "merge_runs",
     "write_atoms_csv",
     "write_csv",
@@ -182,13 +181,6 @@ def wasserstein1(m1: DiscreteMeasure, m2: DiscreteMeasure) -> float:
     q1 = m1.positions[np.minimum(np.searchsorted(c1, mids, side="right"), m1.n_atoms - 1)]
     q2 = m2.positions[np.minimum(np.searchsorted(c2, mids, side="right"), m2.n_atoms - 1)]
     return float((np.abs(q1 - q2) * dz).sum())
-
-
-def first_moment(m: DiscreteMeasure) -> float:
-    """Sum of mass*|position| over the atoms."""
-    if m.n_atoms == 0:
-        return 0.0
-    return float(np.sum(m.masses * np.abs(m.positions)))
 
 
 def write_csv(path, header: str, rows) -> Path:

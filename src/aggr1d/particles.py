@@ -110,37 +110,31 @@ def snapshot(ps: ParticleSystem) -> DiscreteMeasure:
     return DiscreteMeasure(ps.x, ps.m)
 
 
-def _wtilde_sums(x: np.ndarray, m: np.ndarray, dec) -> np.ndarray:
+def _wtilde_sums(x: np.ndarray, m: np.ndarray, pot: PointyPotential) -> np.ndarray:
     """sum_j m_j wtilde(x_i - x_j) for every i.
 
     wtilde = W' + c*H is the continuous part of W': wtilde(x) = c/2 +
     sgn(x)*(amp/rate)*(1 - e^{-rate|x|}), so the sum splits over j < i and
     j > i into mass prefix sums and the one-sided sums of :func:`left_exp_sums`.
     """
-    if dec.amp == 0.0:
-        return 0.5 * dec.c * np.sum(m)  # wtilde is the constant c/2
+    if pot.amp == 0.0:
+        return 0.5 * pot.c * np.sum(m)  # wtilde is the constant c/2
     csum = m.cumsum()
     left = csum - m
     right = csum[-1] - csum
-    p = left_exp_sums(x, m, dec.rate)  # sum_{j<i} m_j e^{-rate (x_i - x_j)}
-    q = left_exp_sums(-x[::-1], m[::-1], dec.rate)[::-1]  # sum_{j>i} m_j e^{-rate (x_j - x_i)}
-    return 0.5 * dec.c * csum[-1] + (dec.amp / dec.rate) * ((left - right) - p + q)
+    p = left_exp_sums(x, m, pot.rate)  # sum_{j<i} m_j e^{-rate (x_i - x_j)}
+    q = left_exp_sums(-x[::-1], m[::-1], pot.rate)[::-1]  # sum_{j>i} m_j e^{-rate (x_j - x_i)}
+    return 0.5 * pot.c * csum[-1] + (pot.amp / pot.rate) * ((left - right) - p + q)
 
 
 def _nonlinear_vel(x: np.ndarray, m: np.ndarray, pot: PointyPotential, law: VelocityLaw) -> np.ndarray:
-    dec = pot.decomposition
-    c = dec.c
-    u_plus = -c * np.cumsum(m) + _wtilde_sums(x, m, dec)
-    return law.mean(u_plus, u_plus + c * m)
+    u_plus = -pot.c * np.cumsum(m) + _wtilde_sums(x, m, pot)
+    return law.mean(u_plus, u_plus + pot.c * m)
 
 
 def velocities(ps: ParticleSystem):
     """Jump speeds m_i x_i' = -[A(u)]_{x_i} with one-sided traces of u = W'*rho."""
     return _nonlinear_vel(ps.x, ps.m, ps.pot, ps.law)
-
-
-def _vel_fn(ps: ParticleSystem):
-    return lambda x, m: _nonlinear_vel(x, m, ps.pot, ps.law)
 
 
 def _rk4(x, m, h, vel, k1):
@@ -233,18 +227,6 @@ def _locate_contact(x, m, k1, vel, i, h, g_end, tau, rate):
     raise RuntimeError("particle contact location did not converge")
 
 
-def _merge_contacts(x, m, linked, *values):
-    """Merge the runs of particles that ``linked`` joins; returns (x, m, merged, *values).
-
-    linked[i] puts particles i and i + 1 in contact.  The merged particle
-    sits at the mass-weighted mean of the run (the common contact point up
-    to rounding), with the summed mass; each array in ``values`` is
-    mass-averaged over the run.  Under the identity law this preserves the
-    center of mass exactly.
-    """
-    return merge_runs(x, m, linked, *values)
-
-
 def _advance_kink_only(ps: ParticleSystem, t_end: float, log: TrajectoryLog | None):
     """Exact event-driven sticky dynamics of a kink-only potential; returns (x, m) at t_end."""
     x, m, t = ps.x, ps.m, ps.time
@@ -262,7 +244,7 @@ def _advance_kink_only(ps: ParticleSystem, t_end: float, log: TrajectoryLog | No
         if event:
             # contact times equal up to the rounding of their quotients
             linked |= tau <= t_hit * (1.0 + 4.0 * np.finfo(float).eps)
-        x, m, merged, v = _merge_contacts(x, m, linked, v)
+        x, m, merged, v = merge_runs(x, m, linked, v)
         if merged and log is not None:
             log.record(t, "merge", DiscreteMeasure(x, m))
         if event and not merged:
@@ -280,13 +262,13 @@ def advance_to(ps: ParticleSystem, t_end: float, log: TrajectoryLog | None = Non
     """
     if t_end < ps.time:
         raise ValueError("t_end must not precede the current time")
-    if ps.pot.decomposition.amp == 0.0:
+    if ps.pot.amp == 0.0:
         x, m = _advance_kink_only(ps, t_end, log)
         return replace(ps, x=x, m=m, time=t_end)
     x = np.array(ps.x, dtype=float)
     m = np.array(ps.m, dtype=float)
     t = ps.time
-    vel = _vel_fn(ps)
+    vel = lambda x, m: _nonlinear_vel(x, m, ps.pot, ps.law)  # noqa: E731
     horizon = max(1.0, abs(t_end))
     v = None  # speeds at x, once known
     while t < t_end - 1e-15 * horizon:
@@ -294,7 +276,7 @@ def advance_to(ps: ParticleSystem, t_end: float, log: TrajectoryLog | None = Non
             break  # a lone particle is stationary
         gaps = np.diff(x)
         if np.min(gaps) <= CONTACT_TOL:
-            x, m, _ = _merge_contacts(x, m, gaps <= CONTACT_TOL)
+            x, m, _ = merge_runs(x, m, gaps <= CONTACT_TOL)
             v = None
             if log is not None:
                 log.record(t, "merge", DiscreteMeasure(x, m))
@@ -315,7 +297,7 @@ def advance_to(ps: ParticleSystem, t_end: float, log: TrajectoryLog | None = Non
             tau, x = _locate_contact(x, m, v, vel, i, h, g_end[i], tau, max(abs(d0[i]), abs(d1[i])))
             t += tau
             vmax = max(float(np.max(np.abs(v))), float(np.max(np.abs(v_end))))
-            x, m, merged = _merge_contacts(x, m, np.diff(x) <= max(CONTACT_TOL, 4.0 * vmax * BISECT_TOL))
+            x, m, merged = merge_runs(x, m, np.diff(x) <= max(CONTACT_TOL, 4.0 * vmax * BISECT_TOL))
             v = None
             if merged and log is not None:
                 log.record(t, "merge", DiscreteMeasure(x, m))

@@ -1,13 +1,12 @@
 """Pointy interaction potentials and velocity nonlinearities.
 
 The whole solver family is driven by an even, Lipschitz, lambda-concave
-potential W with a kink at the origin.  A potential is its decomposition
-W'' = -c*delta_0 + w in the sense of distributions, with w(x) =
-amp*e^{-rate|x|} (amp = 0 for the |x| family): the three numbers
-(c, amp, rate) give every constant the schemes need (the Lipschitz bound,
-the closed forms of w and its integral, and with the interval mean of the
-speed law the CFL bound), so downstream code never differentiates or
-integrates anything numerically.
+potential W with a kink at the origin.  A potential is the three numbers
+(c, amp, rate) of W'' = -c*delta_0 + w in the sense of distributions, with
+w(x) = amp*e^{-rate|x|} (amp = 0 for the |x| family): they give every
+constant the schemes need (the Lipschitz bound, the closed forms of w and
+its integral, and with the interval mean of the speed law the CFL bound),
+so downstream code never differentiates or integrates anything numerically.
 
 The kink coefficient c is carried explicitly rather than hard-wired to 1;
 scaled potentials like -sigma*|x| then keep an exact decomposition
@@ -22,7 +21,6 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
-    "KinkDecomposition",
     "left_exp_sums",
     "exp_blocks",
     "block_exp_sums",
@@ -36,43 +34,6 @@ __all__ = [
 # widest block of left_exp_sums, in units of 1/rate: e^600 stays well inside
 # the float range (e^709), so no prefix sum in a block overflows
 EXP_BLOCK = 600.0
-
-
-@dataclass(frozen=True)
-class KinkDecomposition:
-    """Data of W'' = -c*delta_0 + w with w(x) = amp*e^{-rate|x|}.
-
-    c is the Dirac mass sitting at the kink (c > 0 for attraction) and
-    amp >= 0, rate > 0 describe the continuous remainder w; amp = 0 is a
-    kink-only potential.  w is a single exponential, so every sum of it
-    over a sorted point set (the grid's nu convolution, the particles'
-    wtilde sums) splits into the one-sided sums of :func:`left_exp_sums`.
-    """
-
-    c: float
-    amp: float = 0.0
-    rate: float = 1.0
-
-    @property
-    def w0(self) -> float:
-        """L1 norm of w."""
-        return 2.0 * self.amp / self.rate
-
-    @property
-    def u_inf(self) -> float:
-        """W' at -infinity: c/2 minus the w-mass left of the origin."""
-        return 0.5 * self.c - self.amp / self.rate
-
-    def w_eval(self, x):
-        return self.amp * np.exp(-self.rate * np.abs(x))
-
-    def w_left_integral(self, x):
-        """Exact antiderivative x -> int_{-inf}^x w(y) dy; w0/2 at the origin."""
-        x = np.asarray(x, dtype=float)
-        k = self.amp / self.rate
-        left = k * np.exp(self.rate * np.minimum(x, 0.0))
-        right = self.w0 - k * np.exp(-self.rate * np.maximum(x, 0.0))
-        return np.where(x <= 0.0, left, right)
 
 
 def left_exp_sums(x: np.ndarray, m: np.ndarray, rate: float) -> np.ndarray:
@@ -113,35 +74,61 @@ def block_exp_sums(blocks: tuple, m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PointyPotential:
-    """Even Lipschitz potential with one-sided Lipschitz derivative.
+    """Even Lipschitz potential with W'' = -c*delta_0 + amp*e^{-rate|x|}.
 
-    Both engines work from the kink decomposition alone; W and W' follow
-    from it, W'(x) = u_inf + int_{-inf}^x w - c*H(x).
+    c is the Dirac mass sitting at the kink (c > 0 for attraction) and
+    amp >= 0, rate > 0 describe the continuous remainder w; amp = 0 is a
+    kink-only potential.  Both engines work from these numbers alone; W'
+    follows from them, W'(x) = u_inf + int_{-inf}^x w - c*H(x).  w is a
+    single exponential, so every sum of it over a sorted point set (the
+    grid's nu convolution, the particles' wtilde sums) splits into the
+    one-sided sums of :func:`left_exp_sums`.
     """
 
     name: str
-    decomposition: KinkDecomposition
+    c: float
+    amp: float = 0.0
+    rate: float = 1.0
+
+    @property
+    def w0(self) -> float:
+        """L1 norm of w."""
+        return 2.0 * self.amp / self.rate
+
+    @property
+    def u_inf(self) -> float:
+        """W' at -infinity: c/2 minus the w-mass left of the origin."""
+        return 0.5 * self.c - self.amp / self.rate
 
     @property
     def lip(self) -> float:
         """sup |W'|: W' runs monotonically from -c/2 at 0+ to -u_inf at +inf and is odd."""
-        dec = self.decomposition
-        return max(0.5 * abs(dec.c), abs(dec.u_inf))
+        return max(0.5 * abs(self.c), abs(self.u_inf))
+
+    def w_eval(self, x):
+        return self.amp * np.exp(-self.rate * np.abs(x))
+
+    def w_left_integral(self, x):
+        """Exact antiderivative x -> int_{-inf}^x w(y) dy; w0/2 at the origin."""
+        x = np.asarray(x, dtype=float)
+        k = self.amp / self.rate
+        left = k * np.exp(self.rate * np.minimum(x, 0.0))
+        right = self.w0 - k * np.exp(-self.rate * np.maximum(x, 0.0))
+        return np.where(x <= 0.0, left, right)
 
 
 @dataclass(frozen=True)
 class VelocityLaw:
-    """Nondecreasing C^1 speed law a and its mean over an interval.
+    """Nondecreasing C^1 speed law a, given by its mean over an interval.
 
     ``mean(lo, hi)`` is the exact mean of a over [lo, hi] elementwise, for
     either orientation, in a closed form that stays well-conditioned for
-    every interval length and returns a(lo) bit for bit when lo == hi.
-    Both engines read a only through it, and the CFL bound from the values
-    of a at the ends of the gradient range (:func:`velocity_sup_bound`).
+    every interval length; at lo == hi it is a itself, a(x) = mean(x, x).
+    The mean is the law's only evaluator: both engines read a through it,
+    and so does the CFL bound (:func:`velocity_sup_bound`).
     """
 
     name: str
-    a_eval: Callable[[np.ndarray], np.ndarray]
     mean: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -153,32 +140,25 @@ def make_builtin_potential(name: str, sigma: float | None = None) -> PointyPoten
     exp_pointy      W(x) = (e^{-|x|}-1)/2  (lambda = 1/2, c = 1, w = e^{-|x|}/2)
     """
     if name == "abs_half":
-        return PointyPotential("abs_half", KinkDecomposition(c=1.0))
+        return PointyPotential("abs_half", c=1.0)
     if name == "abs_scaled":
         if sigma is None or sigma <= 0:
             raise ValueError("abs_scaled requires sigma > 0")
-        return PointyPotential(f"abs_scaled({float(sigma)!r})", KinkDecomposition(c=2.0 * float(sigma)))
+        return PointyPotential(f"abs_scaled({float(sigma)!r})", c=2.0 * float(sigma))
     if name == "exp_pointy":
-        return PointyPotential("exp_pointy", KinkDecomposition(c=1.0, amp=0.5, rate=1.0))
+        return PointyPotential("exp_pointy", c=1.0, amp=0.5, rate=1.0)
     raise ValueError(f"unknown potential {name!r}")
 
 
 def make_velocity_law(name: str, k: float | None = None, scale: float | None = None) -> VelocityLaw:
     """Builtin speed laws: ``identity`` (a(x) = x) and ``atan`` (a(x) = scale*atan(k*x))."""
     if name == "identity":
-        return VelocityLaw(
-            name="identity",
-            a_eval=lambda x: np.asarray(x, dtype=float),
-            mean=lambda lo, hi: 0.5 * (hi + lo),
-        )
+        return VelocityLaw(name="identity", mean=lambda lo, hi: 0.5 * (hi + lo))
     if name == "atan":
         if k is None or k <= 0 or scale is None or scale <= 0:
             raise ValueError("atan law requires k > 0 and scale > 0")
         kk = float(k)
         sc = float(scale)
-
-        def a_eval(x):
-            return sc * np.arctan(kk * np.asarray(x, dtype=float))
 
         def mean(lo, hi):
             # F(y) = y*atan(y) - log(1 + y^2)/2 has F' = atan; with p = k*lo,
@@ -190,7 +170,7 @@ def make_velocity_law(name: str, k: float | None = None, scale: float | None = N
             bracket = p * np.arctan2(d, 1.0 + p * q) - 0.5 * np.log1p(d * (p + q) / (1.0 + p * p))
             return sc * (np.arctan(q) + bracket / np.where(d == 0.0, 1.0, d))
 
-        return VelocityLaw(name=f"atan({kk!r},{sc!r})", a_eval=a_eval, mean=mean)
+        return VelocityLaw(name=f"atan({kk!r},{sc!r})", mean=mean)
     raise ValueError(f"unknown velocity law {name!r}")
 
 
@@ -199,7 +179,9 @@ def velocity_sup_bound(pot: PointyPotential, law: VelocityLaw) -> float:
 
     Every speed is a mean of the nondecreasing a over interface gradients,
     and these obey |s_{i+1/2}| <= lip*M on a grid holding mass M <= 1, so
-    a_inf = max(|a(-lip)|, |a(lip)|).
+    a_inf = max(|a(-lip)|, |a(lip)|), each a(x) = mean(x, x) called on a
+    Python float: numpy's scalar and array paths of a transcendental
+    function may differ in the last bit.
 
     The bound holds because each telescoped interface gradient is a
     mass-weighted sum of values of W'.  Write W'(x) = u_inf + Phi(x) -
@@ -215,4 +197,4 @@ def velocity_sup_bound(pot: PointyPotential, law: VelocityLaw) -> float:
     potential this is s = c*(M/2 - F) with F the cumulative mass, and for
     the identity law the bound is lip itself.
     """
-    return float(max(abs(law.a_eval(-pot.lip)), abs(law.a_eval(pot.lip))))
+    return float(max(abs(law.mean(-pot.lip, -pot.lip)), abs(law.mean(pot.lip, pot.lip))))

@@ -23,12 +23,11 @@ def conservation_residual(state, pot, kernel, s=None) -> float:
     nu = compute_nu(state, kernel)
     if s is None:
         s = solve_s_gradient(state, pot, nu, kernel)
-    c = pot.decomposition.c
-    return float(np.max(np.abs((np.diff(s) / state.grid.dx - nu) / c + state.rho)))
+    return float(np.max(np.abs((np.diff(s) / state.grid.dx - nu) / pot.c + state.rho)))
 
 
 def state_from_snapshot(m, grid) -> FVState:
-    """The grid state whose ``fv.snapshot_measure`` is the atomic snapshot ``m``."""
+    """The grid state whose cell atoms (``measure.from_cells``) are the snapshot ``m``."""
     rho = np.zeros(grid.n_cells)
     rho[np.rint((m.positions - grid.x_min) / grid.dx).astype(int)] = m.masses / grid.dx
     return FVState(grid=grid, rho=rho)

@@ -28,7 +28,7 @@ def wtilde_sums(x, m, pot) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     d = x[:, None] - x[None, :]
-    wtilde = np.asarray(closed_form(pot).wprime(d), dtype=float) + pot.decomposition.c * np.heaviside(d, 0.5)
+    wtilde = np.asarray(closed_form(pot).wprime(d), dtype=float) + pot.c * np.heaviside(d, 0.5)
     return wtilde @ np.asarray(m, dtype=float)
 
 

@@ -1,7 +1,9 @@
-"""Extended-precision antiderivatives and interval means of the builtin speed laws.
+"""Closed forms, extended-precision antiderivatives and interval means of the builtin speed laws.
 
 The reference ``VelocityLaw.mean`` is checked against, independent of the
-package: a(x) and its antiderivative A (A(0) = 0) are written out here in
+package.  ``identity_a`` and ``atan_a`` write a(x) out in float64, as the
+same expressions that ``mean(x, x)`` reduces to, so the two agree bit for
+bit.  a(x) and its antiderivative A (A(0) = 0) are also written out here in
 ``longdouble``.  The mean over [lo, hi] is the quotient of A on intervals
 longer than ``QUOTIENT_MIN``, where extended precision leaves it a few
 ulp(A)/d off, and below that a composite 5-point Gauss-Legendre mean over
@@ -25,6 +27,16 @@ _WEIGHTS = np.array([_OUTER, _INNER, np.longdouble(128) / 225, _INNER, _OUTER], 
 # the composite rule as fractions of the interval and weights summing to 1
 _FRACTIONS = ((np.arange(PANELS, dtype=np.longdouble)[:, None] + (1 + _NODES) / 2) / PANELS).ravel()
 _MEAN_WEIGHTS = np.tile(_WEIGHTS / 2, PANELS) / PANELS
+
+
+def identity_a(x):
+    """a(x) = x, as float64."""
+    return np.asarray(x, dtype=float)
+
+
+def atan_a(x, k, scale):
+    """a(x) = scale*atan(k x), as float64."""
+    return scale * np.arctan(k * np.asarray(x, dtype=float))
 
 
 def identity_antideriv(x):

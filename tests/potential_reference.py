@@ -1,9 +1,9 @@
 """Hand-written closed forms of the potentials, for tests only.
 
 W, W' and the concavity constant lambda of each builtin potential, keyed
-by its name and written out by hand, never derived from the
-``KinkDecomposition`` the engines use, so they stay an independent
-reference for it.  lambda is the one-sided Lipschitz constant of W':
+by its name and written out by hand, never derived from the numbers
+(c, amp, rate) of W'' that the engines use, so they stay an independent
+reference for them.  lambda is the one-sided Lipschitz constant of W':
 W'(x) - W'(y) <= lambda*(x - y) for x > y away from 0.  ``REPULSIVE`` is
 the kink of the wrong sign, W(x) = |x|/2, which has no such constant.
 """
@@ -16,9 +16,9 @@ from typing import Callable
 
 import numpy as np
 
-from aggr1d.potentials import KinkDecomposition, PointyPotential
+from aggr1d.potentials import PointyPotential
 
-REPULSIVE = PointyPotential("repulsive", KinkDecomposition(c=-1.0))
+REPULSIVE = PointyPotential("repulsive", c=-1.0)
 
 
 @dataclass(frozen=True)

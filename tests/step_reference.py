@@ -20,22 +20,22 @@ from aggr1d.potentials import left_exp_sums, velocity_sup_bound
 DIAGNOSTIC_COLUMNS = ("step_index", "time", "mass", "min_rho", "max_abs_a", "moment1", "support_lo", "support_hi")
 
 
-def nu(rho, dx, dec, kernel):
+def nu(rho, dx, pot, kernel):
     k = kernel.half_width
     if k == 0:
         return rho * kernel.values[0] * dx
     m = rho * dx
     x = dx * np.arange(rho.size)
-    sums = left_exp_sums(x, m, dec.rate) + left_exp_sums(x, m[::-1], dec.rate)[::-1]
+    sums = left_exp_sums(x, m, pot.rate) + left_exp_sums(x, m[::-1], pot.rate)[::-1]
     return kernel.values[k] * (sums + m)
 
 
-def gradients(rho, dx, dec, nu_values, kernel):
+def gradients(rho, dx, pot, nu_values, kernel):
     cell_mass = rho * dx
-    u_left = dec.u_inf * float(np.sum(cell_mass)) + float(np.dot(cell_mass, kernel.tail))
+    u_left = pot.u_inf * float(np.sum(cell_mass)) + float(np.dot(cell_mass, kernel.tail))
     s = np.empty(rho.size + 1)
     s[0] = u_left
-    np.cumsum(dx * (nu_values - dec.c * rho), out=s[1:])
+    np.cumsum(dx * (nu_values - pot.c * rho), out=s[1:])
     s[1:] += u_left
     return s
 
@@ -84,7 +84,7 @@ def reference_run(state0, pot, law, t_end, gamma, sample_times=()):
     rho, time, step_index = np.array(state0.rho), state0.time, state0.step_index
     snapshots, rows = [], []
     while True:
-        a = speeds(law, gradients(rho, dx, pot.decomposition, nu(rho, dx, pot.decomposition, kernel), kernel))
+        a = speeds(law, gradients(rho, dx, pot, nu(rho, dx, pot, kernel), kernel))
         rows.append(diagnostics_row(step_index, time, rho, a, abs_x, dx))
         while targets and time >= targets[0] - time_tol:
             snapshots.append((targets[0], from_cells(grid.x_min, dx, rho)))

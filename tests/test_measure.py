@@ -4,7 +4,6 @@ import pytest
 from aggr1d import measure
 from aggr1d.measure import (
     DiscreteMeasure,
-    first_moment,
     from_cells,
     quantile,
     wasserstein1,
@@ -203,12 +202,6 @@ def test_breakpoint_merge_is_np_unique_bit_for_bit():
         want = np.unique(np.concatenate([[0.0], c1, c2]))
         assert got.dtype == want.dtype
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-
-
-def test_first_moment():
-    assert first_moment(dirac(0.0)) == 0.0
-    assert first_moment(DiscreteMeasure([-1.0, 1.0], [0.5, 0.5])) == 1.0
-    assert first_moment(DiscreteMeasure([-2.0, 3.0], [0.25, 0.75])) == pytest.approx(2.75, abs=0)
 
 
 def test_atoms_csv_roundtrip(tmp_path):

@@ -12,7 +12,7 @@ from aggr1d.particles import ParticleSystem, TrajectoryLog, advance_to, snapshot
 from aggr1d.potentials import make_builtin_potential, make_velocity_law
 from direct_sums import pairwise_speeds, wtilde_sums
 from isotonic_reference import isotonic_projection
-from mean_speed_reference import atan_antideriv, identity_antideriv
+from mean_speed_reference import atan_a, atan_antideriv, identity_antideriv
 from potential_reference import closed_form
 
 ABS_HALF = make_builtin_potential("abs_half")
@@ -65,7 +65,7 @@ def test_nonlinear_two_body_identity():
 def test_nonlinear_two_body_atan():
     # closing speed 2*A(1/2): cross-check A against quadrature of a
     v = velocities(system([-1.0, 1.0], [0.5, 0.5], law=ATAN))
-    a_half, _ = quad(lambda y: float(ATAN.a_eval(y)), 0.0, 0.5, epsabs=1e-14)
+    a_half, _ = quad(lambda y: float(atan_a(y, 50.0, 2.0 / math.pi)), 0.0, 0.5, epsabs=1e-14)
     assert v[0] == pytest.approx(2.0 * a_half, abs=1e-12)
     assert v[0] == pytest.approx(0.8925604219551196, abs=1e-13)
     assert v[1] == pytest.approx(-v[0], abs=1e-15)
@@ -77,19 +77,17 @@ def test_nonlinear_single_particle_is_stationary():
             v = velocities(system([0.3], [1.0], pot=pot, law=law))
             np.testing.assert_array_equal(v, [0.0])
             # brute-force jump of A(W' * rho) across the lone atom
-            dec = pot.decomposition
             eps = 1e-9
             wprime = closed_form(pot).wprime
             u_plus, u_minus = float(wprime(eps)), float(wprime(-eps))
             jump = float(ANTIDERIV[law.name](u_plus) - ANTIDERIV[law.name](u_minus))
-            assert abs(jump / dec.c) <= 1e-8
+            assert abs(jump / pot.c) <= 1e-8
 
 
 def test_nonlinear_prefix_sums_match_pairwise_matrix():
     # the exponential prefix sums must reproduce the full pairwise sum; the
     # last input reaches |x| ~ 400, where the sums take several blocks
     rng = np.random.default_rng(45)
-    dec = EXP_POINTY.decomposition
     inputs = []
     for _ in range(30):
         n = rng.integers(2, 60)
@@ -102,9 +100,9 @@ def test_nonlinear_prefix_sums_match_pairwise_matrix():
         m /= m.sum()
         for law in (IDENTITY, ATAN):
             fast = velocities(system(x, m, pot=EXP_POINTY, law=law))
-            u_plus = -dec.c * np.cumsum(m) + wtilde_sums(x, m, EXP_POINTY)
-            u_minus = u_plus + dec.c * m
-            ref = -(ANTIDERIV[law.name](u_plus) - ANTIDERIV[law.name](u_minus)) / (dec.c * m)
+            u_plus = -EXP_POINTY.c * np.cumsum(m) + wtilde_sums(x, m, EXP_POINTY)
+            u_minus = u_plus + EXP_POINTY.c * m
+            ref = -(ANTIDERIV[law.name](u_plus) - ANTIDERIV[law.name](u_minus)) / (EXP_POINTY.c * m)
             np.testing.assert_allclose(fast, ref, atol=1e-12)
 
 
@@ -116,13 +114,12 @@ def test_light_particle_moves_at_trace_midpoint():
     x = np.array([-1.0, 0.0, 1.0])
     m = np.array([0.7, 1e-15, 0.3])
     for pot in (ABS_HALF, EXP_POINTY):
-        dec = pot.decomposition
-        u_plus = -dec.c * np.cumsum(m) + wtilde_sums(x, m, pot)
-        u_minus = u_plus + dec.c * m
+        u_plus = -pot.c * np.cumsum(m) + wtilde_sums(x, m, pot)
+        u_minus = u_plus + pot.c * m
         v = velocities(system(x, m, pot=pot, law=ATAN))
-        assert abs(v[1] - float(ATAN.a_eval(0.5 * (u_plus[1] + u_minus[1])))) <= 1e-12
+        assert abs(v[1] - float(atan_a(0.5 * (u_plus[1] + u_minus[1]), 50.0, 2.0 / math.pi))) <= 1e-12
         heavy = [0, 2]
-        quotient = -(ANTIDERIV[ATAN.name](u_plus[heavy]) - ANTIDERIV[ATAN.name](u_minus[heavy])) / (dec.c * m[heavy])
+        quotient = -(ANTIDERIV[ATAN.name](u_plus[heavy]) - ANTIDERIV[ATAN.name](u_minus[heavy])) / (pot.c * m[heavy])
         np.testing.assert_allclose(v[heavy], quotient, atol=1e-12)
 
 
@@ -160,7 +157,7 @@ def test_stalled_contact_search_aborts(monkeypatch):
 
 def test_kink_only_event_merging_nothing_aborts(monkeypatch):
     # a merge that leaves every particle in place makes the contact event no progress
-    monkeypatch.setattr(particles, "_merge_contacts", lambda x, m, linked, *values: (x, m, False, *values))
+    monkeypatch.setattr(particles, "merge_runs", lambda x, m, linked, *values: (x, m, False, *values))
     with pytest.raises(RuntimeError, match="stalled"):
         advance_to(system([-1.0, 1.0], [0.5, 0.5]), 5.0)
 

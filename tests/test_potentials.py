@@ -10,13 +10,12 @@ from aggr1d import fv
 from aggr1d.particles import ParticleSystem, velocities
 from aggr1d.potentials import (
     EXP_BLOCK,
-    KinkDecomposition,
     left_exp_sums,
     make_builtin_potential,
     make_velocity_law,
     velocity_sup_bound,
 )
-from mean_speed_reference import QUOTIENT_MIN, atan_mean, identity_mean
+from mean_speed_reference import QUOTIENT_MIN, atan_a, atan_mean, identity_a, identity_mean
 from potential_reference import REPULSIVE, closed_form
 
 ALL_BUILTINS = [
@@ -30,8 +29,8 @@ ALL_BUILTINS = [
 def test_abs_half_values():
     pot = make_builtin_potential("abs_half")
     assert pot.lip == 0.5
-    assert pot.decomposition.c == 1.0
-    assert pot.decomposition.w0 == 0.0
+    assert pot.c == 1.0
+    assert pot.w0 == 0.0
 
 
 def test_exp_pointy_derivative():
@@ -44,10 +43,9 @@ def test_exp_pointy_decomposition_identity_at_one():
     # -H(1) + int_0^1 w + c/2 must reproduce W'(1); the integral is done by
     # quadrature so the check is independent of w_left_integral
     pot = make_builtin_potential("exp_pointy")
-    dec = pot.decomposition
-    integral, err = quad(lambda y: float(dec.w_eval(y)), 0.0, 1.0, epsabs=1e-14)
+    integral, err = quad(lambda y: float(pot.w_eval(y)), 0.0, 1.0, epsabs=1e-14)
     assert err < 1e-12
-    lhs = -1.0 + integral + 0.5 * dec.c
+    lhs = -1.0 + integral + 0.5 * pot.c
     assert lhs == pytest.approx(float(closed_form(pot).wprime(1.0)), abs=1e-12)
     assert lhs == pytest.approx(-0.5 / math.e, abs=1e-12)
 
@@ -101,23 +99,21 @@ def test_decomposition_reconstructs_wprime():
     x = rng.uniform(-8.0, 8.0, size=1000)
     x = np.where(x == 0.0, 1.0, x)
     for pot in ALL_BUILTINS:
-        dec = pot.decomposition
-        int0x = np.asarray(dec.w_left_integral(x)) - float(dec.w_left_integral(0.0))
-        recon = -dec.c * (x > 0) + int0x + 0.5 * dec.c
+        int0x = np.asarray(pot.w_left_integral(x)) - float(pot.w_left_integral(0.0))
+        recon = -pot.c * (x > 0) + int0x + 0.5 * pot.c
         assert np.max(np.abs(np.asarray(closed_form(pot).wprime(x)) - recon)) <= 1e-10
 
 
 def test_w_left_integral_matches_quadrature():
     pot = make_builtin_potential("exp_pointy")
-    dec = pot.decomposition
     for xx in (-3.0, -0.4, 0.0, 0.9, 2.5):
         # split at the kink, or quad loses digits there
-        q, _ = quad(lambda y: float(dec.w_eval(y)), -40.0, min(xx, 0.0), epsabs=1e-13, limit=200)
+        q, _ = quad(lambda y: float(pot.w_eval(y)), -40.0, min(xx, 0.0), epsabs=1e-13, limit=200)
         if xx > 0.0:
-            q2, _ = quad(lambda y: float(dec.w_eval(y)), 0.0, xx, epsabs=1e-13, limit=200)
+            q2, _ = quad(lambda y: float(pot.w_eval(y)), 0.0, xx, epsabs=1e-13, limit=200)
             q += q2
-        assert float(dec.w_left_integral(xx)) == pytest.approx(q, abs=1e-10)
-    assert float(dec.w_left_integral(0.0)) == pytest.approx(0.5 * dec.w0, abs=1e-15)
+        assert float(pot.w_left_integral(xx)) == pytest.approx(q, abs=1e-10)
+    assert float(pot.w_left_integral(0.0)) == pytest.approx(0.5 * pot.w0, abs=1e-15)
 
 
 def _left_exp_sums_longdouble(x, m, rate):
@@ -147,13 +143,13 @@ def test_left_exp_sums_match_longdouble_reference(rate):
 
 def test_identity_law():
     law = make_velocity_law("identity")
-    assert law.a_eval(3.0) == 3.0
+    assert law.mean(3.0, 3.0) == 3.0
 
 
 def test_atan_law_values():
     law = make_velocity_law("atan", k=50.0, scale=2.0 / math.pi)
-    assert law.a_eval(0.0) == 0.0
-    assert float(law.a_eval(1.0 / 50.0)) == pytest.approx(0.5, abs=1e-16)
+    assert law.mean(0.0, 0.0) == 0.0
+    assert float(law.mean(1.0 / 50.0, 1.0 / 50.0)) == pytest.approx(0.5, abs=1e-16)
     # frozen mean over [0, 1/2], the closing speed of two half masses under abs_half
     assert float(law.mean(0.0, 0.5)) == pytest.approx(0.8925604219551196, abs=1e-15)
 
@@ -172,6 +168,7 @@ def test_mean_matches_quadrature(name):
     # mean(lo, hi) is the integral of a over [lo, hi] divided by hi - lo on
     # random intervals of either orientation, and a itself where lo == hi
     law = make_velocity_law(name, k=50.0, scale=2.0 / math.pi) if name == "atan" else make_velocity_law(name)
+    a_of = (lambda x: atan_a(x, 50.0, 2.0 / math.pi)) if name == "atan" else identity_a
     rng = np.random.default_rng(19)
     lo = rng.uniform(-2.0, 2.0, 200)
     hi = lo + rng.choice([-1.0, 1.0], 200) * rng.uniform(0.05, 2.0, 200)
@@ -180,13 +177,13 @@ def test_mean_matches_quadrature(name):
         a, b = min(left, right), max(left, right)
         # split at the origin, where a bends sharpest
         integral = sum(
-            quad(lambda y: float(law.a_eval(y)), x0, x1, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+            quad(lambda y: float(a_of(y)), x0, x1, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
             for x0, x1 in ((a, min(b, 0.0)), (max(a, 0.0), b))
             if x1 > x0
         )
         assert mean == pytest.approx(integral / (b - a), abs=1e-12)
     x = np.concatenate([lo, [0.0, -0.0, 1e-300, -5e-324, 1e6, -1e6]])
-    assert np.array_equal(law.mean(x, x), law.a_eval(x))
+    assert np.array_equal(law.mean(x, x), a_of(x))
 
 
 def test_velocity_sup_bound_linear():
@@ -218,8 +215,29 @@ def test_velocity_sup_bound_kink_only_is_a_at_half_c():
     # kink-only: u_inf = c/2, so lip = c/2 and a_inf = a(c/2) bit for bit
     law = make_velocity_law("atan", k=50.0, scale=2.0 / math.pi)
     pot = make_builtin_potential("abs_scaled", sigma=1.0 / 250.0)
-    assert velocity_sup_bound(pot, law) == float(law.a_eval(1.0 / 250.0))
-    assert velocity_sup_bound(make_builtin_potential("abs_half"), law) == float(law.a_eval(0.5))
+    assert velocity_sup_bound(pot, law) == float(atan_a(1.0 / 250.0, 50.0, 2.0 / math.pi))
+    assert velocity_sup_bound(make_builtin_potential("abs_half"), law) == float(atan_a(0.5, 50.0, 2.0 / math.pi))
+
+
+# a_inf of each builtin potential under identity, atan(50, 2/pi) and
+# atan(0.3, 1.7), frozen bit for bit: a last-bit change in a(+-lip) moves
+# every CFL step of a run
+A_INF = [
+    (make_builtin_potential("abs_half"), (0.5, 0.9745487773040165, 0.2531129109361453)),
+    (make_builtin_potential("abs_scaled", sigma=1.0 / 250.0), (0.004, 0.1256659163780024, 0.0020399990208008457)),
+    (make_builtin_potential("abs_scaled", sigma=3.7), (3.7, 0.9965588455560129, 1.423722311439766)),
+    (make_builtin_potential("exp_pointy"), (0.5, 0.9745487773040165, 0.2531129109361453)),
+]
+
+
+@pytest.mark.parametrize("pot, expected", A_INF, ids=[pot.name for pot, _ in A_INF])
+def test_velocity_sup_bound_frozen(pot, expected):
+    laws = (
+        make_velocity_law("identity"),
+        make_velocity_law("atan", k=50.0, scale=2.0 / math.pi),
+        make_velocity_law("atan", k=0.3, scale=1.7),
+    )
+    assert tuple(velocity_sup_bound(pot, law) for law in laws) == expected
 
 
 @pytest.mark.parametrize("pot", [*ALL_BUILTINS, REPULSIVE], ids=lambda pot: pot.name)
@@ -281,7 +299,7 @@ def test_mean_speed_matches_longdouble_reference(d):
             # either sign, c = 4*sign, whose trace intervals [u(x_i+), u(x_i+) + c*m_i]
             # then take the orientation of sign
             c = 4.0 * sign
-            pot = replace(make_builtin_potential("abs_scaled", sigma=2.0), decomposition=KinkDecomposition(c=c))
+            pot = replace(make_builtin_potential("abs_scaled", sigma=2.0), c=c)
             m = np.tile([1.0 / 41.0, d / 4.0], 41)
             m = m[m > 0.0]
             speeds = velocities(ParticleSystem(x=np.arange(m.size, dtype=float), m=m, time=0.0, pot=pot, law=law))
