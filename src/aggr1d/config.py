@@ -33,15 +33,18 @@ renormalized to unit mass.
 Validation raises :class:`ConfigError` (CLI exit 2, nothing written) unless
 the document is a JSON object whose every key is one named above, every
 number in it is finite, the domain has exactly two increasing endpoints,
-the label names one directory inside ``output_dir``, atoms lie in the
-half-open domain [lo, hi) and their masses sum to 1 within 1e-9, and bump
-data are positive at some cell center of every grid the run uses.
+the label names one directory inside ``output_dir`` in at most 255 bytes,
+neither holds a NUL, atoms lie in the half-open domain [lo, hi) and their
+masses sum to 1 within 1e-9, and on every grid the run uses the cell
+centers lie farther apart than ``measure.MERGE_TOL`` and bump data are
+positive at some cell center.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import asdict, astuple, dataclass, field
 from pathlib import Path
 
@@ -49,7 +52,7 @@ import numpy as np
 
 from .fv import Grid
 from .initial import GaussianBump, InitialData, builtin_initial
-from .measure import DiscreteMeasure
+from .measure import MERGE_TOL, DiscreteMeasure
 from .potentials import PointyPotential, VelocityLaw, make_builtin_potential, make_velocity_law
 
 __all__ = ["ConfigError", "SimConfig", "example_preset", "load_config"]
@@ -98,8 +101,14 @@ class SimConfig:
             raise ConfigError("gamma must lie in (0, 1]")
         if self.t_end < 0.0:
             raise ConfigError("t_end must be nonnegative")
-        if self.label in ("", ".", "..") or "/" in self.label or "\\" in self.label:
-            raise ConfigError(f"label {self.label!r} must name one directory inside output_dir")
+        try:
+            label, out_dir = os.fsencode(self.label), os.fsencode(self.output_dir)
+        except UnicodeEncodeError as exc:
+            raise ConfigError(f"label and output_dir must be file names: {exc}") from exc
+        if label in (b"", b".", b"..") or any(c in label for c in (b"/", b"\\", b"\0")) or len(label) > 255:
+            raise ConfigError(f"label {self.label!r} must name one directory inside output_dir, in at most 255 bytes")
+        if b"\0" in out_dir:
+            raise ConfigError(f"output_dir {self.output_dir!r} contains a NUL character")
         if init.is_atomic:
             pos = init.atoms.positions
             if np.any(pos < lo) or np.any(pos >= hi):
@@ -110,11 +119,13 @@ class SimConfig:
             raise ConfigError("oracle particle counts must be at least 1")
         if any(n < 10 for n in self.levels):
             raise ConfigError("every refinement level must have at least 10 cells")
-        if not init.is_atomic:
+        for n in {self.n_cells, *self.levels}:
+            centers = self.make_grid(n).centers
+            if np.min(np.diff(centers)) <= MERGE_TOL:  # from_cells would merge the snapshot's cells
+                raise ConfigError(f"the {n}-cell grid's cell centers lie within {MERGE_TOL} of each other")
             # the center is a node of the projection's 5-point Gauss rule: mass there reaches the grid
-            for n in {self.n_cells, *self.levels}:
-                if not np.any(init.density(self.make_grid(n).centers) > 0.0):
-                    raise ConfigError(f"the bump data vanish at every cell center of the {n}-cell grid")
+            if not init.is_atomic and not np.any(init.density(centers) > 0.0):
+                raise ConfigError(f"the bump data vanish at every cell center of the {n}-cell grid")
         try:
             self.make_potential()
             self.make_law()

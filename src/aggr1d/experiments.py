@@ -157,17 +157,17 @@ def cmd_particles(cfg: SimConfig) -> RunArtifacts:
     if not cfg.initial.is_atomic:
         raise ConfigError("the particles command requires atomic initial data")
     ps = _particle_system(cfg, n=cfg.initial.atoms.n_atoms)
-    log = particles.TrajectoryLog()
+    log = []
     t0 = _time.perf_counter()
     for t in cfg.schedule():
         ps = particles.advance_to(ps, t, log)
-        log.record(t, "sample", particles.snapshot(ps))
+        log.append(particles.TrajectoryEvent(t, "sample", DiscreteMeasure(ps.x, ps.m)))
     runtime = _time.perf_counter() - t0
     out = _run_dir(cfg)
-    rows = ([ev.time, ev.kind, *ev.snapshot.positions, *ev.snapshot.masses] for ev in log.events)
+    rows = ([ev.time, ev.kind, *ev.snapshot.positions, *ev.snapshot.masses] for ev in log)
     traj_path = write_csv(out / "trajectory.csv", "time,event,positions_then_masses", rows)
-    final_path = write_atoms_csv(particles.snapshot(ps), out / "final_atoms.csv")
-    merges = [ev for ev in log.events if ev.kind == "merge"]
+    final_path = write_atoms_csv(DiscreteMeasure(ps.x, ps.m), out / "final_atoms.csv")
+    merges = [ev for ev in log if ev.kind == "merge"]
     summary = {
         "runtime_s": runtime,
         "n_initial": cfg.initial.atoms.n_atoms,
@@ -225,12 +225,12 @@ def _start(fn, *args):
     return wait
 
 
-def _oracle_series(cfg: SimConfig):
-    """The particle oracle at every sample time: ([(positions, masses)], atoms left, its seconds)."""
+def _oracle_series(cfg: SimConfig, n: int, times):
+    """The n-label particle oracle at each time: ([(positions, masses)], atoms left, its seconds)."""
     t0 = _time.perf_counter()
-    ps = _particle_system(cfg, n=cfg.compare_particles)
+    ps = _particle_system(cfg, n)
     states = []
-    for t in cfg.schedule():
+    for t in times:
         ps = particles.advance_to(ps, t)
         states.append((ps.x, ps.m))
     return states, ps.n, _time.perf_counter() - t0
@@ -240,7 +240,7 @@ def cmd_compare(cfg: SimConfig) -> CompareResult:
     """Scheme vs particle oracle: W1 between snapshots at shared sample times."""
     cfg.validate()
     t0 = _time.perf_counter()
-    wait = _start(_oracle_series, cfg)
+    wait = _start(_oracle_series, cfg, cfg.compare_particles, cfg.schedule())
     try:
         fv_snaps, _ = _run_fv(cfg, cfg.n_cells, cfg.schedule())
     except BaseException:
@@ -280,9 +280,9 @@ def cmd_converge(cfg: SimConfig) -> ConvergenceReport:
     if any(b % a for a, b in zip(levels, levels[1:])):
         raise ConfigError("each refinement level must divide the next")
 
-    oracle = _particle_system(cfg, n=cfg.converge_particles)
-    oracle = particles.advance_to(oracle, cfg.t_end)
-    oracle_final = particles.snapshot(oracle)
+    # t_end alone: a sample time before it would shorten an RK4 step and move the oracle's bits
+    states, atoms, oracle_s = _oracle_series(cfg, cfg.converge_particles, [cfg.t_end])
+    oracle_final = DiscreteMeasure(*states[-1])
 
     rows = []
     for n_cells in levels:
@@ -297,6 +297,8 @@ def cmd_converge(cfg: SimConfig) -> ConvergenceReport:
     path = write_csv(out / "convergence.csv", "dx,n_cells,w1_error,ratio", table)
     summary = {
         "oracle_labels": cfg.converge_particles,
+        "oracle_atoms_final": atoms,
+        "oracle_s": oracle_s,
         "runtimes_s": {str(r.n_cells): r.runtime_s for r in rows},
         "w1_errors": {str(r.n_cells): r.w1_error for r in rows},
         "ratios": ratios,

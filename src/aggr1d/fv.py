@@ -17,8 +17,8 @@ difference) so positivity survives floating point.
 The grid stands in for the whole line: the flux that leaves the two end
 cells is dropped, so the mass recorded at each step is exactly what the
 grid still holds.  With an attractive potential the end-cell speeds point
-inward and nothing leaves; :func:`run` aborts once the lost mass exceeds
-``BOUNDARY_MASS_TOL``.
+inward and nothing leaves.  :func:`run` alone aborts, on its diagnostics rows:
+lost mass above ``BOUNDARY_MASS_TOL``, a non-finite max|a|, a CFL violation.
 
 Cell i's speed is the mean of the speed law a over [s_{i-1/2}, s_{i+1/2}],
 between two interface values of the cumulative primitive gradient
@@ -81,7 +81,7 @@ GAUSS5_WEIGHTS = (0.23692688505618928, 0.4786286704993663, 0.5688888888888887, 0
 
 
 class SchemeError(RuntimeError):
-    """Scheme-level abort: CFL violation, mass lost at the grid edge, stalled time, corrupt state."""
+    """Abort of :func:`run`: non-finite speed, CFL violation, mass lost at the grid edge, stalled time."""
 
 
 @dataclass(frozen=True)
@@ -273,10 +273,7 @@ def solve_s_gradient(state: FVState, pot: PointyPotential, nu: np.ndarray | None
 
 def velocity_from_gradients(law: VelocityLaw, s: np.ndarray) -> np.ndarray:
     """Per-cell speed from interface gradients: the mean of a over [s_{i-1/2}, s_{i+1/2}]."""
-    a = law.mean(s[:-1], s[1:])
-    if not np.isfinite(a).all():
-        raise SchemeError("non-finite mean speed in the velocity")
-    return a
+    return law.mean(s[:-1], s[1:])
 
 
 def nonlinear_velocity(state: FVState, pot: PointyPotential, law: VelocityLaw, kernel: NuKernel) -> np.ndarray:
@@ -295,7 +292,7 @@ def cfl_dt(vel_bound: float, dx: float, gamma: float) -> float:
 
 
 def step(state: FVState, a: np.ndarray, dt: float) -> FVState:
-    """One upwind step with per-cell speeds ``a`` under CFL, in positivity-preserving form.
+    """One upwind step with per-cell speeds ``a``, in positivity-preserving form.
 
     Cell i sends the share s_i = min((dt/dx)|a_i|, 1) of its content to the
     side a_i points to and keeps the rest:
@@ -303,20 +300,14 @@ def step(state: FVState, a: np.ndarray, dt: float) -> FVState:
     rho_i^{n+1} = rho_i (1 - s_i) + s_{i-1} rho_{i-1} [a_{i-1} > 0]
                   + s_{i+1} rho_{i+1} [a_{i+1} < 0].
 
-    Every addend is nonnegative, so min rho >= 0 holds exactly in floating
-    point.  The cap binds only within the 1e-9 slack past dt*max|a|/dx = 1,
-    where a cell then sends all it holds and no more.
+    Every addend is nonnegative and no cell sends more than it holds, so for
+    finite speeds and dt >= 0 the step conserves mass and keeps min rho >= 0
+    exactly; :func:`run` checks CFL, and the cap binds only in its 1e-9 slack.
     """
     if dt < 0.0:
         raise ValueError("dt must be nonnegative")
-    dx = state.grid.dx
-    lam = dt / dx
-    abs_a = np.abs(a)
-    amax = float(abs_a.max()) if a.size else 0.0
-    if lam * amax > 1.0 + 1e-9:
-        raise SchemeError(f"CFL violation: dt*max|a|/dx = {lam * amax:.6g} > 1")
     rho = state.rho
-    share = lam * abs_a
+    share = dt / state.grid.dx * np.abs(a)
     np.minimum(share, 1.0, out=share)
     new = 1.0 - share
     new *= rho
@@ -385,7 +376,8 @@ def run(
     upwind step conserves mass except for the flux leaving the two end
     cells, so the recorded mass measures the outflow exactly: the run aborts
     (SchemeError) once it has fallen more than ``BOUNDARY_MASS_TOL`` below
-    the initial mass, or when a step does not advance the time.
+    the initial mass, when the recorded max|a| is not finite or makes
+    dt*max|a|/dx exceed 1 + 1e-9, or when a step does not advance the time.
     """
     if t_end < 0.0:
         raise ValueError("t_end must be nonnegative")
@@ -401,6 +393,9 @@ def run(
     while True:
         a = nonlinear_velocity(state, pot, law, kernel)
         diag.record(state, a)
+        amax = diag.max_abs_a[-1]
+        if not np.isfinite(amax):
+            raise SchemeError(f"non-finite mean speed at t = {state.time:.6g}")
         lost = diag.mass[0] - diag.mass[-1]
         if lost > BOUNDARY_MASS_TOL:
             raise SchemeError(f"mass {lost:.3g} left the grid by t = {state.time:.6g}; enlarge the domain")
@@ -410,7 +405,10 @@ def run(
         if not targets:
             break
         t = state.time
-        state = step(state, a, min(dt_cfl, targets[0] - t))
+        dt = min(dt_cfl, targets[0] - t)
+        if dt / state.grid.dx * amax > 1.0 + 1e-9:
+            raise SchemeError(f"CFL violation: dt*max|a|/dx = {dt / state.grid.dx * amax:.6g} > 1")
+        state = step(state, a, dt)
         if not state.time > t:
             raise SchemeError(f"step {state.step_index} did not advance the time from t = {t!r}")
         if abs(state.time - targets[0]) < 1e-12:

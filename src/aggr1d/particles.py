@@ -37,7 +37,7 @@ the contact tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,9 +47,6 @@ from .potentials import PointyPotential, VelocityLaw, left_exp_sums
 __all__ = [
     "ParticleSystem",
     "TrajectoryEvent",
-    "TrajectoryLog",
-    "snapshot",
-    "velocities",
     "advance_to",
 ]
 
@@ -98,18 +95,6 @@ class TrajectoryEvent:
     snapshot: DiscreteMeasure
 
 
-@dataclass
-class TrajectoryLog:
-    events: list[TrajectoryEvent] = field(default_factory=list)
-
-    def record(self, time: float, kind: str, snap: DiscreteMeasure) -> None:
-        self.events.append(TrajectoryEvent(time, kind, snap))
-
-
-def snapshot(ps: ParticleSystem) -> DiscreteMeasure:
-    return DiscreteMeasure(ps.x, ps.m)
-
-
 def _wtilde_sums(x: np.ndarray, m: np.ndarray, pot: PointyPotential) -> np.ndarray:
     """sum_j m_j wtilde(x_i - x_j) for every i.
 
@@ -130,11 +115,6 @@ def _wtilde_sums(x: np.ndarray, m: np.ndarray, pot: PointyPotential) -> np.ndarr
 def _nonlinear_vel(x: np.ndarray, m: np.ndarray, pot: PointyPotential, law: VelocityLaw) -> np.ndarray:
     u_plus = -pot.c * np.cumsum(m) + _wtilde_sums(x, m, pot)
     return law.mean(u_plus, u_plus + pot.c * m)
-
-
-def velocities(ps: ParticleSystem):
-    """Jump speeds m_i x_i' = -[A(u)]_{x_i} with one-sided traces of u = W'*rho."""
-    return _nonlinear_vel(ps.x, ps.m, ps.pot, ps.law)
 
 
 def _rk4(x, m, h, vel, k1):
@@ -227,7 +207,7 @@ def _locate_contact(x, m, k1, vel, i, h, g_end, tau, rate):
     raise RuntimeError("particle contact location did not converge")
 
 
-def _advance_kink_only(ps: ParticleSystem, t_end: float, log: TrajectoryLog | None):
+def _advance_kink_only(ps: ParticleSystem, t_end: float, log: list[TrajectoryEvent] | None):
     """Exact event-driven sticky dynamics of a kink-only potential; returns (x, m) at t_end."""
     x, m, t = ps.x, ps.m, ps.time
     v = _nonlinear_vel(x, m, ps.pot, ps.law)
@@ -246,18 +226,18 @@ def _advance_kink_only(ps: ParticleSystem, t_end: float, log: TrajectoryLog | No
             linked |= tau <= t_hit * (1.0 + 4.0 * np.finfo(float).eps)
         x, m, merged, v = merge_runs(x, m, linked, v)
         if merged and log is not None:
-            log.record(t, "merge", DiscreteMeasure(x, m))
+            log.append(TrajectoryEvent(t, "merge", DiscreteMeasure(x, m)))
         if event and not merged:
             raise RuntimeError(f"particle events stalled at t = {t!r}: a contact merged nothing")
     return x, m
 
 
-def advance_to(ps: ParticleSystem, t_end: float, log: TrajectoryLog | None = None) -> ParticleSystem:
+def advance_to(ps: ParticleSystem, t_end: float, log: list[TrajectoryEvent] | None = None) -> ParticleSystem:
     """Evolve the system to t_end, merging on contact; returns a new system.
 
-    Merge events are appended to ``log`` (kind "merge", snapshot taken just
-    after the merge).  Raises RuntimeError on non-finite state and when the
-    integration stalls: an RK4 pass that neither advances the time nor
+    Each merge appends a :class:`TrajectoryEvent` (kind "merge", snapshot just
+    after it) to the list ``log``.  Raises RuntimeError on non-finite state and
+    when the integration stalls: an RK4 pass that neither advances the time nor
     merges particles, or a contact event that merges nothing.
     """
     if t_end < ps.time:
@@ -279,7 +259,7 @@ def advance_to(ps: ParticleSystem, t_end: float, log: TrajectoryLog | None = Non
             x, m, _ = merge_runs(x, m, gaps <= CONTACT_TOL)
             v = None
             if log is not None:
-                log.record(t, "merge", DiscreteMeasure(x, m))
+                log.append(TrajectoryEvent(t, "merge", DiscreteMeasure(x, m)))
             continue
         t_prev, n_prev = t, x.size
         if v is None:
@@ -300,7 +280,7 @@ def advance_to(ps: ParticleSystem, t_end: float, log: TrajectoryLog | None = Non
             x, m, merged = merge_runs(x, m, np.diff(x) <= max(CONTACT_TOL, 4.0 * vmax * BISECT_TOL))
             v = None
             if merged and log is not None:
-                log.record(t, "merge", DiscreteMeasure(x, m))
+                log.append(TrajectoryEvent(t, "merge", DiscreteMeasure(x, m)))
         if not np.all(np.isfinite(x)):
             raise RuntimeError("non-finite particle state")
         if t == t_prev and x.size == n_prev:

@@ -473,11 +473,22 @@ def test_step_isolated_dirac_is_stationary():
     np.testing.assert_array_equal(new.rho, st.rho)
 
 
-def test_step_rejects_cfl_violation():
-    g = Grid(x_min=0.0, dx=0.1, n_cells=4)
-    st = FVState(grid=g, rho=np.array([0.0, 5.0, 5.0, 0.0]))
-    with pytest.raises(SchemeError):
-        step(st, np.array([1.0, 1.0, 1.0, 1.0]), 0.2)
+def test_run_rejects_cfl_violation_before_stepping(monkeypatch):
+    # the cell speeds are twice the identity's while the sup bound, which calls
+    # the mean with two floats, is the identity's: the first step breaks CFL
+    def mean(lo, hi):
+        out = IDENTITY.mean(lo, hi)
+        return 2.0 * out if np.ndim(out) else out
+
+    law = VelocityLaw(name="twice-identity", mean=mean)
+    st = project_initial(builtin_initial("init1").density, Grid.from_domain(-2.5, 2.5, 100))
+
+    def no_step(*args):
+        raise AssertionError("stepped past the CFL bound")
+
+    monkeypatch.setattr(fv, "step", no_step)
+    with pytest.raises(SchemeError, match="CFL violation"):
+        run(st, ABS_HALF, law, 1.0, 0.9)
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["rightward", "leftward"])
@@ -723,15 +734,6 @@ def test_run_matches_reference_loop_bit_for_bit(case):
         assert len(set(diag.support_lo)) > 1 and len(set(diag.support_hi)) > 1
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
-@pytest.mark.parametrize("law", [IDENTITY, ATAN], ids=["identity", "atan"])
-def test_velocity_from_gradients_rejects_non_finite_speed(law, bad):
-    s = np.linspace(-0.5, 0.5, 11)
-    s[4] = bad
-    with np.errstate(invalid="ignore"), pytest.raises(SchemeError, match="non-finite mean speed"):
-        velocity_from_gradients(law, s)
-
-
 def test_run_aborts_on_non_finite_speed_before_stepping(monkeypatch):
     def mean(lo, hi):
         out = IDENTITY.mean(lo, hi)
@@ -748,6 +750,27 @@ def test_run_aborts_on_non_finite_speed_before_stepping(monkeypatch):
     monkeypatch.setattr(fv, "step", no_step)
     with pytest.raises(SchemeError, match="non-finite mean speed"):
         run(st, ABS_HALF, law, 1.0, 0.9)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("law", [IDENTITY, ATAN], ids=["identity", "atan"])
+def test_run_aborts_on_non_finite_gradient_before_stepping(monkeypatch, law, bad):
+    # one non-finite interface gradient reaches the law's mean; the CFL bound
+    # calls the mean with two floats and keeps its finite value
+    def mean(lo, hi):
+        if np.ndim(lo):
+            lo = lo.copy()
+            lo[lo.size // 2] = bad
+        return law.mean(lo, hi)
+
+    st = project_initial(builtin_initial("init1").density, Grid.from_domain(-2.5, 2.5, 100))
+
+    def no_step(*args):
+        raise AssertionError("stepped with a non-finite speed")
+
+    monkeypatch.setattr(fv, "step", no_step)
+    with np.errstate(invalid="ignore"), pytest.raises(SchemeError, match="non-finite mean speed"):
+        run(st, ABS_HALF, VelocityLaw(name="one-bad-gradient", mean=mean), 1.0, 0.9)
 
 
 def test_diagnostics_csv_format(tmp_path):

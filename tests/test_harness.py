@@ -490,6 +490,10 @@ def test_cli_converge_roundtrip(tmp_path):
     )
     assert code == 0
     assert (tmp_path / "cv" / "convergence.csv").exists()
+    summary = json.loads((tmp_path / "cv" / "manifest.json").read_text())["summary"]
+    assert summary["oracle_labels"] == 64
+    assert 1 <= summary["oracle_atoms_final"] <= 64
+    assert summary["oracle_s"] > 0.0
 
 
 def test_converge_runs_levels_serially(tmp_path):
@@ -559,8 +563,29 @@ def test_label_must_stay_inside_out_dir(tmp_path):
         replace(example_preset(1), label="../x").validate()
 
 
+@pytest.mark.parametrize(
+    "label, out",
+    [("a\0b", "out"), ("x" * 300, "out"), ("\u00e9" * 128, "out"), ("s\ud800", "out"), ("ok", "o\0d")],
+    ids=["label-nul", "label-300-chars", "label-256-bytes", "label-lone-surrogate", "out-dir-nul"],
+)
+def test_cli_rejects_names_no_directory_can_take(tmp_path, label, out):
+    p = tmp_path / "names.json"
+    p.write_text(json.dumps({"label": label, "n_cells": 50, "t_end": 0.1}))
+    assert cli_main(["simulate", "--config", str(p), "--out", str(tmp_path / out)]) == 2
+    assert list(tmp_path.iterdir()) == [p]
+
+
+def test_label_of_255_utf8_bytes_runs(tmp_path):
+    label = "\u00e9" * 127 + "x"  # 255 bytes in UTF-8, 128 characters
+    args = ["simulate", "--example", "2", "--cells", "50", "--t-end", "0.1", "--out", str(tmp_path), "--label", label]
+    assert cli_main(args) == 0
+    assert (tmp_path / label / "manifest.json").is_file()
+
+
 _HALF_MASS_ATOMS = {"kind": "atoms", "atoms": [[-1.0, 0.25], [1.0, 0.25]]}
 _OFF_GRID_BUMP = {"kind": "bumps", "bumps": [{"amplitude": 1.0, "center": 50.0, "width": 0.316}]}
+# cell centers 5e-13 apart, closer than measure.MERGE_TOL: every snapshot would merge into one cell
+_TINY_BUMP = {"kind": "bumps", "bumps": [{"amplitude": 1.0, "center": 5e-11, "width": 2e-11}]}
 _GATE_CASES = {
     "atoms-half-mass-simulate": ("simulate", {"initial": _HALF_MASS_ATOMS}),
     "atoms-half-mass-particles": ("particles", {"initial": _HALF_MASS_ATOMS}),
@@ -569,6 +594,14 @@ _GATE_CASES = {
     "k-inf": ("simulate", {"velocity_law": {"name": "atan", "k": math.inf, "scale": 0.5}}),
     "domain-inf": ("simulate", {"domain": [-2.5, math.inf]}),
     "bump-off-grid": ("simulate", {"initial": _OFF_GRID_BUMP}),
+    "cells-within-merge-tol": (
+        "simulate",
+        {"domain": [0.0, 1e-10], "n_cells": 200, "t_end": 1e-9, "initial": _TINY_BUMP},
+    ),
+    "level-within-merge-tol": (
+        "converge",
+        {"domain": [0.0, 1e-10], "n_cells": 50, "levels": [50, 100, 200], "t_end": 1e-9, "initial": _TINY_BUMP},
+    ),
     "list-document": ("simulate", None),
     "domain-three-endpoints": ("simulate", {"domain": [-1.0, 0.0, 1.0]}),
     "sample-time-nan": ("simulate", {"sample_times": [math.nan, 0.25]}),

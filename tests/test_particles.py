@@ -8,11 +8,12 @@ from aggr1d import particles
 from aggr1d.config import example_preset
 from aggr1d.experiments import _particle_system
 from aggr1d.measure import DiscreteMeasure, wasserstein1
-from aggr1d.particles import ParticleSystem, TrajectoryLog, advance_to, snapshot, velocities
+from aggr1d.particles import ParticleSystem, advance_to
 from aggr1d.potentials import make_builtin_potential, make_velocity_law
 from direct_sums import pairwise_speeds, wtilde_sums
 from isotonic_reference import isotonic_projection
 from mean_speed_reference import atan_a, atan_antideriv, identity_antideriv
+from particle_views import snapshot, velocities
 from potential_reference import closed_form
 
 ABS_HALF = make_builtin_potential("abs_half")
@@ -135,12 +136,12 @@ def test_coincident_particles_rejected():
 
 def test_two_body_merge_time_and_point():
     # gap 2 closes at rate 1/2: contact at t = 4, x = 0 by symmetry
-    log = TrajectoryLog()
+    log = []
     ps = advance_to(system([-1.0, 1.0], [0.5, 0.5]), 5.0, log)
     assert ps.n == 1
     assert abs(ps.x[0]) <= 1e-14
     assert ps.m[0] == 1.0
-    merges = [ev for ev in log.events if ev.kind == "merge"]
+    merges = [ev for ev in log if ev.kind == "merge"]
     assert len(merges) == 1
     assert merges[0].time == pytest.approx(4.0, abs=1e-14)
     np.testing.assert_array_equal(velocities(ps), [0.0])  # stationary after merge
@@ -202,13 +203,13 @@ def test_single_particle_never_moves():
 
 def test_three_body_collapse():
     # outer speeds are 3/8 inward, middle stays: triple contact at t = 8/3
-    log = TrajectoryLog()
+    log = []
     ps0 = system([-1.0, 0.0, 1.0], [0.25, 0.5, 0.25])
     ps = advance_to(ps0, 4.0, log)
     assert ps.n == 1
     assert abs(ps.x[0]) <= 1e-14
     assert ps.m[0] == 1.0
-    merges = [ev for ev in log.events if ev.kind == "merge"]
+    merges = [ev for ev in log if ev.kind == "merge"]
     assert merges[0].time == pytest.approx(8.0 / 3.0, abs=1e-14)
 
 
@@ -216,10 +217,10 @@ def test_exp_two_body_merge_time_analytic():
     # W = (e^{-|x|}-1)/2, identity law, masses 1/2: the gap d obeys
     # d' = -e^{-d}/2, so e^d falls at rate 1/2 and contact is at 2(e^{d0} - 1)
     for d0 in (0.5, 2.0):
-        log = TrajectoryLog()
+        log = []
         t_contact = 2.0 * math.expm1(d0)
         ps = advance_to(system([-0.5 * d0, 0.5 * d0], [0.5, 0.5], pot=EXP_POINTY), t_contact + 0.1, log)
-        merges = [ev for ev in log.events if ev.kind == "merge"]
+        merges = [ev for ev in log if ev.kind == "merge"]
         assert len(merges) == 1 and ps.n == 1
         assert merges[0].time == pytest.approx(t_contact, abs=1e-11)
         assert abs(ps.x[0]) <= 1e-11
@@ -246,7 +247,7 @@ def test_three_body_against_fixed_step_rk4():
         k4 = vel(y + h * k3)
         y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
         t += h
-    ps = advance_to(system(x, m, pot=pot), t, TrajectoryLog())
+    ps = advance_to(system(x, m, pot=pot), t, [])
     if ps.n == 3:
         np.testing.assert_allclose(ps.x, y, atol=1e-6)
     else:
@@ -322,12 +323,12 @@ def test_velocity_osl_diagnostic():
 
 
 def test_trajectory_log_monotone_times_and_mass():
-    log = TrajectoryLog()
+    log = []
     ps = system([-1.0, -0.2, 0.4, 1.3], [0.25, 0.25, 0.25, 0.25])
     for t in (1.0, 2.0, 8.0):
         ps = advance_to(ps, t, log)
-        log.record(t, "sample", snapshot(ps))
-    times = [ev.time for ev in log.events]
+        log.append(particles.TrajectoryEvent(t, "sample", snapshot(ps)))
+    times = [ev.time for ev in log]
     assert all(b >= a for a, b in zip(times, times[1:]))
-    assert all(abs(ev.snapshot.total_mass - 1.0) <= 1e-12 for ev in log.events)
+    assert all(abs(ev.snapshot.total_mass - 1.0) <= 1e-12 for ev in log)
     assert ps.n == 1  # everything aggregates eventually

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from aggr1d import fv
-from aggr1d.particles import ParticleSystem, velocities
+from aggr1d.particles import ParticleSystem
 from aggr1d.potentials import (
     EXP_BLOCK,
     left_exp_sums,
@@ -16,6 +16,7 @@ from aggr1d.potentials import (
     velocity_sup_bound,
 )
 from mean_speed_reference import QUOTIENT_MIN, atan_a, atan_mean, identity_a, identity_mean
+from particle_views import velocities
 from potential_reference import REPULSIVE, closed_form
 
 ALL_BUILTINS = [
