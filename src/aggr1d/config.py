@@ -36,8 +36,9 @@ number in it is finite, the domain has exactly two increasing endpoints,
 the label names one directory inside ``output_dir`` in at most 255 bytes,
 neither holds a NUL, atoms lie in the half-open domain [lo, hi) and their
 masses sum to 1 within 1e-9, and on every grid the run uses the cell
-centers lie farther apart than ``measure.MERGE_TOL`` and bump data are
-positive at some cell center.
+centers lie farther apart than ``measure.MERGE_TOL`` and bump data
+project to a positive mass, and the CFL speed bound a_inf is a positive
+normal float.
 """
 
 from __future__ import annotations
@@ -45,15 +46,16 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import asdict, astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .fv import Grid
+from .fv import Grid, project_initial
 from .initial import GaussianBump, InitialData, builtin_initial
 from .measure import MERGE_TOL, DiscreteMeasure
-from .potentials import PointyPotential, VelocityLaw, make_builtin_potential, make_velocity_law
+from .potentials import PointyPotential, VelocityLaw, make_builtin_potential, make_velocity_law, velocity_sup_bound
 
 __all__ = ["ConfigError", "SimConfig", "example_preset", "load_config"]
 
@@ -120,17 +122,20 @@ class SimConfig:
         if any(n < 10 for n in self.levels):
             raise ConfigError("every refinement level must have at least 10 cells")
         for n in {self.n_cells, *self.levels}:
-            centers = self.make_grid(n).centers
-            if np.min(np.diff(centers)) <= MERGE_TOL:  # from_cells would merge the snapshot's cells
+            grid = self.make_grid(n)
+            if np.min(np.diff(grid.centers)) <= MERGE_TOL:  # from_cells would merge the snapshot's cells
                 raise ConfigError(f"the {n}-cell grid's cell centers lie within {MERGE_TOL} of each other")
-            # the center is a node of the projection's 5-point Gauss rule: mass there reaches the grid
-            if not init.is_atomic and not np.any(init.density(centers) > 0.0):
-                raise ConfigError(f"the bump data vanish at every cell center of the {n}-cell grid")
+            if not init.is_atomic:
+                try:
+                    project_initial(init.density, grid)
+                except ValueError as exc:  # the projected mass is zero
+                    raise ConfigError(f"the bump data on the {n}-cell grid: {exc}") from exc
         try:
-            self.make_potential()
-            self.make_law()
+            a_inf = velocity_sup_bound(self.make_potential(), self.make_law())
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if not (math.isfinite(a_inf) and a_inf >= sys.float_info.min):  # the CFL step divides by it
+            raise ConfigError(f"the speed bound a_inf = {a_inf!r} is not a positive normal float")
         return self
 
     def schedule(self) -> list[float]:

@@ -5,13 +5,17 @@ engines, writes CSV artifacts plus a JSON run manifest into the run
 directory, and returns an in-memory result object.  CSV contents are a
 pure function of the config (runtimes live only in the manifest), so
 repeated runs of the same config produce bit-identical CSV files.
-``compare`` runs its particle oracle in a forked child while the scheme
-runs, where ``os.fork`` exists, with byte-identical results either way.
+Where ``os.fork`` exists, a forked child works while the scheme runs, with
+byte-identical results either way: ``compare``'s runs the particle oracle,
+and ``simulate``'s formats each snapshot CSV as the scheme samples its
+density and writes them once the run directory is ready.  Without
+``os.fork`` the same function runs after the scheme.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import pickle
@@ -106,44 +110,75 @@ def _run_dir(cfg: SimConfig) -> Path:
     return d
 
 
-def _run_fv(cfg: SimConfig, n_cells: int, times):
+def _run_fv(cfg: SimConfig, n_cells: int, times, on_sample=None):
     """Run the scheme from the config's initial data on ``n_cells`` cells, sampling at ``times``."""
     initial = cfg.initial.atoms if cfg.initial.is_atomic else cfg.initial.density
     state0 = fv.project_initial(initial, cfg.make_grid(n_cells))
-    return fv.run(state0, cfg.make_potential(), cfg.make_law(), cfg.t_end, cfg.gamma, times)
+    return fv.run(state0, cfg.make_potential(), cfg.make_law(), cfg.t_end, cfg.gamma, times, on_sample=on_sample)
 
 
-def _write_snapshot_csv(path: Path, m: DiscreteMeasure, grid: fv.Grid) -> Path:
-    """Cell-centered snapshot: ``x,rho`` rows over the full grid."""
-    rho = np.zeros(grid.n_cells)
-    if m.n_atoms:
-        idx = np.rint((m.positions - grid.x_min) / grid.dx).astype(int)
-        rho[idx] = m.masses / grid.dx
-    return write_csv(path, "x,rho", np.column_stack([grid.centers, rho]))
+def _snapshot_files(source, cfg: SimConfig):
+    """Snapshot CSVs of the densities read from ``source``, written once it ends: (paths, seconds).
+
+    Each density arrives as n_cells float64 values.  Its ``x,rho`` rows hold
+    the masses/dx of its :func:`~aggr1d.measure.from_cells` atoms, and 0 in
+    the cells without one, as :func:`~aggr1d.measure.write_csv` formats
+    them, through a template that holds the x column formatted once.  The
+    seconds are those spent formatting and writing, not waiting for ``source``.
+    """
+    t0 = _time.perf_counter()
+    grid = cfg.make_grid()
+    dx, n = grid.dx, grid.n_cells
+    template = "x,rho\n" + ("%.17g,%%.17g\n" * n) % tuple(grid.centers.tolist())
+    texts = []
+    busy = _time.perf_counter() - t0
+    while chunk := source.read(8 * n):
+        t0 = _time.perf_counter()
+        mass = np.frombuffer(chunk) * dx
+        texts.append(template % tuple(np.divide(mass, dx, out=np.zeros(n), where=mass > 0.0).tolist()))
+        busy += _time.perf_counter() - t0
+    t0 = _time.perf_counter()
+    out = Path(cfg.output_dir) / cfg.label
+    paths = [out / f"snapshot_{k:03d}_t{t:.6f}.csv" for k, t in enumerate(cfg.schedule())]
+    if len(texts) != len(paths):
+        raise RuntimeError(f"{len(texts)} of {len(paths)} snapshot densities arrived")
+    for path, text in zip(paths, texts):
+        path.write_text(text)
+    return paths, busy + _time.perf_counter() - t0
 
 
 def cmd_simulate(cfg: SimConfig) -> RunArtifacts:
-    """Run the finite-volume scheme; write snapshots, diagnostics and manifest."""
+    """Run the finite-volume scheme; write snapshots, diagnostics and manifest.
+
+    Each sampled density goes to :func:`_snapshot_files` as the scheme takes
+    it, which formats the snapshots meanwhile in a forked child and writes
+    them once the run directory is ready.
+    """
     cfg.validate()
     a_inf = velocity_sup_bound(cfg.make_potential(), cfg.make_law())
-    t0 = _time.perf_counter()
-    snapshots, diag = _run_fv(cfg, cfg.n_cells, cfg.schedule())
-    runtime = _time.perf_counter() - t0
-    out = _run_dir(cfg)
-    grid = cfg.make_grid()
-    files = [_write_snapshot_csv(out / f"snapshot_{k:03d}_t{t:.6f}.csv", m, grid) for k, (t, m) in enumerate(snapshots)]
-    diag_path = out / "diagnostics.csv"
-    diag.write_csv(diag_path)
-    files.append(diag_path)
+    send, wait = _start(_snapshot_files, cfg, feed=True)
+    try:
+        t0 = _time.perf_counter()
+        _, diag = _run_fv(cfg, cfg.n_cells, cfg.schedule(), on_sample=send)
+        runtime = _time.perf_counter() - t0
+        out = _run_dir(cfg)
+        send(None)  # the child writes its files while this process writes the diagnostics
+        diag_path = out / "diagnostics.csv"
+        diag.write_csv(diag_path)
+    except BaseException:
+        wait(kill=True)
+        raise
+    files, format_s = wait()
     summary = {
         "runtime_s": runtime,
+        "format_s": format_s,
         "steps": diag.step_index[-1],
         "final_mass": diag.mass[-1],
         "final_support_cells": diag.support_cells[-1],
         "max_abs_velocity": max(diag.max_abs_a),
         "a_inf": a_inf,
     }
-    return _write_manifest(cfg, "simulate", out, files, summary)
+    return _write_manifest(cfg, "simulate", out, [*files, diag_path], summary)
 
 
 def _particle_system(cfg: SimConfig, n: int) -> particles.ParticleSystem:
@@ -182,19 +217,39 @@ class ChildTraceback(Exception):
     """Traceback text of an exception raised in a forked child, the cause of its re-raise."""
 
 
-def _start(fn, *args):
+def _start(fn, *args, feed=False):
     """Call fn(*args) in a forked child process, or inline in ``wait`` without ``os.fork``.
 
     Returns ``wait``: ``wait()`` reaps the child and returns fn's result or
-    raises its exception; ``wait(kill=True)`` kills and reaps it.
+    raises its exception; ``wait(kill=True)`` kills and reaps it.  Once the
+    child is reaped, ``wait`` does nothing.  With ``feed`` the call is
+    fn(source, *args) and ``_start`` returns (send, wait): ``source`` is a
+    binary file that reads the bytes of every ``send(data)`` up to
+    ``send(None)`` or ``wait()``, which end them, and inline they are kept
+    for fn until ``wait()``.  A child that stops reading makes ``send``
+    raise what ``wait()`` raises.
     """
     if not hasattr(os, "fork"):
-        return lambda kill=False: None if kill else fn(*args)
+        sent = []
+
+        def send_inline(data):
+            if data is not None:
+                sent.append(bytes(data))
+
+        def wait_inline(kill=False):
+            if not kill:
+                return fn(io.BytesIO(b"".join(sent)), *args) if feed else fn(*args)
+
+        return (send_inline, wait_inline) if feed else wait_inline
     r, w = os.pipe()
+    source, sink = os.pipe() if feed else (None, None)
     pid = os.fork()
     if pid == 0:  # the child never returns
         try:
             try:
+                if feed:
+                    os.close(sink)
+                    args = (os.fdopen(source, "rb"), *args)
                 reply = (None, fn(*args))
             except Exception as exc:
                 reply = (traceback.format_exc(), exc)
@@ -205,16 +260,27 @@ def _start(fn, *args):
             os._exit(1)
     os.close(w)
     pipe = os.fdopen(r, "rb")
+    if feed:
+        os.close(source)
+        feed_pipe = os.fdopen(sink, "wb", buffering=0)
+    reaped = []
 
     def wait(kill=False):
+        if reaped:
+            return None
         try:
             if kill:
-                os.kill(pid, 9)  # SIGKILL
+                os.kill(pid, 9)  # SIGKILL; killed before its feed ends, a child acts on none of it
                 return None
+            if feed:
+                feed_pipe.close()
             data = pipe.read()
         finally:
             pipe.close()
-            status = os.waitpid(pid, 0)[1]
+            reaped.append(os.waitpid(pid, 0)[1])
+            if feed:
+                feed_pipe.close()
+        status = reaped[0]
         if status or not data:
             raise RuntimeError(f"the child process ended without a result (wait status {status})")
         text, value = pickle.loads(data)
@@ -222,7 +288,22 @@ def _start(fn, *args):
             raise value from ChildTraceback(text)
         return value
 
-    return wait
+    if not feed:
+        return wait
+
+    def send(data):
+        if data is None:
+            feed_pipe.close()
+            return
+        view = memoryview(data).cast("B")
+        try:
+            while view:
+                view = view[feed_pipe.write(view) :]
+        except BrokenPipeError:  # the child stopped reading: its result says why
+            wait()
+            raise RuntimeError("the child process stopped reading its input") from None
+
+    return send, wait
 
 
 def _oracle_series(cfg: SimConfig, n: int, times):

@@ -367,12 +367,15 @@ def run(
     t_end: float,
     gamma: float,
     sample_times=(),
+    on_sample=None,
 ):
     """Advance the scheme to t_end, sampling snapshots at the requested times.
 
     Speeds are recomputed every step; the step is the CFL step shortened to
     land exactly on sample times and on t_end.  Returns (snapshots,
-    diagnostics) with snapshots a list of (time, DiscreteMeasure).  The
+    diagnostics) with snapshots a list of (time, DiscreteMeasure).  Right
+    after a snapshot is taken, ``on_sample``, if given, is called with its
+    density, the read-only cell array it was taken from.  The
     upwind step conserves mass except for the flux leaving the two end
     cells, so the recorded mass measures the outflow exactly: the run aborts
     (SchemeError) once it has fallen more than ``BOUNDARY_MASS_TOL`` below
@@ -401,6 +404,8 @@ def run(
             raise SchemeError(f"mass {lost:.3g} left the grid by t = {state.time:.6g}; enlarge the domain")
         while targets and state.time >= targets[0] - time_tol:
             snapshots.append((targets[0], from_cells(state.grid.x_min, state.grid.dx, state.rho)))
+            if on_sample is not None:
+                on_sample(state.rho)
             targets.pop(0)
         if not targets:
             break

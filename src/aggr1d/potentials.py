@@ -165,10 +165,30 @@ def make_velocity_law(name: str, k: float | None = None, scale: float | None = N
             # q = k*hi, d = k*(hi - lo) the mean is scale*(F(q) - F(p))/d =
             # scale*(atan(q) + (p*(atan(q) - atan(p)) - log((1+q^2)/(1+p^2))/2)/d),
             # whose two differences are atan2(d, 1 + p*q) and log1p(d*(p+q)/(1+p^2))
-            # without cancellation; the bracket is exactly 0 at d = 0
-            p, q, d = kk * lo, kk * hi, kk * (hi - lo)
-            bracket = p * np.arctan2(d, 1.0 + p * q) - 0.5 * np.log1p(d * (p + q) / (1.0 + p * p))
-            return sc * (np.arctan(q) + bracket / np.where(d == 0.0, 1.0, d))
+            # without cancellation; the bracket is exactly 0 at d = 0.  The same
+            # operations run in place on five buffers, floats and arrays alike
+            p, q, d, u, v = map(np.empty, [np.broadcast(lo, hi).shape] * 5)
+            np.multiply(kk, lo, out=p)
+            np.multiply(kk, hi, out=q)
+            np.subtract(hi, lo, out=d)
+            d *= kk
+            np.multiply(p, q, out=u)
+            u += 1.0
+            np.arctan2(d, u, out=u)
+            u *= p  # p*atan2(d, 1 + p*q)
+            np.add(p, q, out=v)
+            v *= d
+            np.multiply(p, p, out=p)
+            p += 1.0
+            v /= p
+            np.log1p(v, out=v)
+            v *= 0.5
+            u -= v  # the bracket
+            np.divide(u, d, out=u, where=d != 0.0)  # kept as it is, over 1, at d = 0
+            np.arctan(q, out=q)
+            q += u
+            q *= sc
+            return q
 
         return VelocityLaw(name=f"atan({kk!r},{sc!r})", mean=mean)
     raise ValueError(f"unknown velocity law {name!r}")

@@ -27,7 +27,7 @@ from aggr1d.fv import (
     velocity_from_gradients,
 )
 from aggr1d.initial import InitialData, builtin_initial, sample_particles
-from aggr1d.measure import DiscreteMeasure
+from aggr1d.measure import DiscreteMeasure, from_cells
 from aggr1d.potentials import (
     VelocityLaw,
     block_exp_sums,
@@ -552,6 +552,18 @@ def test_run_t_end_zero_returns_initial():
     assert snaps[0][0] == 0.0
     assert abs(snaps[0][1].total_mass - 1.0) <= 1e-12
     assert len(diag.time) == 1
+
+
+def test_run_hands_each_sampled_density_to_on_sample():
+    g = Grid.from_domain(-2.5, 2.5, 100)
+    st = project_initial(builtin_initial("init1").density, g)
+    seen = []
+    snaps, _ = run(st, ABS_HALF, IDENTITY, 1.0, 0.9, (0.0, 0.3, 0.6), on_sample=seen.append)
+    assert [t for t, _ in snaps] == [0.0, 0.3, 0.6, 1.0]
+    assert len(seen) == 4 and seen[0] is st.rho
+    for (_, m), rho in zip(snaps, seen):
+        again = from_cells(g.x_min, g.dx, rho)
+        assert np.array_equal(again.positions, m.positions) and np.array_equal(again.masses, m.masses)
 
 
 def test_run_mass_trace_constant():

@@ -346,6 +346,89 @@ def test_compare_scheme_error_wins_and_kills_the_child(tmp_path, monkeypatch):
     _assert_no_children()
 
 
+# ---------------------------------------------------------------- simulate's snapshot formatter process
+
+
+def _simulate_args(out, label, t_end="2"):
+    return ["simulate", "--example", "2", "--cells", "400", "--t-end", t_end, "--label", label, "--out", str(out)]
+
+
+def _csv_bytes(run_dir):
+    return {p.name: p.read_bytes() for p in sorted(run_dir.glob("*.csv"))}
+
+
+@needs_fork
+def test_simulate_forked_and_inline_write_identical_csv(tmp_path, monkeypatch):
+    pids = _spy_forks(monkeypatch)
+    assert cli_main(_simulate_args(tmp_path, "forked")) == 0
+    assert len(pids) == 1
+    _assert_no_children()
+    monkeypatch.delattr(os, "fork")  # the inline path
+    assert cli_main(_simulate_args(tmp_path, "inline")) == 0
+    assert len(pids) == 1
+    forked, inline = (_csv_bytes(tmp_path / label) for label in ("forked", "inline"))
+    assert len(forked) == 4  # t = 0, 1, 2 and diagnostics.csv
+    assert forked == inline
+    for label in ("forked", "inline"):
+        manifest = json.loads((tmp_path / label / "manifest.json").read_text())
+        assert {entry["path"] for entry in manifest["outputs"]} == set(forked)
+        assert manifest["summary"]["format_s"] > 0.0
+    _assert_no_children()
+
+
+@needs_fork
+def test_simulate_scheme_error_kills_the_formatter(tmp_path, monkeypatch):
+    # the formatter has taken the t = 0 density when a step aborts the run
+    assert cli_main(_simulate_args(tmp_path, "abort", t_end="0.5")) == 0
+    before = _csv_bytes(tmp_path / "abort")
+    manifest = (tmp_path / "abort" / "manifest.json").read_bytes()
+    pids = _spy_forks(monkeypatch)
+    real_step = fv.step
+    calls = []
+
+    def aborting_step(state, a, dt):
+        calls.append(dt)
+        if len(calls) % 5 == 0:
+            raise fv.SchemeError("mass left the grid")
+        return real_step(state, a, dt)
+
+    monkeypatch.setattr(fv, "step", aborting_step)
+    assert cli_main(_simulate_args(tmp_path, "abort")) == 3
+    assert len(calls) == 5 and len(pids) == 1
+    with pytest.raises(ProcessLookupError):
+        os.kill(pids[0], 0)  # killed and reaped
+    assert _csv_bytes(tmp_path / "abort") == before  # no snapshot of t = 0, 1 or 2
+    assert (tmp_path / "abort" / "manifest.json").read_bytes() == manifest
+    assert cli_main(_simulate_args(tmp_path / "fresh", "abort")) == 3
+    assert not (tmp_path / "fresh").exists()
+    _assert_no_children()
+
+
+@needs_fork
+@pytest.mark.parametrize("death, status", [("exit", 7 << 8), ("kill", 9), ("raise", None)])
+def test_simulate_formatter_death_names_its_status(tmp_path, monkeypatch, death, status):
+    from aggr1d import experiments
+
+    def dying_formatter(source, cfg):
+        if death == "exit":
+            os._exit(7)
+        if death == "kill":
+            os.kill(os.getpid(), signal.SIGKILL)
+        raise RuntimeError(f"formatter failed in process {os.getpid()}")
+
+    monkeypatch.setattr(experiments, "_snapshot_files", dying_formatter)
+    # 21 densities of 16 kB: more than a pipe holds, so the scheme sees the child go
+    times = tuple(0.05 * k for k in range(20))
+    cfg = replace(example_preset(2), n_cells=2000, t_end=1.0, sample_times=times, output_dir=str(tmp_path)).validate()
+    match = f"wait status {status}\\b" if status is not None else "formatter failed in process"
+    with pytest.raises(RuntimeError, match=match) as info:
+        cmd_simulate(cfg)
+    if status is None:
+        assert isinstance(info.value.__cause__, experiments.ChildTraceback)
+    assert not (tmp_path / "example2").exists()
+    _assert_no_children()
+
+
 def test_cmd_simulate_example3_aggregates_to_center_of_mass(tmp_path):
     # three bumps sharpen into Diracs and merge into one; linear dynamics
     # preserves the center of mass, which is where the survivor sits
@@ -601,6 +684,13 @@ _GATE_CASES = {
     "level-within-merge-tol": (
         "converge",
         {"domain": [0.0, 1e-10], "n_cells": 50, "levels": [50, 100, 200], "t_end": 1e-9, "initial": _TINY_BUMP},
+    ),
+    # the CFL bound a_inf = a(k*lip) underflows to 0
+    "k-subnormal": ("simulate", {"velocity_law": {"name": "atan", "k": 5e-324, "scale": 0.5}}),
+    # positive at the central cell centers, but every Gauss-weighted cell mass underflows to 0
+    "bump-mass-underflow": (
+        "simulate",
+        {"initial": {"kind": "bumps", "bumps": [{"amplitude": 5e-324, "center": 0.0, "width": 0.316}]}},
     ),
     "list-document": ("simulate", None),
     "domain-three-endpoints": ("simulate", {"domain": [-1.0, 0.0, 1.0]}),
