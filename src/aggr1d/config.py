@@ -34,11 +34,12 @@ Validation raises :class:`ConfigError` (CLI exit 2, nothing written) unless
 the document is a JSON object whose every key is one named above, every
 number in it is finite, the domain has exactly two increasing endpoints,
 the label names one directory inside ``output_dir`` in at most 255 bytes,
-neither holds a NUL, atoms lie in the half-open domain [lo, hi) and their
+neither holds a NUL, the nearest existing path on ``output_dir/label`` is
+a directory, atoms lie in the half-open domain [lo, hi) and their
 masses sum to 1 within 1e-9, and on every grid the run uses the cell
 centers lie farther apart than ``measure.MERGE_TOL`` and bump data
-project to a positive mass, and the CFL speed bound a_inf is a positive
-normal float.
+project to a positive mass without overflow, and the CFL speed bound
+a_inf is a positive normal float reached without overflow.
 """
 
 from __future__ import annotations
@@ -111,6 +112,11 @@ class SimConfig:
             raise ConfigError(f"label {self.label!r} must name one directory inside output_dir, in at most 255 bytes")
         if b"\0" in out_dir:
             raise ConfigError(f"output_dir {self.output_dir!r} contains a NUL character")
+        nearest = Path(self.output_dir, self.label)
+        while not os.path.lexists(nearest) and nearest != nearest.parent:
+            nearest = nearest.parent
+        if not nearest.is_dir():  # mkdir of the run directory would fail after the run
+            raise ConfigError(f"{str(nearest)!r} is not a directory, so it cannot hold the run directory")
         if init.is_atomic:
             pos = init.atoms.positions
             if np.any(pos < lo) or np.any(pos >= hi):
@@ -127,13 +133,17 @@ class SimConfig:
                 raise ConfigError(f"the {n}-cell grid's cell centers lie within {MERGE_TOL} of each other")
             if not init.is_atomic:
                 try:
-                    project_initial(init.density, grid)
-                except ValueError as exc:  # the projected mass is zero
+                    with np.errstate(over="raise"):
+                        project_initial(init.density, grid)
+                except (ValueError, FloatingPointError) as exc:  # zero projected mass, or a bump too narrow
                     raise ConfigError(f"the bump data on the {n}-cell grid: {exc}") from exc
         try:
-            a_inf = velocity_sup_bound(self.make_potential(), self.make_law())
+            with np.errstate(over="raise"):  # the law's mean at +-lip bounds every product the run forms
+                a_inf = velocity_sup_bound(self.make_potential(), self.make_law())
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        except FloatingPointError as exc:
+            raise ConfigError(f"the speed bound a_inf: {exc}") from exc
         if not (math.isfinite(a_inf) and a_inf >= sys.float_info.min):  # the CFL step divides by it
             raise ConfigError(f"the speed bound a_inf = {a_inf!r} is not a positive normal float")
         return self

@@ -5,11 +5,10 @@ engines, writes CSV artifacts plus a JSON run manifest into the run
 directory, and returns an in-memory result object.  CSV contents are a
 pure function of the config (runtimes live only in the manifest), so
 repeated runs of the same config produce bit-identical CSV files.
-Where ``os.fork`` exists, a forked child works while the scheme runs, with
-byte-identical results either way: ``compare``'s runs the particle oracle,
-and ``simulate``'s formats each snapshot CSV as the scheme samples its
-density and writes them once the run directory is ready.  Without
-``os.fork`` the same function runs after the scheme.
+Where ``os.fork`` exists, ``simulate`` and ``compare`` each run one child
+(:func:`_start`) during the scheme: ``simulate``'s formats the snapshot CSVs
+of the densities it is fed, ``compare``'s reads none of its feed and runs the
+particle oracle.  Without ``os.fork`` each runs after the scheme, to the same bytes.
 """
 
 from __future__ import annotations
@@ -123,8 +122,8 @@ def _snapshot_files(source, cfg: SimConfig):
     Each density arrives as n_cells float64 values.  Its ``x,rho`` rows hold
     the masses/dx of its :func:`~aggr1d.measure.from_cells` atoms, and 0 in
     the cells without one, as :func:`~aggr1d.measure.write_csv` formats
-    them, through a template that holds the x column formatted once.  The
-    seconds are those spent formatting and writing, not waiting for ``source``.
+    them, with the x column formatted once.  The seconds are those spent
+    formatting and writing, not waiting for ``source``.
     """
     t0 = _time.perf_counter()
     grid = cfg.make_grid()
@@ -150,13 +149,12 @@ def _snapshot_files(source, cfg: SimConfig):
 def cmd_simulate(cfg: SimConfig) -> RunArtifacts:
     """Run the finite-volume scheme; write snapshots, diagnostics and manifest.
 
-    Each sampled density goes to :func:`_snapshot_files` as the scheme takes
-    it, which formats the snapshots meanwhile in a forked child and writes
-    them once the run directory is ready.
+    The scheme feeds each sampled density to :func:`_snapshot_files` in a
+    child, which writes the snapshots once the run directory is ready.
     """
     cfg.validate()
     a_inf = velocity_sup_bound(cfg.make_potential(), cfg.make_law())
-    send, wait = _start(_snapshot_files, cfg, feed=True)
+    send, wait = _start(_snapshot_files, cfg)
     try:
         t0 = _time.perf_counter()
         _, diag = _run_fv(cfg, cfg.n_cells, cfg.schedule(), on_sample=send)
@@ -217,40 +215,34 @@ class ChildTraceback(Exception):
     """Traceback text of an exception raised in a forked child, the cause of its re-raise."""
 
 
-def _start(fn, *args, feed=False):
-    """Call fn(*args) in a forked child process, or inline in ``wait`` without ``os.fork``.
+def _start(fn, *args):
+    """Run fn(source, *args) in a forked child process; return (send, wait).
 
-    Returns ``wait``: ``wait()`` reaps the child and returns fn's result or
-    raises its exception; ``wait(kill=True)`` kills and reaps it.  Once the
-    child is reaped, ``wait`` does nothing.  With ``feed`` the call is
-    fn(source, *args) and ``_start`` returns (send, wait): ``source`` is a
-    binary file that reads the bytes of every ``send(data)`` up to
-    ``send(None)`` or ``wait()``, which end them, and inline they are kept
-    for fn until ``wait()``.  A child that stops reading makes ``send``
-    raise what ``wait()`` raises.
+    ``source`` reads the bytes of every ``send(data)`` until ``send(None)`` or ``wait()``;
+    fn may leave it unread.  ``wait()`` reaps the child and returns fn's result or raises
+    its exception; ``wait(kill=True)`` kills and reaps it; once the child is reaped,
+    ``wait`` does nothing.  A child that stops reading makes ``send`` raise what ``wait()``
+    raises.  Without ``os.fork``, fn runs inside ``wait()`` on the bytes sent.
     """
     if not hasattr(os, "fork"):
         sent = []
 
         def send_inline(data):
-            if data is not None:
-                sent.append(bytes(data))
+            sent.append(b"" if data is None else bytes(data))
 
         def wait_inline(kill=False):
-            if not kill:
-                return fn(io.BytesIO(b"".join(sent)), *args) if feed else fn(*args)
+            return None if kill else fn(io.BytesIO(b"".join(sent)), *args)
 
-        return (send_inline, wait_inline) if feed else wait_inline
+        return send_inline, wait_inline
     r, w = os.pipe()
-    source, sink = os.pipe() if feed else (None, None)
+    source, sink = os.pipe()
     pid = os.fork()
     if pid == 0:  # the child never returns
         try:
+            os.close(sink)
             try:
-                if feed:
-                    os.close(sink)
-                    args = (os.fdopen(source, "rb"), *args)
-                reply = (None, fn(*args))
+                with os.fdopen(source, "rb") as reader:
+                    reply = (None, fn(reader, *args))
             except Exception as exc:
                 reply = (traceback.format_exc(), exc)
             with os.fdopen(w, "wb") as pipe:
@@ -259,10 +251,9 @@ def _start(fn, *args, feed=False):
         finally:
             os._exit(1)
     os.close(w)
+    os.close(source)
     pipe = os.fdopen(r, "rb")
-    if feed:
-        os.close(source)
-        feed_pipe = os.fdopen(sink, "wb", buffering=0)
+    feed = os.fdopen(sink, "wb", buffering=0)
     reaped = []
 
     def wait(kill=False):
@@ -272,33 +263,27 @@ def _start(fn, *args, feed=False):
             if kill:
                 os.kill(pid, 9)  # SIGKILL; killed before its feed ends, a child acts on none of it
                 return None
-            if feed:
-                feed_pipe.close()
+            feed.close()
             data = pipe.read()
         finally:
             pipe.close()
+            feed.close()
             reaped.append(os.waitpid(pid, 0)[1])
-            if feed:
-                feed_pipe.close()
-        status = reaped[0]
-        if status or not data:
-            raise RuntimeError(f"the child process ended without a result (wait status {status})")
+        if reaped[0] or not data:
+            raise RuntimeError(f"the child process ended without a result (wait status {reaped[0]})")
         text, value = pickle.loads(data)
         if text is not None:
             raise value from ChildTraceback(text)
         return value
 
-    if not feed:
-        return wait
-
     def send(data):
         if data is None:
-            feed_pipe.close()
+            feed.close()
             return
         view = memoryview(data).cast("B")
         try:
             while view:
-                view = view[feed_pipe.write(view) :]
+                view = view[feed.write(view) :]
         except BrokenPipeError:  # the child stopped reading: its result says why
             wait()
             raise RuntimeError("the child process stopped reading its input") from None
@@ -321,7 +306,7 @@ def cmd_compare(cfg: SimConfig) -> CompareResult:
     """Scheme vs particle oracle: W1 between snapshots at shared sample times."""
     cfg.validate()
     t0 = _time.perf_counter()
-    wait = _start(_oracle_series, cfg, cfg.compare_particles, cfg.schedule())
+    _, wait = _start(lambda _feed: _oracle_series(cfg, cfg.compare_particles, cfg.schedule()))  # reads no feed
     try:
         fv_snaps, _ = _run_fv(cfg, cfg.n_cells, cfg.schedule())
     except BaseException:

@@ -213,7 +213,9 @@ def _advance_kink_only(ps: ParticleSystem, t_end: float, log: list[TrajectoryEve
     v = _nonlinear_vel(x, m, ps.pot, ps.law)
     while x.size > 1 and t < t_end:
         closing = v[:-1] - v[1:]
-        tau = np.divide(np.maximum(np.diff(x), 0.0), closing, out=np.full(closing.size, np.inf), where=closing > 0.0)
+        gaps = np.maximum(np.diff(x), 0.0)
+        with np.errstate(over="ignore"):  # a contact time past the largest float is none
+            tau = np.divide(gaps, closing, out=np.full(closing.size, np.inf), where=closing > 0.0)
         t_hit = float(np.min(tau))
         event = t_hit <= t_end - t
         x = x + (t_hit if event else t_end - t) * v

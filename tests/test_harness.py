@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from aggr1d import fv
+from aggr1d import experiments, fv
 from aggr1d.cli import main as cli_main
 from aggr1d.config import ConfigError, SimConfig, example_preset, load_config
 from aggr1d.experiments import cmd_compare, cmd_converge, cmd_particles, cmd_simulate
@@ -287,7 +287,7 @@ def test_compare_forked_and_inline_write_identical_csv(tmp_path, monkeypatch):
 
 @needs_fork
 def test_compare_oracle_error_in_child_reaches_caller(tmp_path, monkeypatch):
-    from aggr1d import experiments, particles
+    from aggr1d import particles
 
     def failing_advance(ps, t, log=None):
         raise RuntimeError(f"oracle stalled in process {os.getpid()}")
@@ -343,6 +343,47 @@ def test_compare_scheme_error_wins_and_kills_the_child(tmp_path, monkeypatch):
     assert not (tmp_path / "abort").exists()
     with pytest.raises(fv.SchemeError, match="mass left the grid"):
         cmd_compare(_compare_config(tmp_path))
+    _assert_no_children()
+
+
+def _hash_feed(source, tag):
+    data = source.read()
+    return tag, len(data), hashlib.sha256(data).hexdigest()
+
+
+def _ignore_feed(source, tag):
+    return tag, 0, None
+
+
+def _fed_and_unfed_results():
+    send, wait = experiments._start(_hash_feed, "fed")
+    for k in range(5):
+        send(np.full(1000, 0.5 * k))
+    send(None)
+    _, wait_unfed = experiments._start(_ignore_feed, "unfed")
+    return wait(), wait_unfed()
+
+
+@needs_fork
+def test_start_fed_and_unfed_children_match_inline(monkeypatch):
+    pids = _spy_forks(monkeypatch)
+    forked = _fed_and_unfed_results()
+    assert len(pids) == 2
+    _assert_no_children()
+    monkeypatch.delattr(os, "fork")  # the inline path
+    assert _fed_and_unfed_results() == forked
+    assert forked[0][:2] == ("fed", 5 * 8000) and forked[1] == ("unfed", 0, None)
+
+
+@needs_fork
+def test_start_send_to_a_child_that_stopped_reading(monkeypatch):
+    pids = _spy_forks(monkeypatch)
+    send, wait = experiments._start(_ignore_feed, "unfed")
+    with pytest.raises(RuntimeError, match="stopped reading its input"):
+        send(np.zeros(1 << 17))  # 1 MB, more than a pipe holds
+    with pytest.raises(ProcessLookupError):
+        os.kill(pids[0], 0)  # reaped before send raised
+    assert wait() is None
     _assert_no_children()
 
 
@@ -407,8 +448,6 @@ def test_simulate_scheme_error_kills_the_formatter(tmp_path, monkeypatch):
 @needs_fork
 @pytest.mark.parametrize("death, status", [("exit", 7 << 8), ("kill", 9), ("raise", None)])
 def test_simulate_formatter_death_names_its_status(tmp_path, monkeypatch, death, status):
-    from aggr1d import experiments
-
     def dying_formatter(source, cfg):
         if death == "exit":
             os._exit(7)
@@ -665,10 +704,31 @@ def test_label_of_255_utf8_bytes_runs(tmp_path):
     assert (tmp_path / label / "manifest.json").is_file()
 
 
+@pytest.mark.parametrize(
+    "command, out, label",
+    [("simulate", "F", "run"), ("converge", "F/x", "run"), ("particles", ".", "F")],
+    ids=["simulate-out-is-a-file", "converge-out-below-a-file", "particles-label-is-a-file"],
+)
+def test_cli_rejects_a_run_directory_a_file_blocks(tmp_path, command, out, label):
+    # a regular file on the way to output_dir/label: the run would end in mkdir's error after its computation
+    blocker = tmp_path / "F"
+    blocker.write_text("not a directory\n")
+    doc = {"label": label, "n_cells": 50, "t_end": 0.5, "levels": [50, 100, 200], "converge_particles": 16}
+    p = tmp_path / "run.json"
+    p.write_text(json.dumps({**doc, "initial": {"kind": "atoms", "atoms": [[-1.0, 0.5], [1.0, 0.5]]}}))
+    assert cli_main([command, "--config", str(p), "--out", str(tmp_path / out)]) == 2
+    assert sorted(tmp_path.iterdir()) == [blocker, p]
+    assert blocker.read_text() == "not a directory\n"
+
+
 _HALF_MASS_ATOMS = {"kind": "atoms", "atoms": [[-1.0, 0.25], [1.0, 0.25]]}
 _OFF_GRID_BUMP = {"kind": "bumps", "bumps": [{"amplitude": 1.0, "center": 50.0, "width": 0.316}]}
 # cell centers 5e-13 apart, closer than measure.MERGE_TOL: every snapshot would merge into one cell
 _TINY_BUMP = {"kind": "bumps", "bumps": [{"amplitude": 1.0, "center": 5e-11, "width": 2e-11}]}
+_NARROW_BUMPS = {
+    "kind": "bumps",
+    "bumps": [{"amplitude": 1.0, "center": 0.7, "width": 0.316}, {"amplitude": 1.0, "center": 0.0, "width": 1e-320}],
+}
 _GATE_CASES = {
     "atoms-half-mass-simulate": ("simulate", {"initial": _HALF_MASS_ATOMS}),
     "atoms-half-mass-particles": ("particles", {"initial": _HALF_MASS_ATOMS}),
@@ -692,6 +752,10 @@ _GATE_CASES = {
         "simulate",
         {"initial": {"kind": "bumps", "bumps": [{"amplitude": 5e-324, "center": 0.0, "width": 0.316}]}},
     ),
+    # a_inf = a(k*lip) is finite, but the law's mean overflows on the way: (k*lip)**2 > 1.8e308
+    "k-overflows": ("simulate", {"velocity_law": {"name": "atan", "k": 1e300, "scale": 0.5}}),
+    # ((x - center)/width)**2 overflows at the cell nodes away from the narrow bump
+    "bump-width-overflows": ("simulate", {"initial": _NARROW_BUMPS}),
     "list-document": ("simulate", None),
     "domain-three-endpoints": ("simulate", {"domain": [-1.0, 0.0, 1.0]}),
     "sample-time-nan": ("simulate", {"sample_times": [math.nan, 0.25]}),

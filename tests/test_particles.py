@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -161,6 +162,18 @@ def test_kink_only_event_merging_nothing_aborts(monkeypatch):
     monkeypatch.setattr(particles, "merge_runs", lambda x, m, linked, *values: (x, m, False, *values))
     with pytest.raises(RuntimeError, match="stalled"):
         advance_to(system([-1.0, 1.0], [0.5, 0.5]), 5.0)
+
+
+def test_kink_only_contact_past_the_float_range_is_none():
+    # two atoms 20 apart closing at 4.7e-308: the contact time overflows, which means no contact
+    tiny = make_velocity_law("atan", k=1e8, scale=1.5e-308)
+    ps = system([-10.0, 10.0], [0.5, 0.5], law=tiny)
+    closing = -np.diff(velocities(ps))[0]
+    assert 0.0 < closing < 20.0 / np.finfo(float).max
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = advance_to(ps, 1.0)
+    assert out.n == 2 and np.array_equal(out.x, ps.x)
 
 
 def test_kink_only_path_is_exact_and_steps_nothing(monkeypatch):
