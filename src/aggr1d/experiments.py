@@ -5,10 +5,11 @@ engines, writes CSV artifacts plus a JSON run manifest into the run
 directory, and returns an in-memory result object.  CSV contents are a
 pure function of the config (runtimes live only in the manifest), so
 repeated runs of the same config produce bit-identical CSV files.
-Where ``os.fork`` exists, ``simulate`` and ``compare`` each run one child
-(:func:`_start`) during the scheme: ``simulate``'s formats the snapshot CSVs
-of the densities it is fed, ``compare``'s reads none of its feed and runs the
-particle oracle.  Without ``os.fork`` each runs after the scheme, to the same bytes.
+``compare`` and ``converge`` are one study (:func:`_study`) at one grid
+level or at several.  Where ``os.fork`` exists, ``simulate`` formats its
+snapshot CSVs in a child (:func:`_start`) during the scheme, and the study
+runs an RK4 oracle in one; without it each runs after the scheme, to the
+same bytes.
 """
 
 from __future__ import annotations
@@ -62,13 +63,13 @@ class ConvergenceRow:
     dx: float
     n_cells: int
     w1_error: float
-    runtime_s: float
+    w1_sup: float
 
 
 @dataclass
 class ConvergenceReport:
     rows: list[ConvergenceRow]
-    ratios: list[float]
+    ratios: list[float | None]
     artifacts: RunArtifacts | None = None
 
 
@@ -116,6 +117,12 @@ def _run_fv(cfg: SimConfig, n_cells: int, times, on_sample=None):
     return fv.run(state0, cfg.make_potential(), cfg.make_law(), cfg.t_end, cfg.gamma, times, on_sample=on_sample)
 
 
+def _snapshot_paths(cfg: SimConfig) -> list[Path]:
+    """The run directory's snapshot CSV paths, one per time of the schedule."""
+    out = Path(cfg.output_dir) / cfg.label
+    return [out / f"snapshot_{k:03d}_t{t:.6f}.csv" for k, t in enumerate(cfg.schedule())]
+
+
 def _snapshot_files(source, cfg: SimConfig):
     """Snapshot CSVs of the densities read from ``source``, written once it ends: (paths, seconds).
 
@@ -137,8 +144,7 @@ def _snapshot_files(source, cfg: SimConfig):
         texts.append(template % tuple(np.divide(mass, dx, out=np.zeros(n), where=mass > 0.0).tolist()))
         busy += _time.perf_counter() - t0
     t0 = _time.perf_counter()
-    out = Path(cfg.output_dir) / cfg.label
-    paths = [out / f"snapshot_{k:03d}_t{t:.6f}.csv" for k, t in enumerate(cfg.schedule())]
+    paths = _snapshot_paths(cfg)
     if len(texts) != len(paths):
         raise RuntimeError(f"{len(texts)} of {len(paths)} snapshot densities arrived")
     for path, text in zip(paths, texts):
@@ -150,23 +156,28 @@ def cmd_simulate(cfg: SimConfig) -> RunArtifacts:
     """Run the finite-volume scheme; write snapshots, diagnostics and manifest.
 
     The scheme feeds each sampled density to :func:`_snapshot_files` in a
-    child, which writes the snapshots once the run directory is ready.
+    child, which writes the snapshots once the run directory is ready.  A
+    failure after that leaves the run directory empty.
     """
     cfg.validate()
     a_inf = velocity_sup_bound(cfg.make_potential(), cfg.make_law())
     send, wait = _start(_snapshot_files, cfg)
+    written = []  # the files this run writes, once its directory is made
     try:
         t0 = _time.perf_counter()
         _, diag = _run_fv(cfg, cfg.n_cells, cfg.schedule(), on_sample=send)
         runtime = _time.perf_counter() - t0
         out = _run_dir(cfg)
-        send(None)  # the child writes its files while this process writes the diagnostics
         diag_path = out / "diagnostics.csv"
+        written = [*_snapshot_paths(cfg), diag_path]
+        send(None)  # the child writes its files while this process writes the diagnostics
         diag.write_csv(diag_path)
+        files, format_s = wait()
     except BaseException:
-        wait(kill=True)
+        wait(kill=True)  # does nothing once the child is reaped
+        for path in written:
+            path.unlink(missing_ok=True)
         raise
-    files, format_s = wait()
     summary = {
         "runtime_s": runtime,
         "format_s": format_s,
@@ -192,27 +203,39 @@ def cmd_particles(cfg: SimConfig) -> RunArtifacts:
     ps = _particle_system(cfg, n=cfg.initial.atoms.n_atoms)
     log = []
     t0 = _time.perf_counter()
-    for t in cfg.schedule():
-        ps = particles.advance_to(ps, t, log)
-        log.append(particles.TrajectoryEvent(t, "sample", DiscreteMeasure(ps.x, ps.m)))
+    for state in particles.trajectory(ps, cfg.schedule(), log):
+        log.append(particles.TrajectoryEvent(state.time, "sample", DiscreteMeasure(state.x, state.m)))
     runtime = _time.perf_counter() - t0
     out = _run_dir(cfg)
     rows = ([ev.time, ev.kind, *ev.snapshot.positions, *ev.snapshot.masses] for ev in log)
     traj_path = write_csv(out / "trajectory.csv", "time,event,positions_then_masses", rows)
-    final_path = write_atoms_csv(DiscreteMeasure(ps.x, ps.m), out / "final_atoms.csv")
+    final_path = write_atoms_csv(DiscreteMeasure(state.x, state.m), out / "final_atoms.csv")
     merges = [ev for ev in log if ev.kind == "merge"]
     summary = {
         "runtime_s": runtime,
         "n_initial": cfg.initial.atoms.n_atoms,
-        "n_final": ps.n,
+        "n_final": state.n,
         "n_merge_events": len(merges),
-        "final_mass": ps.total_mass,
+        "final_mass": state.total_mass,
     }
     return _write_manifest(cfg, "particles", out, [traj_path, final_path], summary)
 
 
 class ChildTraceback(Exception):
     """Traceback text of an exception raised in a forked child, the cause of its re-raise."""
+
+
+def _inline(fn, *args):
+    """:func:`_start`'s (send, wait) without a child: fn runs inside ``wait()`` on the bytes sent."""
+    sent = []
+
+    def send(data):
+        sent.append(b"" if data is None else bytes(data))
+
+    def wait(kill=False):
+        return None if kill else fn(io.BytesIO(b"".join(sent)), *args)
+
+    return send, wait
 
 
 def _start(fn, *args):
@@ -225,15 +248,7 @@ def _start(fn, *args):
     raises.  Without ``os.fork``, fn runs inside ``wait()`` on the bytes sent.
     """
     if not hasattr(os, "fork"):
-        sent = []
-
-        def send_inline(data):
-            sent.append(b"" if data is None else bytes(data))
-
-        def wait_inline(kill=False):
-            return None if kill else fn(io.BytesIO(b"".join(sent)), *args)
-
-        return send_inline, wait_inline
+        return _inline(fn, *args)
     r, w = os.pipe()
     source, sink = os.pipe()
     pid = os.fork()
@@ -291,51 +306,61 @@ def _start(fn, *args):
     return send, wait
 
 
-def _oracle_series(cfg: SimConfig, n: int, times):
-    """The n-label particle oracle at each time: ([(positions, masses)], atoms left, its seconds)."""
+def _oracle(_feed, cfg: SimConfig, n: int):
+    """The n-label particle oracle at every time of the schedule: ([(positions, masses)], its seconds)."""
     t0 = _time.perf_counter()
-    ps = _particle_system(cfg, n)
-    states = []
-    for t in times:
-        ps = particles.advance_to(ps, t)
-        states.append((ps.x, ps.m))
-    return states, ps.n, _time.perf_counter() - t0
+    states = [(ps.x, ps.m) for ps in particles.trajectory(_particle_system(cfg, n), cfg.schedule())]
+    return states, _time.perf_counter() - t0
 
 
-def cmd_compare(cfg: SimConfig) -> CompareResult:
-    """Scheme vs particle oracle: W1 between snapshots at shared sample times."""
-    cfg.validate()
+def _study(cfg: SimConfig, levels, n: int):
+    """W1 between the scheme at each level and the n-label oracle at every time of the schedule.
+
+    Returns (one W1 list per level, the oracle's and the grids' summary).  An
+    RK4 oracle (``pot.amp > 0``) runs in a forked child while the grids run;
+    an exact-event oracle costs about what a fork does, so it runs after them.
+    """
     t0 = _time.perf_counter()
-    _, wait = _start(lambda _feed: _oracle_series(cfg, cfg.compare_particles, cfg.schedule()))  # reads no feed
+    _, wait = (_start if cfg.make_potential().amp > 0.0 else _inline)(_oracle, cfg, n)  # reads no feed
     try:
-        fv_snaps, _ = _run_fv(cfg, cfg.n_cells, cfg.schedule())
+        runs = {}
+        for n_cells in levels:
+            t1 = _time.perf_counter()
+            snaps, _ = _run_fv(cfg, n_cells, cfg.schedule())
+            runs[str(n_cells)] = ([m for _, m in snaps], _time.perf_counter() - t1)
     except BaseException:
         wait(kill=True)
         raise
     grid_s = _time.perf_counter() - t0
-    states, atoms, oracle_s = wait()
-    series = [(t, wasserstein1(fv_m, DiscreteMeasure(x, m))) for (t, fv_m), (x, m) in zip(fv_snaps, states)]
-    runtime = _time.perf_counter() - t0
-    out = _run_dir(cfg)
-    path = write_csv(out / "w1_compare.csv", "time,w1", series)
+    states, oracle_s = wait()
+    oracle = [DiscreteMeasure(x, m) for x, m in states]
     summary = {
-        "runtime_s": runtime,
         "grid_s": grid_s,
         "oracle_s": oracle_s,
-        "oracle_labels": cfg.compare_particles,
-        "oracle_atoms_final": atoms,
-        "w1_initial": series[0][1],
-        "w1_final": series[-1][1],
+        "oracle_labels": n,
+        "oracle_atoms_final": states[-1][0].size,
+        "runtimes_s": {level: secs for level, (_, secs) in runs.items()},
     }
+    return [[wasserstein1(a, b) for a, b in zip(snaps, oracle)] for snaps, _ in runs.values()], summary
+
+
+def cmd_compare(cfg: SimConfig) -> CompareResult:
+    """Scheme vs particle oracle: W1 at every sample time, the one-level :func:`_study`."""
+    cfg.validate()
+    t0 = _time.perf_counter()
+    (w1,), summary = _study(cfg, [cfg.n_cells], cfg.compare_particles)
+    summary.update(runtime_s=_time.perf_counter() - t0, w1_initial=w1[0], w1_final=w1[-1])
+    out = _run_dir(cfg)
+    path = write_csv(out / "w1_compare.csv", "time,w1", zip(cfg.schedule(), w1))
     artifacts = _write_manifest(cfg, "compare", out, [path], summary)
-    return CompareResult(times=[t for t, _ in series], w1=[w for _, w in series], artifacts=artifacts)
+    return CompareResult(times=cfg.schedule(), w1=w1, artifacts=artifacts)
 
 
 def cmd_converge(cfg: SimConfig) -> ConvergenceReport:
-    """Grid-refinement study against a particle oracle at t_end.
+    """Grid-refinement study against a particle oracle: W1 at t_end and its sup over the schedule.
 
-    Levels must be at least three, increasing, each dividing the next;
-    rows come out coarse to fine.
+    Levels must be at least three, increasing, each dividing the next; rows
+    come out coarse to fine.  A ratio is None where the coarser W1 is 0.
     """
     cfg.validate()
     levels = list(cfg.levels)
@@ -345,29 +370,13 @@ def cmd_converge(cfg: SimConfig) -> ConvergenceReport:
         raise ConfigError("refinement levels must be strictly increasing")
     if any(b % a for a, b in zip(levels, levels[1:])):
         raise ConfigError("each refinement level must divide the next")
-
-    # t_end alone: a sample time before it would shorten an RK4 step and move the oracle's bits
-    states, atoms, oracle_s = _oracle_series(cfg, cfg.converge_particles, [cfg.t_end])
-    oracle_final = DiscreteMeasure(*states[-1])
-
-    rows = []
-    for n_cells in levels:
-        t0 = _time.perf_counter()
-        snaps, _ = _run_fv(cfg, n_cells, [cfg.t_end])
-        err = wasserstein1(snaps[-1][1], oracle_final)
-        dx = cfg.make_grid(n_cells).dx
-        rows.append(ConvergenceRow(dx=dx, n_cells=n_cells, w1_error=err, runtime_s=_time.perf_counter() - t0))
-    ratios = [b.w1_error / a.w1_error for a, b in zip(rows, rows[1:])]
-    table = [(r.dx, r.n_cells, r.w1_error, ratio) for r, ratio in zip(rows, ["", *ratios])]
+    w1, summary = _study(cfg, levels, cfg.converge_particles)
+    rows = [ConvergenceRow(cfg.make_grid(n).dx, n, errs[-1], max(errs)) for n, errs in zip(levels, w1)]
+    ratios = [b.w1_error / a.w1_error if a.w1_error else None for a, b in zip(rows, rows[1:])]
+    table = [(r.dx, r.n_cells, r.w1_error, "" if q is None else q, r.w1_sup) for r, q in zip(rows, [None, *ratios])]
     out = _run_dir(cfg)
-    path = write_csv(out / "convergence.csv", "dx,n_cells,w1_error,ratio", table)
-    summary = {
-        "oracle_labels": cfg.converge_particles,
-        "oracle_atoms_final": atoms,
-        "oracle_s": oracle_s,
-        "runtimes_s": {str(r.n_cells): r.runtime_s for r in rows},
-        "w1_errors": {str(r.n_cells): r.w1_error for r in rows},
-        "ratios": ratios,
-    }
+    path = write_csv(out / "convergence.csv", "dx,n_cells,w1_error,ratio,w1_sup", table)
+    summary["w1_errors"] = {str(r.n_cells): r.w1_error for r in rows}
+    summary["ratios"] = ratios
     artifacts = _write_manifest(cfg, "converge", out, [path], summary)
     return ConvergenceReport(rows=rows, ratios=ratios, artifacts=artifacts)

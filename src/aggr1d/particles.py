@@ -21,18 +21,20 @@ v(mu) = a(c (M/2 - mu)) over its mass interval [mu_{i-1}, mu_i]: the
 speeds do not depend on the positions, and a merged cluster moves at the
 mass average of its members' speeds.  The speeds are evaluated once; each
 event takes the earliest contact time gap / (v_i - v_{i+1}) over the
-approaching pairs, moves every particle linearly to it (or to t_end, if
-that comes first) and merges the pairs that reach contact there.  The
-result is the isotonic projection of x0 + t v0 (Brenier & Grenier 1998).
+approaching pairs, moves every particle linearly to it and merges the pairs
+that reach contact there.  The result is the isotonic projection of
+x0 + t v0 (Brenier & Grenier 1998).
 
-Other potentials integrate by classical RK4 with steps of MAX_STEP
-(shortened only to land on t_end); the speeds at the end of a step are the
-next step's first stage.  Positions and speeds at both ends of a step
-define a cubic Hermite interpolant of every gap, and its earliest zero
-names the pair that makes contact first and estimates when.  A safeguarded
-regula falsi (Illinois) on that pair's RK4 gap then locates the contact
-time to BISECT_TOL; the system advances to it and merges every gap within
-the contact tolerance.
+Other potentials integrate by classical RK4 with steps of MAX_STEP counted
+from the last contact; the speeds at the end of a step are the next step's
+first stage.  Positions and speeds at both ends of a step define a cubic
+Hermite interpolant of every gap, and its earliest zero names the pair that
+makes contact first and estimates when.  A safeguarded regula falsi
+(Illinois) on that pair's RK4 gap then locates the contact time to
+BISECT_TOL; the system advances to it and merges every gap within the
+contact tolerance.  Both engines commit only these events and steps: a
+sample time moves the clusters linearly from the last event, or takes one
+RK4 step from the last committed point, and commits nothing.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ __all__ = [
     "ParticleSystem",
     "TrajectoryEvent",
     "advance_to",
+    "trajectory",
 ]
 
 MAX_STEP = 0.01
@@ -207,84 +210,101 @@ def _locate_contact(x, m, k1, vel, i, h, g_end, tau, rate):
     raise RuntimeError("particle contact location did not converge")
 
 
-def _advance_kink_only(ps: ParticleSystem, t_end: float, log: list[TrajectoryEvent] | None):
-    """Exact event-driven sticky dynamics of a kink-only potential; returns (x, m) at t_end."""
+def _exact_path(ps: ParticleSystem, times, log):
+    """(x, m) at each sample time of a kink-only potential, by exact contact events."""
     x, m, t = ps.x, ps.m, ps.time
     v = _nonlinear_vel(x, m, ps.pot, ps.law)
-    while x.size > 1 and t < t_end:
-        closing = v[:-1] - v[1:]
-        gaps = np.maximum(np.diff(x), 0.0)
-        with np.errstate(over="ignore"):  # a contact time past the largest float is none
-            tau = np.divide(gaps, closing, out=np.full(closing.size, np.inf), where=closing > 0.0)
-        t_hit = float(np.min(tau))
-        event = t_hit <= t_end - t
-        x = x + (t_hit if event else t_end - t) * v
-        t = t + t_hit if event else t_end
+    for s in times:
+        while x.size > 1:
+            closing = v[:-1] - v[1:]
+            gaps = np.maximum(np.diff(x), 0.0)
+            with np.errstate(over="ignore"):  # a contact time past the largest float is none
+                tau = np.divide(gaps, closing, out=np.full(gaps.size, np.inf), where=closing > 0.0)
+            t_hit = float(np.min(tau))
+            if t_hit > s - t:
+                break
+            x, t = x + t_hit * v, t + t_hit
+            if not np.all(np.isfinite(x)):
+                raise RuntimeError("non-finite particle state")
+            # contact times equal up to the rounding of their quotients
+            linked = (np.diff(x) <= 0.0) | (tau <= t_hit * (1.0 + 4.0 * np.finfo(float).eps))
+            x, m, merged, v = merge_runs(x, m, linked, v)
+            if not merged:
+                raise RuntimeError(f"particle events stalled at t = {t!r}: a contact merged nothing")
+            if log is not None:
+                log.append(TrajectoryEvent(t, "merge", DiscreteMeasure(x, m)))
+        yield x + (s - t) * v if x.size > 1 else x, m
+
+
+def _rk4_next(x, m, v, vel, t):
+    """The committed point after (t, x) with speeds v: (time, positions, speeds or None, merge gap).
+
+    That is a full step's end, or the contact located inside it.  A step whose
+    stages pass a contact so far that the exponential sums overflow is halved.
+    """
+    if np.min(np.diff(x)) <= CONTACT_TOL:  # touching at a committed point: they merge there
+        return t, x, None, CONTACT_TOL
+    h = MAX_STEP
+    with np.errstate(all="ignore"):  # a stage far past a contact overflows the sums: halve the step
+        x_end = _rk4(x, m, h, vel, v)
+        while not np.all(np.isfinite(x_end)) and h > MAX_STEP * 2.0**-40:
+            h *= 0.5
+            x_end = _rk4(x, m, h, vel, v)
+        v_end = vel(x_end, m)
+    d0, d1, g_end = np.diff(v), np.diff(v_end), np.diff(x_end)
+    contact = _first_gap_zero(np.diff(x), d0, g_end, d1, h)
+    if contact is None:
+        return t + h, x_end, v_end, 0.0
+    i, tau = contact
+    tau, y = _locate_contact(x, m, v, vel, i, h, g_end[i], tau, max(abs(d0[i]), abs(d1[i])))
+    vmax = max(float(np.max(np.abs(v))), float(np.max(np.abs(v_end))))
+    return t + tau, y, None, max(CONTACT_TOL, 4.0 * vmax * BISECT_TOL)
+
+
+def _rk4_path(ps: ParticleSystem, times, log):
+    """(x, m) at each sample time, by RK4 between the committed points of :func:`_rk4_next`."""
+    x, m, t = ps.x, ps.m, ps.time
+    vel = lambda x, m: _nonlinear_vel(x, m, ps.pot, ps.law)  # noqa: E731
+    v = nxt = None  # the speeds at x and the next committed point, once known
+    for s in times:
+        while x.size > 1:  # a lone particle is stationary
+            if nxt is None:
+                v = vel(x, m) if v is None else v
+                nxt = _rk4_next(x, m, v, vel, t)
+            if nxt[0] > s:  # kept for the sample time that passes it
+                break
+            t_prev, n_prev = t, x.size
+            (t, x, v, gap), nxt = nxt, None
+            x, m, merged = merge_runs(x, m, np.diff(x) <= gap) if gap else (x, m, False)
+            if merged and log is not None:
+                log.append(TrajectoryEvent(t, "merge", DiscreteMeasure(x, m)))
+            if not np.all(np.isfinite(x)):
+                raise RuntimeError("non-finite particle state")
+            if t == t_prev and x.size == n_prev:
+                raise RuntimeError(f"particle integration stalled at t = {t!r}: no time step and no merge")
+        yield _rk4(x, m, s - t, vel, v) if x.size > 1 and s > t else x, m
+
+
+def trajectory(ps: ParticleSystem, times, log: list[TrajectoryEvent] | None = None):
+    """Yield the system at each of the nondecreasing ``times``, none before ``ps.time``.
+
+    The state at t is a side run from the committed path, the same bits
+    whichever other times are sampled.  Each merge on the path up to t is
+    first logged as a :class:`TrajectoryEvent` (kind "merge", snapshot just
+    after it).  Raises RuntimeError on non-finite state and on a stall: an
+    RK4 point that neither advances nor merges, or an event that merges nothing.
+    """
+    times = [float(t) for t in times]
+    if any(b < a for a, b in zip([ps.time, *times], times)):
+        raise ValueError("sample times must be nondecreasing and not precede the current time")
+    path = _exact_path if ps.pot.amp == 0.0 else _rk4_path
+    for t, (x, m) in zip(times, path(ps, times, log)):
         if not np.all(np.isfinite(x)):
             raise RuntimeError("non-finite particle state")
-        linked = np.diff(x) <= 0.0
-        if event:
-            # contact times equal up to the rounding of their quotients
-            linked |= tau <= t_hit * (1.0 + 4.0 * np.finfo(float).eps)
-        x, m, merged, v = merge_runs(x, m, linked, v)
-        if merged and log is not None:
-            log.append(TrajectoryEvent(t, "merge", DiscreteMeasure(x, m)))
-        if event and not merged:
-            raise RuntimeError(f"particle events stalled at t = {t!r}: a contact merged nothing")
-    return x, m
+        x, m, _ = merge_runs(x, m, np.diff(x) <= 0.0)  # a side run may close a gap
+        yield replace(ps, x=x, m=m, time=t)
 
 
 def advance_to(ps: ParticleSystem, t_end: float, log: list[TrajectoryEvent] | None = None) -> ParticleSystem:
-    """Evolve the system to t_end, merging on contact; returns a new system.
-
-    Each merge appends a :class:`TrajectoryEvent` (kind "merge", snapshot just
-    after it) to the list ``log``.  Raises RuntimeError on non-finite state and
-    when the integration stalls: an RK4 pass that neither advances the time nor
-    merges particles, or a contact event that merges nothing.
-    """
-    if t_end < ps.time:
-        raise ValueError("t_end must not precede the current time")
-    if ps.pot.amp == 0.0:
-        x, m = _advance_kink_only(ps, t_end, log)
-        return replace(ps, x=x, m=m, time=t_end)
-    x = np.array(ps.x, dtype=float)
-    m = np.array(ps.m, dtype=float)
-    t = ps.time
-    vel = lambda x, m: _nonlinear_vel(x, m, ps.pot, ps.law)  # noqa: E731
-    horizon = max(1.0, abs(t_end))
-    v = None  # speeds at x, once known
-    while t < t_end - 1e-15 * horizon:
-        if x.size == 1:
-            break  # a lone particle is stationary
-        gaps = np.diff(x)
-        if np.min(gaps) <= CONTACT_TOL:
-            x, m, _ = merge_runs(x, m, gaps <= CONTACT_TOL)
-            v = None
-            if log is not None:
-                log.append(TrajectoryEvent(t, "merge", DiscreteMeasure(x, m)))
-            continue
-        t_prev, n_prev = t, x.size
-        if v is None:
-            v = vel(x, m)
-        h = min(MAX_STEP, t_end - t)
-        x_end = _rk4(x, m, h, vel, v)
-        v_end = vel(x_end, m)
-        d0, d1 = np.diff(v), np.diff(v_end)
-        g_end = np.diff(x_end)
-        contact = _first_gap_zero(gaps, d0, g_end, d1, h)
-        if contact is None:
-            x, v, t = x_end, v_end, t + h
-        else:
-            i, tau = contact
-            tau, x = _locate_contact(x, m, v, vel, i, h, g_end[i], tau, max(abs(d0[i]), abs(d1[i])))
-            t += tau
-            vmax = max(float(np.max(np.abs(v))), float(np.max(np.abs(v_end))))
-            x, m, merged = merge_runs(x, m, np.diff(x) <= max(CONTACT_TOL, 4.0 * vmax * BISECT_TOL))
-            v = None
-            if merged and log is not None:
-                log.append(TrajectoryEvent(t, "merge", DiscreteMeasure(x, m)))
-        if not np.all(np.isfinite(x)):
-            raise RuntimeError("non-finite particle state")
-        if t == t_prev and x.size == n_prev:
-            raise RuntimeError(f"particle integration stalled at t = {t!r}: no time step and no merge")
-    return replace(ps, x=x, m=m, time=t_end)
+    """The system at t_end: :func:`trajectory` with one sample time."""
+    return next(trajectory(ps, [t_end], log))

@@ -113,6 +113,23 @@ def test_cmd_particles_single_atom_no_events(tmp_path):
     assert art.manifest["summary"]["n_final"] == 1
 
 
+@pytest.mark.parametrize("potential", ["exp_pointy", "abs_half"], ids=["rk4", "exact"])
+def test_particles_merge_rows_come_from_the_committed_path(tmp_path, potential):
+    # the merge rows of a run sampled 50 times are those of the run sampled at 0 and t_end only
+    atoms = [[-401.0, 0.1], [-399.5, 0.2], [-0.5, 0.25], [1.0, 0.15], [398.0, 0.2], [400.5, 0.1]]
+    law = {"name": "atan", "k": 50.0, "scale": 2.0 / math.pi}
+    doc = {"potential": {"name": potential}, "velocity_law": law, "domain": [-450.0, 450.0], "t_end": 5.0}
+    doc["initial"] = {"kind": "atoms", "atoms": atoms}
+    merges = {}
+    for label, times in (("sampled", [0.1 * k for k in range(1, 50)]), ("unsampled", [])):
+        cfg = SimConfig.from_dict({**doc, "label": label, "sample_times": times, "output_dir": str(tmp_path)})
+        rows = (cmd_particles(cfg).out_dir / "trajectory.csv").read_text().splitlines()[1:]
+        stamps = [float(row.split(",")[0]) for row in rows]
+        assert stamps == sorted(stamps)
+        merges[label] = [row for row in rows if ",merge," in row]
+    assert merges["sampled"] and merges["sampled"] == merges["unsampled"]
+
+
 def test_cmd_particles_requires_atoms(tmp_path):
     cfg = replace(example_preset(1), output_dir=str(tmp_path), t_end=0.5)
     with pytest.raises(ConfigError):
@@ -285,25 +302,48 @@ def test_compare_forked_and_inline_write_identical_csv(tmp_path, monkeypatch):
     _assert_no_children()
 
 
-@needs_fork
-def test_compare_oracle_error_in_child_reaches_caller(tmp_path, monkeypatch):
+def _oracle_error_reaches_caller(tmp_path, monkeypatch, command):
+    # exp_pointy: both studies fork their RK4 oracle
     from aggr1d import particles
 
-    def failing_advance(ps, t, log=None):
+    def failing_trajectory(ps, times, log=None):
         raise RuntimeError(f"oracle stalled in process {os.getpid()}")
 
-    monkeypatch.setattr(particles, "advance_to", failing_advance)
+    monkeypatch.setattr(particles, "trajectory", failing_trajectory)
+    pids = _spy_forks(monkeypatch)
+    cmd = {"compare": cmd_compare, "converge": cmd_converge}[command]
     with pytest.raises(RuntimeError, match="oracle stalled in process") as info:
-        cmd_compare(_compare_config(tmp_path))
+        cmd(replace(_compare_config(tmp_path), levels=(50, 100, 200)))
+    assert len(pids) == 1
     assert type(info.value) is RuntimeError
     assert str(info.value) != f"oracle stalled in process {os.getpid()}"  # raised in the child
     cause = info.value.__cause__
     assert isinstance(cause, experiments.ChildTraceback)
-    assert "Traceback (most recent call last)" in str(cause) and "failing_advance" in str(cause)
+    assert "Traceback (most recent call last)" in str(cause) and "failing_trajectory" in str(cause)
     _assert_no_children()
-    assert cli_main(_compare_args(tmp_path / "cli", "err")) == 3
+    levels = ["--levels", "50,100,200"] if command == "converge" else []
+    assert cli_main([command, *_compare_args(tmp_path / "cli", "err")[1:], *levels]) == 3
     assert not (tmp_path / "cli").exists()
     _assert_no_children()
+
+
+@needs_fork
+def test_compare_oracle_error_in_child_reaches_caller(tmp_path, monkeypatch):
+    _oracle_error_reaches_caller(tmp_path, monkeypatch, "compare")
+
+
+@needs_fork
+def test_converge_oracle_error_in_child_reaches_caller(tmp_path, monkeypatch):
+    _oracle_error_reaches_caller(tmp_path, monkeypatch, "converge")
+
+
+def test_exact_oracle_runs_without_a_child(tmp_path, monkeypatch):
+    # kink-only: the exact-event oracle costs about what a fork does, so no study forks it
+    pids = _spy_forks(monkeypatch)
+    flags = ["--example", "2", "--cells", "100", "--particles", "64", "--t-end", "2", "--out", str(tmp_path)]
+    assert cli_main(["compare", *flags]) == 0
+    assert cli_main(["converge", *flags, "--levels", "50,100,200"]) == 0
+    assert pids == []
 
 
 @needs_fork
@@ -311,12 +351,12 @@ def test_compare_oracle_error_in_child_reaches_caller(tmp_path, monkeypatch):
 def test_compare_child_dying_without_result_names_its_status(tmp_path, monkeypatch, death, status):
     from aggr1d import particles
 
-    def dying_advance(ps, t, log=None):
+    def dying_trajectory(ps, times, log=None):
         if death == "exit":
             os._exit(7)
         os.kill(os.getpid(), signal.SIGKILL)
 
-    monkeypatch.setattr(particles, "advance_to", dying_advance)
+    monkeypatch.setattr(particles, "trajectory", dying_trajectory)
     with pytest.raises(RuntimeError, match=f"wait status {status}\\b"):
         cmd_compare(_compare_config(tmp_path))
     assert not (tmp_path / "example1").exists()
@@ -328,7 +368,7 @@ def test_compare_scheme_error_wins_and_kills_the_child(tmp_path, monkeypatch):
     from aggr1d import particles
 
     pids = _spy_forks(monkeypatch)
-    monkeypatch.setattr(particles, "advance_to", lambda ps, t, log=None: time.sleep(60.0))
+    monkeypatch.setattr(particles, "trajectory", lambda ps, times, log=None: time.sleep(60.0))
 
     def aborting_run(*args, **kwargs):
         raise fv.SchemeError("mass left the grid")
@@ -446,9 +486,14 @@ def test_simulate_scheme_error_kills_the_formatter(tmp_path, monkeypatch):
 
 
 @needs_fork
-@pytest.mark.parametrize("death, status", [("exit", 7 << 8), ("kill", 9), ("raise", None)])
+@pytest.mark.parametrize("death, status", [("exit", 7 << 8), ("kill", 9), ("raise", None), ("late", 7 << 8)])
 def test_simulate_formatter_death_names_its_status(tmp_path, monkeypatch, death, status):
+    write_snapshots = experiments._snapshot_files
+
     def dying_formatter(source, cfg):
+        if death == "late":  # its feed ends once the run directory is made
+            write_snapshots(source, cfg)
+            os._exit(7)
         if death == "exit":
             os._exit(7)
         if death == "kill":
@@ -464,7 +509,10 @@ def test_simulate_formatter_death_names_its_status(tmp_path, monkeypatch, death,
         cmd_simulate(cfg)
     if status is None:
         assert isinstance(info.value.__cause__, experiments.ChildTraceback)
-    assert not (tmp_path / "example2").exists()
+    if death == "late":  # the run directory is made, and none of this run's files is left in it
+        assert list((tmp_path / "example2").iterdir()) == []
+    else:
+        assert not (tmp_path / "example2").exists()
     _assert_no_children()
 
 
@@ -517,9 +565,26 @@ def test_cmd_converge_small_study(tmp_path):
     rep = cmd_converge(cfg)
     errs = [r.w1_error for r in rep.rows]
     assert errs[0] > errs[1] > errs[2]
+    assert all(r.w1_sup >= r.w1_error for r in rep.rows)  # the sup over the schedule, t_end included
     csv = (rep.artifacts.out_dir / "convergence.csv").read_text().splitlines()
-    assert csv[0] == "dx,n_cells,w1_error,ratio"
+    assert csv[0] == "dx,n_cells,w1_error,ratio,w1_sup"
     assert len(csv) == 4
+
+
+def test_converge_ratio_after_an_exact_level_is_empty(tmp_path):
+    # the atom sits on a centre of the 16-cell grid only, so that level's W1 is exactly 0
+    doc = {"label": "zd", "domain": [-8, 8], "t_end": 0.5, "levels": [16, 32, 64]}
+    p = tmp_path / "zd.json"
+    p.write_text(json.dumps({**doc, "initial": {"kind": "atoms", "atoms": [[0.5, 1.0]]}}))
+    assert cli_main(["converge", "--config", str(p), "--out", str(tmp_path)]) == 0
+
+    def no_constant(token):
+        raise AssertionError(f"{token} in the manifest")
+
+    manifest = json.loads((tmp_path / "zd" / "manifest.json").read_text(), parse_constant=no_constant)
+    assert manifest["summary"]["ratios"][0] is None and manifest["summary"]["w1_errors"]["16"] == 0.0
+    rows = (tmp_path / "zd" / "convergence.csv").read_text().splitlines()
+    assert [row.split(",")[3] for row in rows[1:3]] == ["", ""]
 
 
 def test_converge_dirac_projection_bound_halves(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from aggr1d import particles
 from aggr1d.config import example_preset
 from aggr1d.experiments import _particle_system
 from aggr1d.measure import DiscreteMeasure, wasserstein1
-from aggr1d.particles import ParticleSystem, advance_to
+from aggr1d.particles import ParticleSystem, advance_to, trajectory
 from aggr1d.potentials import make_builtin_potential, make_velocity_law
 from direct_sums import pairwise_speeds, wtilde_sums
 from isotonic_reference import isotonic_projection
@@ -345,3 +346,49 @@ def test_trajectory_log_monotone_times_and_mass():
     assert all(b >= a for a, b in zip(times, times[1:]))
     assert all(abs(ev.snapshot.total_mass - 1.0) <= 1e-12 for ev in log)
     assert ps.n == 1  # everything aggregates eventually
+
+
+@pytest.mark.parametrize("preset, n", [(1, 256), (2, 4096)], ids=["rk4", "exact"])
+def test_state_at_t_does_not_depend_on_other_sample_times(preset, n):
+    # the run over the preset's schedule and the run to each of its times alone
+    cfg = example_preset(preset)
+    ps0 = _particle_system(cfg, n)
+    for ps in trajectory(ps0, cfg.schedule()):
+        alone = advance_to(ps0, ps.time)
+        assert np.array_equal(alone.x, ps.x) and np.array_equal(alone.m, ps.m), f"t = {ps.time}"
+
+
+def test_rk4_takes_one_side_step_per_sample_time(monkeypatch):
+    # steps of MAX_STEP count from the last contact and never land on a sample time:
+    # a sample time with particles still moving costs one side step, and no step is taken twice
+    cfg = example_preset(1)
+    ps0 = _particle_system(cfg, 64)
+    lengths = []
+    rk4 = particles._rk4
+    monkeypatch.setattr(particles, "_rk4", lambda x, m, h, vel, k1: lengths.append(h) or rk4(x, m, h, vel, k1))
+    final = advance_to(ps0, cfg.t_end)
+    alone = len(lengths)
+    lengths.clear()
+    states = list(trajectory(ps0, cfg.schedule()))
+    assert final.n == 1 and np.array_equal(states[-1].x, final.x)
+    assert len(lengths) == alone + sum(1 for ps in states if ps.n > 1 and ps.time > 0.0)
+    assert max(lengths) == particles.MAX_STEP
+
+
+def test_trajectory_rejects_times_out_of_order():
+    ps = system([-1.0, 1.0], [0.5, 0.5])
+    with pytest.raises(ValueError):
+        list(trajectory(ps, [1.0, 0.5]))
+    with pytest.raises(ValueError):
+        advance_to(replace(ps, time=2.0), 1.0)
+
+
+def test_rk4_step_whose_stages_overflow_is_halved():
+    # speeds near 1e6 close a gap of 0.012 within 1e-8: a full step's stages pass the
+    # contact by about 1e4, where the exponential sums overflow, so the step is halved
+    fast = make_velocity_law("atan", k=0.636, scale=4.4e6)
+    ps = system([-4.4333, -4.4209], [0.5, 0.5], pot=EXP_POINTY, law=fast)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = advance_to(ps, 0.02)
+    assert out.n == 1 and out.x[0] == pytest.approx(-4.4271, abs=1e-3)
