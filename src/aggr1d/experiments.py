@@ -110,11 +110,11 @@ def _run_dir(cfg: SimConfig) -> Path:
     return d
 
 
-def _run_fv(cfg: SimConfig, n_cells: int, times, on_sample=None):
-    """Run the scheme from the config's initial data on ``n_cells`` cells, sampling at ``times``."""
+def _run_fv(cfg: SimConfig, n_cells: int, on_sample=None):
+    """Run the scheme from the config's initial data on ``n_cells`` cells, sampling the schedule."""
     initial = cfg.initial.atoms if cfg.initial.is_atomic else cfg.initial.density
     state0 = fv.project_initial(initial, cfg.make_grid(n_cells))
-    return fv.run(state0, cfg.make_potential(), cfg.make_law(), cfg.t_end, cfg.gamma, times, on_sample=on_sample)
+    return fv.run(state0, cfg.make_potential(), cfg.make_law(), cfg.gamma, cfg.schedule(), on_sample=on_sample)
 
 
 def _snapshot_paths(cfg: SimConfig) -> list[Path]:
@@ -165,7 +165,7 @@ def cmd_simulate(cfg: SimConfig) -> RunArtifacts:
     written = []  # the files this run writes, once its directory is made
     try:
         t0 = _time.perf_counter()
-        _, diag = _run_fv(cfg, cfg.n_cells, cfg.schedule(), on_sample=send)
+        _, diag = _run_fv(cfg, cfg.n_cells, on_sample=send)
         runtime = _time.perf_counter() - t0
         out = _run_dir(cfg)
         diag_path = out / "diagnostics.csv"
@@ -326,7 +326,7 @@ def _study(cfg: SimConfig, levels, n: int):
         runs = {}
         for n_cells in levels:
             t1 = _time.perf_counter()
-            snaps, _ = _run_fv(cfg, n_cells, cfg.schedule())
+            snaps, _ = _run_fv(cfg, n_cells)
             runs[str(n_cells)] = ([m for _, m in snaps], _time.perf_counter() - t1)
     except BaseException:
         wait(kill=True)

@@ -13,6 +13,8 @@ cells: densities stay nonnegative exactly and the cumulative mass
 function is total-variation diminishing.
 The update is evaluated in that convex-combination form (not as a flux
 difference) so positivity survives floating point.
+:func:`run` commits full steps whichever times are sampled, and reaches a
+sample time by one shorter step that commits nothing.
 
 The grid stands in for the whole line: the flux that leaves the two end
 cells is dropped, so the mass recorded at each step is exactly what the
@@ -50,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measure import DiscreteMeasure, from_cells, write_csv
+from .measure import DiscreteMeasure, from_cells, sample_times, write_csv
 from .potentials import PointyPotential, VelocityLaw, block_exp_sums, exp_blocks, velocity_sup_bound
 
 __all__ = [
@@ -319,9 +321,11 @@ def step(state: FVState, a: np.ndarray, dt: float) -> FVState:
 
 @dataclass
 class DiagnosticsReport:
-    """Per-time-level scheme diagnostics, one row per level (including t=0).
+    """Per-state diagnostics of :func:`run` in time order; ``abs_x`` holds |x_i|, the weights of ``moment1``.
 
-    ``abs_x`` holds |x_i| on the run's grid, the weights of ``moment1``.
+    The rows are the committed states, t = 0 included, and the sampled side
+    states; a side state after step k has the next committed state's step
+    index, k + 1.
     """
 
     abs_x: np.ndarray
@@ -360,62 +364,51 @@ class DiagnosticsReport:
         write_csv(path, header, np.column_stack(columns))
 
 
-def run(
-    state0: FVState,
-    pot: PointyPotential,
-    law: VelocityLaw,
-    t_end: float,
-    gamma: float,
-    sample_times=(),
-    on_sample=None,
-):
-    """Advance the scheme to t_end, sampling snapshots at the requested times.
+def run(state0: FVState, pot: PointyPotential, law: VelocityLaw, gamma: float, times, on_sample=None):
+    """The scheme's state at each of the sample ``times``: (snapshots, diagnostics).
 
-    Speeds are recomputed every step; the step is the CFL step shortened to
-    land exactly on sample times and on t_end.  Returns (snapshots,
-    diagnostics) with snapshots a list of (time, DiscreteMeasure).  Right
-    after a snapshot is taken, ``on_sample``, if given, is called with its
-    density, the read-only cell array it was taken from.  The
-    upwind step conserves mass except for the flux leaving the two end
-    cells, so the recorded mass measures the outflow exactly: the run aborts
-    (SchemeError) once it has fallen more than ``BOUNDARY_MASS_TOL`` below
-    the initial mass, when the recorded max|a| is not finite or makes
-    dt*max|a|/dx exceed 1 + 1e-9, or when a step does not advance the time.
+    The run commits full CFL steps of gamma*dx/a_inf whichever times are
+    sampled.  The state at a sample time s is one upwind step of length
+    s - t_k from the last committed state, at t_k <= s, and commits nothing.
+    ``times`` must pass :func:`~aggr1d.measure.sample_times` (ValueError).
+    Snapshots are (s, DiscreteMeasure) pairs; ``on_sample``, if given, is
+    called with each sampled density, a read-only cell array.  Every state
+    gets a diagnostics row, whose mass measures the outflow exactly: the run
+    aborts (SchemeError) on a row that lost more than ``BOUNDARY_MASS_TOL``
+    or whose max|a| is not finite or makes dt*max|a|/dx exceed 1 + 1e-9,
+    and on a step that does not advance the time.
     """
-    if t_end < 0.0:
-        raise ValueError("t_end must be nonnegative")
-    dt_cfl = cfl_dt(velocity_sup_bound(pot, law), state0.grid.dx, gamma)
-    kernel = build_nu_kernel(pot, state0.grid)
+    times = sample_times(state0.time, times)
+    grid = state0.grid
+    dt = cfl_dt(velocity_sup_bound(pot, law), grid.dx, gamma)
+    kernel = build_nu_kernel(pot, grid)
+    diag = DiagnosticsReport(abs_x=np.abs(grid.centers))
 
-    targets = sorted({float(t) for t in sample_times if 0.0 <= t <= t_end} | {float(t_end)})
-    time_tol = 1e-9 * max(1.0, t_end)
-
-    snapshots: list[tuple[float, DiscreteMeasure]] = []
-    diag = DiagnosticsReport(abs_x=np.abs(state0.grid.centers))
-    state = state0
-    while True:
+    def checked_speeds(state: FVState) -> np.ndarray:
         a = nonlinear_velocity(state, pot, law, kernel)
         diag.record(state, a)
-        amax = diag.max_abs_a[-1]
+        amax, lost = diag.max_abs_a[-1], diag.mass[0] - diag.mass[-1]
         if not np.isfinite(amax):
             raise SchemeError(f"non-finite mean speed at t = {state.time:.6g}")
-        lost = diag.mass[0] - diag.mass[-1]
         if lost > BOUNDARY_MASS_TOL:
             raise SchemeError(f"mass {lost:.3g} left the grid by t = {state.time:.6g}; enlarge the domain")
-        while targets and state.time >= targets[0] - time_tol:
-            snapshots.append((targets[0], from_cells(state.grid.x_min, state.grid.dx, state.rho)))
-            if on_sample is not None:
-                on_sample(state.rho)
-            targets.pop(0)
-        if not targets:
-            break
-        t = state.time
-        dt = min(dt_cfl, targets[0] - t)
-        if dt / state.grid.dx * amax > 1.0 + 1e-9:
-            raise SchemeError(f"CFL violation: dt*max|a|/dx = {dt / state.grid.dx * amax:.6g} > 1")
-        state = step(state, a, dt)
-        if not state.time > t:
-            raise SchemeError(f"step {state.step_index} did not advance the time from t = {t!r}")
-        if abs(state.time - targets[0]) < 1e-12:
-            state = _stepped(state.grid, state.rho, targets[0], state.step_index)  # land on the sample time exactly
+        if dt / grid.dx * amax > 1.0 + 1e-9:
+            raise SchemeError(f"CFL violation: dt*max|a|/dx = {dt / grid.dx * amax:.6g} > 1")
+        return a
+
+    state, snapshots, a = state0, [], checked_speeds(state0)
+    for s in times:
+        while state.time + dt <= s:
+            t = state.time
+            state = step(state, a, dt)
+            if not state.time > t:
+                raise SchemeError(f"step {state.step_index} did not advance the time from t = {t!r}")
+            a = checked_speeds(state)
+        sample = state
+        if s > state.time:  # the side step, labelled with the sample time itself
+            sample = _stepped(grid, step(state, a, s - state.time).rho, s, state.step_index + 1)
+            checked_speeds(sample)
+        snapshots.append((s, from_cells(grid.x_min, grid.dx, sample.rho)))
+        if on_sample is not None:
+            on_sample(sample.rho)
     return snapshots, diag

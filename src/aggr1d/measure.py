@@ -24,6 +24,7 @@ __all__ = [
     "quantile",
     "wasserstein1",
     "merge_runs",
+    "sample_times",
     "write_atoms_csv",
     "write_csv",
 ]
@@ -34,6 +35,14 @@ MERGE_TOL = 1e-12
 
 PROBABILITY_TOL = 1e-9
 MASS_MATCH_TOL = 1e-10
+
+
+def sample_times(start: float, times) -> list[float]:
+    """The sample ``times`` of a run from ``start`` as floats: finite, nondecreasing, none before ``start``."""
+    times = [float(t) for t in times]
+    if not np.all(np.isfinite(times)) or any(b < a for a, b in zip([start, *times], times)):
+        raise ValueError("sample times must be finite, nondecreasing and not precede the start time")
+    return times
 
 
 def merge_runs(x: np.ndarray, m: np.ndarray, linked: np.ndarray, *values: np.ndarray):

@@ -43,7 +43,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .measure import DiscreteMeasure, merge_runs
+from .measure import DiscreteMeasure, merge_runs, sample_times
 from .potentials import PointyPotential, VelocityLaw, left_exp_sums
 
 __all__ = [
@@ -286,17 +286,16 @@ def _rk4_path(ps: ParticleSystem, times, log):
 
 
 def trajectory(ps: ParticleSystem, times, log: list[TrajectoryEvent] | None = None):
-    """Yield the system at each of the nondecreasing ``times``, none before ``ps.time``.
+    """Yield the system at each of the finite, nondecreasing ``times``, none before ``ps.time``.
 
     The state at t is a side run from the committed path, the same bits
     whichever other times are sampled.  Each merge on the path up to t is
     first logged as a :class:`TrajectoryEvent` (kind "merge", snapshot just
-    after it).  Raises RuntimeError on non-finite state and on a stall: an
-    RK4 point that neither advances nor merges, or an event that merges nothing.
+    after it).  Raises ValueError on other times, RuntimeError on non-finite
+    state and on a stall: an RK4 point that neither advances nor merges, or
+    an event that merges nothing.
     """
-    times = [float(t) for t in times]
-    if any(b < a for a, b in zip([ps.time, *times], times)):
-        raise ValueError("sample times must be nondecreasing and not precede the current time")
+    times = sample_times(ps.time, times)
     path = _exact_path if ps.pot.amp == 0.0 else _rk4_path
     for t, (x, m) in zip(times, path(ps, times, log)):
         if not np.all(np.isfinite(x)):

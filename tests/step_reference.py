@@ -4,7 +4,8 @@ Each function below is one per-step formula of the upwind scheme, written
 as a direct numpy expression with no in-place buffers and no shortcuts:
 the nu convolution, the interface gradients s, the speed mean, one
 diagnostics row and the upwind step.  :func:`reference_run` drives them
-with ``fv.run``'s time loop (CFL step, shortened to land on sample times).
+with ``fv.run``'s time loop: full CFL steps, and one side step from the
+last of them to each sample time that commits nothing.
 Any rewrite of the package's step layers that keeps the arithmetic
 reproduces this loop bit for bit.
 """
@@ -68,7 +69,7 @@ def upwind_step(rho, a, lam):
     return new
 
 
-def reference_run(state0, pot, law, t_end, gamma, sample_times=()):
+def reference_run(state0, pot, law, gamma, times):
     """``fv.run``'s loop over the formulas above.
 
     Returns (snapshots, columns): snapshots a list of (time, DiscreteMeasure)
@@ -76,24 +77,25 @@ def reference_run(state0, pot, law, t_end, gamma, sample_times=()):
     """
     grid = state0.grid
     dx = grid.dx
-    dt_cfl = gamma * dx / velocity_sup_bound(pot, law)
+    dt = gamma * dx / velocity_sup_bound(pot, law)
     kernel = build_nu_kernel(pot, grid)
-    targets = sorted({float(t) for t in sample_times if 0.0 <= t <= t_end} | {float(t_end)})
-    time_tol = 1e-9 * max(1.0, t_end)
     abs_x = np.abs(grid.centers)
-    rho, time, step_index = np.array(state0.rho), state0.time, state0.step_index
     snapshots, rows = [], []
-    while True:
+
+    def row(rho, time, step_index):
         a = speeds(law, gradients(rho, dx, pot, nu(rho, dx, pot, kernel), kernel))
         rows.append(diagnostics_row(step_index, time, rho, a, abs_x, dx))
-        while targets and time >= targets[0] - time_tol:
-            snapshots.append((targets[0], from_cells(grid.x_min, dx, rho)))
-            targets.pop(0)
-        if not targets:
-            break
-        dt = min(dt_cfl, targets[0] - time)
-        rho = upwind_step(rho, a, dt / dx)
-        time, step_index = time + dt, step_index + 1
-        if abs(time - targets[0]) < 1e-12:
-            time = targets[0]
+        return a
+
+    rho, time, step_index = np.array(state0.rho), state0.time, state0.step_index
+    a = row(rho, time, step_index)
+    for s in times:
+        while time + dt <= s:
+            rho, time, step_index = upwind_step(rho, a, dt / dx), time + dt, step_index + 1
+            a = row(rho, time, step_index)
+        sample = rho
+        if s > time:
+            sample = upwind_step(rho, a, (s - time) / dx)
+            row(sample, s, step_index + 1)
+        snapshots.append((s, from_cells(grid.x_min, dx, sample)))
     return snapshots, dict(zip(DIAGNOSTIC_COLUMNS, map(list, zip(*rows))))

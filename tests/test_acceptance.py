@@ -32,8 +32,7 @@ def _preset_run(number: int, t_end: float):
     pot = cfg.make_potential()
     law = cfg.make_law()
     state0 = project_initial(cfg.initial.density, grid)
-    samples = [t for t in cfg.sample_times if t <= t_end]
-    snaps, diag = run(state0, pot, law, t_end, cfg.gamma, samples)
+    snaps, diag = run(state0, pot, law, cfg.gamma, cfg.schedule())
     return cfg, grid, pot, law, snaps, diag
 
 

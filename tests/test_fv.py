@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -488,7 +489,7 @@ def test_run_rejects_cfl_violation_before_stepping(monkeypatch):
 
     monkeypatch.setattr(fv, "step", no_step)
     with pytest.raises(SchemeError, match="CFL violation"):
-        run(st, ABS_HALF, law, 1.0, 0.9)
+        run(st, ABS_HALF, law, 0.9, [1.0])
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["rightward", "leftward"])
@@ -547,7 +548,7 @@ def test_conservation_relation_flags_corruption():
 def test_run_t_end_zero_returns_initial():
     g = Grid.from_domain(-2.5, 2.5, 100)
     st = project_initial(builtin_initial("init1").density, g)
-    snaps, diag = run(st, ABS_HALF, IDENTITY, 0.0, 0.9)
+    snaps, diag = run(st, ABS_HALF, IDENTITY, 0.9, [0.0])
     assert len(snaps) == 1
     assert snaps[0][0] == 0.0
     assert abs(snaps[0][1].total_mass - 1.0) <= 1e-12
@@ -558,7 +559,7 @@ def test_run_hands_each_sampled_density_to_on_sample():
     g = Grid.from_domain(-2.5, 2.5, 100)
     st = project_initial(builtin_initial("init1").density, g)
     seen = []
-    snaps, _ = run(st, ABS_HALF, IDENTITY, 1.0, 0.9, (0.0, 0.3, 0.6), on_sample=seen.append)
+    snaps, _ = run(st, ABS_HALF, IDENTITY, 0.9, (0.0, 0.3, 0.6, 1.0), on_sample=seen.append)
     assert [t for t, _ in snaps] == [0.0, 0.3, 0.6, 1.0]
     assert len(seen) == 4 and seen[0] is st.rho
     for (_, m), rho in zip(snaps, seen):
@@ -569,7 +570,7 @@ def test_run_hands_each_sampled_density_to_on_sample():
 def test_run_mass_trace_constant():
     g = Grid.from_domain(-2.5, 2.5, 400)
     st = project_initial(builtin_initial("init1").density, g)
-    _, diag = run(st, ABS_HALF, IDENTITY, 1.5, 0.9)
+    _, diag = run(st, ABS_HALF, IDENTITY, 0.9, [1.5])
     drift = np.abs(np.asarray(diag.mass) - diag.mass[0])
     assert float(np.max(drift)) <= 1e-12
 
@@ -578,14 +579,14 @@ def test_run_long_horizon_mass_on_fine_grid():
     # |mass - 1| stays below 1e-12 through t = 10 on 1000 cells
     g = Grid.from_domain(-7.5, 7.5, 1000)
     st = project_initial(builtin_initial("init1").density, g)
-    _, diag = run(st, ABS_HALF, IDENTITY, 10.0, 0.9)
+    _, diag = run(st, ABS_HALF, IDENTITY, 0.9, [10.0])
     assert float(np.max(np.abs(np.asarray(diag.mass) - 1.0))) <= 1e-12
 
 
 def test_run_first_moment_bound():
     g = Grid.from_domain(-2.5, 2.5, 400)
     st = project_initial(builtin_initial("init1").density, g)
-    _, diag = run(st, ABS_HALF, IDENTITY, 1.5, 0.9)
+    _, diag = run(st, ABS_HALF, IDENTITY, 0.9, [1.5])
     a_inf = velocity_sup_bound(ABS_HALF, IDENTITY)
     m1 = np.asarray(diag.moment1)
     t = np.asarray(diag.time)
@@ -595,7 +596,7 @@ def test_run_first_moment_bound():
 def test_run_velocity_bound_and_positivity():
     g = Grid.from_domain(-2.5, 2.5, 300)
     st = project_initial(builtin_initial("init1").density, g)
-    snaps, diag = run(st, EXP_POINTY, ATAN, 1.0, 0.9, sample_times=[0.5, 1.0])
+    snaps, diag = run(st, EXP_POINTY, ATAN, 0.9, [0.5, 1.0])
     a_inf = velocity_sup_bound(EXP_POINTY, ATAN)
     assert max(diag.max_abs_a) <= a_inf + 1e-12
     assert min(diag.min_rho) >= 0.0
@@ -607,7 +608,7 @@ def test_run_velocity_bound_and_positivity():
 def test_run_support_growth_per_step():
     g = Grid.from_domain(-3.0, 3.0, 300)
     st = project_initial(builtin_initial("init2").density, g)
-    _, diag = run(st, ABS_HALF, IDENTITY, 1.0, 0.9)
+    _, diag = run(st, ABS_HALF, IDENTITY, 0.9, [1.0])
     lo = diag.support_lo
     hi = diag.support_hi
     assert all(b >= a - 1 for a, b in zip(lo, lo[1:]))
@@ -620,7 +621,7 @@ def test_run_aborts_when_mass_reaches_boundary():
     g = Grid.from_domain(0.0, 1.0, 20)
     st = FVState(grid=g, rho=np.ones(20))
     with pytest.raises(SchemeError, match="left the grid"):
-        run(st, REPULSIVE, IDENTITY, 1.0, 0.9)
+        run(st, REPULSIVE, IDENTITY, 0.9, [1.0])
 
 
 def test_run_keeps_stationary_dirac_next_to_edge():
@@ -629,7 +630,7 @@ def test_run_keeps_stationary_dirac_next_to_edge():
     rho = np.zeros(20)
     rho[-2] = 1.0 / g.dx
     st = FVState(grid=g, rho=rho)
-    snaps, diag = run(st, ABS_HALF, IDENTITY, 1.0, 0.9)
+    snaps, diag = run(st, ABS_HALF, IDENTITY, 0.9, [1.0])
     assert max(abs(m - 1.0) for m in diag.mass) <= 1e-12
     np.testing.assert_array_equal(state_from_snapshot(snaps[-1][1], g).rho, st.rho)
 
@@ -639,7 +640,7 @@ def test_run_aborts_when_a_step_does_not_advance_time(monkeypatch):
     st = project_initial(builtin_initial("init1").density, g)
     monkeypatch.setattr(fv, "step", lambda state, a, dt: state)
     with pytest.raises(SchemeError, match="did not advance"):
-        run(st, ABS_HALF, IDENTITY, 1.0, 0.9)
+        run(st, ABS_HALF, IDENTITY, 0.9, [1.0])
 
 
 @pytest.mark.parametrize("equation", ["linear", "nonlinear"])
@@ -663,7 +664,7 @@ def test_run_symmetry_preservation_thousand_steps(equation):
 
 
 def test_run_preset3_keeps_lip_step_count():
-    # the identity law steps under a_inf = lip: 460 steps for preset 3 at
+    # the identity law steps under a_inf = lip: 445 steps for preset 3 at
     # 1000 cells, and the engine still agrees with the direct sum on the
     # final, concentrated state
     from aggr1d.config import example_preset
@@ -671,8 +672,8 @@ def test_run_preset3_keeps_lip_step_count():
     cfg = example_preset(3)
     pot = cfg.make_potential()
     st = project_initial(cfg.initial.density, cfg.make_grid())
-    snaps, diag = run(st, pot, cfg.make_law(), cfg.t_end, cfg.gamma, cfg.sample_times)
-    assert diag.step_index[-1] == 460
+    snaps, diag = run(st, pot, cfg.make_law(), cfg.gamma, cfg.schedule())
+    assert diag.step_index[-1] == 445
     assert max(diag.max_abs_a) <= pot.lip + 1e-15
     end = state_from_snapshot(snaps[-1][1], st.grid)
     a_end = nonlinear_velocity(end, pot, IDENTITY, build_nu_kernel(pot, st.grid))
@@ -681,26 +682,26 @@ def test_run_preset3_keeps_lip_step_count():
 
 def test_run_preset2_steps_at_kink_only_bound():
     # kink-only gradients stay in [-c/2, c/2], so preset 2 steps under
-    # a_inf = a(1/250) = 0.1257: 420 steps at 1000 cells
+    # a_inf = a(1/250) = 0.1257: 419 steps at 1000 cells
     from aggr1d.config import example_preset
 
     cfg = example_preset(2)
     st = project_initial(cfg.initial.density, cfg.make_grid())
-    _, diag = run(st, cfg.make_potential(), cfg.make_law(), cfg.t_end, cfg.gamma, cfg.sample_times)
-    assert diag.step_index[-1] == 420
+    _, diag = run(st, cfg.make_potential(), cfg.make_law(), cfg.gamma, cfg.schedule())
+    assert diag.step_index[-1] == 419
 
 
 def test_run_preset1_steps_at_lip_bound():
     # exp_pointy's gradients stay in [-lip, lip] = [-1/2, 1/2], so preset 1
-    # steps under a_inf = a(1/2) = 0.97455: 660 steps at 1000 cells, and no
+    # steps under a_inf = a(1/2) = 0.97455: 650 steps at 1000 cells, and no
     # speed exceeds that bound
     from aggr1d.config import example_preset
 
     cfg = example_preset(1)
     pot, law = cfg.make_potential(), cfg.make_law()
     st = project_initial(cfg.initial.density, cfg.make_grid())
-    _, diag = run(st, pot, law, cfg.t_end, cfg.gamma, cfg.sample_times)
-    assert diag.step_index[-1] == 660
+    _, diag = run(st, pot, law, cfg.gamma, cfg.schedule())
+    assert diag.step_index[-1] == 650
     assert max(diag.max_abs_a) <= velocity_sup_bound(pot, law) + 1e-12
 
 
@@ -708,9 +709,9 @@ def _preset_case(number, n_cells, t_end=None):
     from aggr1d.config import example_preset
 
     cfg = example_preset(number)
-    t_end = cfg.t_end if t_end is None else t_end
+    cfg = replace(cfg, t_end=cfg.t_end if t_end is None else t_end)
     st = project_initial(cfg.initial.density, cfg.make_grid(n_cells))
-    return st, cfg.make_potential(), cfg.make_law(), t_end, cfg.gamma, cfg.sample_times
+    return st, cfg.make_potential(), cfg.make_law(), cfg.gamma, cfg.schedule()
 
 
 def _two_atom_case():
@@ -718,7 +719,7 @@ def _two_atom_case():
     # mass per step, so it underflows to an exact zero and the support shrinks
     g = Grid.from_domain(-2.0, 2.0, 40)
     st = project_initial(DiscreteMeasure([-1.0, 1.0], [0.5, 0.5]), g)
-    return st, ABS_HALF, IDENTITY, 3.0, 1.0, (1.0, 2.0)
+    return st, ABS_HALF, IDENTITY, 1.0, (1.0, 2.0, 3.0)
 
 
 @pytest.mark.parametrize(
@@ -733,9 +734,9 @@ def _two_atom_case():
 def test_run_matches_reference_loop_bit_for_bit(case):
     # every snapshot and every diagnostics column equals the plain-numpy
     # reference loop under ==, with no tolerance
-    st, pot, law, t_end, gamma, sample_times = case()
-    snaps, diag = run(st, pot, law, t_end, gamma, sample_times)
-    ref_snaps, ref_columns = reference_run(st, pot, law, t_end, gamma, sample_times)
+    st, pot, law, gamma, times = case()
+    snaps, diag = run(st, pot, law, gamma, times)
+    ref_snaps, ref_columns = reference_run(st, pot, law, gamma, times)
     assert [t for t, _ in snaps] == [t for t, _ in ref_snaps]
     for (_, m), (_, ref) in zip(snaps, ref_snaps):
         assert np.array_equal(m.positions, ref.positions)
@@ -744,6 +745,37 @@ def test_run_matches_reference_loop_bit_for_bit(case):
         assert getattr(diag, name) == ref_columns[name], name
     if case is _two_atom_case:  # the case exists to move both support edges
         assert len(set(diag.support_lo)) > 1 and len(set(diag.support_hi)) > 1
+
+
+@pytest.mark.parametrize("preset", [1, 2, 3])
+def test_state_at_t_does_not_depend_on_other_sample_times(preset):
+    # the run over the preset's schedule and the run to each of its times alone, at 200 cells
+    from aggr1d.config import example_preset
+
+    cfg = example_preset(preset)
+    st = project_initial(cfg.initial.density, cfg.make_grid(200))
+    pot, law = cfg.make_potential(), cfg.make_law()
+    sampled = []
+    run(st, pot, law, cfg.gamma, cfg.schedule(), on_sample=sampled.append)
+    assert len(sampled) == len(cfg.schedule())
+    for t, rho in zip(cfg.schedule(), sampled):
+        alone = []
+        run(st, pot, law, cfg.gamma, [t], on_sample=alone.append)
+        assert np.array_equal(alone[0], rho), f"t = {t}"
+
+
+@pytest.mark.parametrize(
+    "times", [[math.nan], [math.inf], [0.5, 0.25], [-0.1]], ids=["nan", "inf", "decreasing", "before-start"]
+)
+def test_run_rejects_bad_sample_times_before_stepping(monkeypatch, times):
+    st = project_initial(builtin_initial("init1").density, Grid.from_domain(-2.5, 2.5, 100))
+
+    def no_step(*args):
+        raise AssertionError("stepped towards a bad sample time")
+
+    monkeypatch.setattr(fv, "step", no_step)
+    with pytest.raises(ValueError, match="sample times must be finite"):
+        run(st, ABS_HALF, IDENTITY, 0.9, times)
 
 
 def test_run_aborts_on_non_finite_speed_before_stepping(monkeypatch):
@@ -761,7 +793,7 @@ def test_run_aborts_on_non_finite_speed_before_stepping(monkeypatch):
 
     monkeypatch.setattr(fv, "step", no_step)
     with pytest.raises(SchemeError, match="non-finite mean speed"):
-        run(st, ABS_HALF, law, 1.0, 0.9)
+        run(st, ABS_HALF, law, 0.9, [1.0])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -782,13 +814,13 @@ def test_run_aborts_on_non_finite_gradient_before_stepping(monkeypatch, law, bad
 
     monkeypatch.setattr(fv, "step", no_step)
     with np.errstate(invalid="ignore"), pytest.raises(SchemeError, match="non-finite mean speed"):
-        run(st, ABS_HALF, VelocityLaw(name="one-bad-gradient", mean=mean), 1.0, 0.9)
+        run(st, ABS_HALF, VelocityLaw(name="one-bad-gradient", mean=mean), 0.9, [1.0])
 
 
 def test_diagnostics_csv_format(tmp_path):
     g = Grid.from_domain(-2.5, 2.5, 100)
     st = project_initial(builtin_initial("init1").density, g)
-    _, diag = run(st, ABS_HALF, IDENTITY, 0.3, 0.9)
+    _, diag = run(st, ABS_HALF, IDENTITY, 0.9, [0.3])
     path = tmp_path / "diag.csv"
     diag.write_csv(path)
     lines = path.read_text().strip().splitlines()

@@ -571,6 +571,15 @@ def test_cmd_converge_small_study(tmp_path):
     assert len(csv) == 4
 
 
+def test_converge_t_end_error_does_not_depend_on_the_schedule(tmp_path):
+    # preset 3 samples 21 times; its error at t_end must read the same without them
+    cfg = replace(example_preset(3), output_dir=str(tmp_path), levels=(100, 200, 400)).validate()
+    sampled = cmd_converge(cfg)
+    alone = cmd_converge(replace(cfg, label="t-end-only", sample_times=()))
+    assert [r.w1_error for r in sampled.rows] == [r.w1_error for r in alone.rows]
+    assert sampled.ratios == alone.ratios
+
+
 def test_converge_ratio_after_an_exact_level_is_empty(tmp_path):
     # the atom sits on a centre of the 16-cell grid only, so that level's W1 is exactly 0
     doc = {"label": "zd", "domain": [-8, 8], "t_end": 0.5, "levels": [16, 32, 64]}
@@ -645,16 +654,18 @@ def test_cli_simulate_example3_on_a_coarse_grid(tmp_path):
 
 
 def test_run_takes_one_step_per_sample_time():
-    # 19,999 sample times cut every CFL step short, so the run takes 20,000
-    # steps to t_end; it must not stop on any step count
+    # 19,999 sample times, several inside every CFL step: each is one side
+    # step, and the run commits as many full steps as a run to t_end alone
     t_end = 5.0
     times = tuple(t_end * k / 20000 for k in range(1, 20000))
     cfg = SimConfig(label="many", domain=(-10.0, 10.0), n_cells=20, t_end=t_end, sample_times=times).validate()
     st = fv.project_initial(cfg.initial.density, cfg.make_grid())
-    snaps, diag = fv.run(st, cfg.make_potential(), cfg.make_law(), cfg.t_end, cfg.gamma, cfg.schedule())
-    assert diag.step_index[-1] == 20000
+    pot, law = cfg.make_potential(), cfg.make_law()
+    snaps, diag = fv.run(st, pot, law, cfg.gamma, cfg.schedule())
+    _, alone = fv.run(st, pot, law, cfg.gamma, [t_end])
     assert len(snaps) == 20001 and snaps[-1][0] == t_end
     assert max(abs(m - 1.0) for m in diag.mass) <= 1e-12
+    assert diag.step_index[-1] == alone.step_index[-1]
 
 
 def test_cli_converge_roundtrip(tmp_path):

@@ -383,6 +383,20 @@ def test_trajectory_rejects_times_out_of_order():
         advance_to(replace(ps, time=2.0), 1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_sample_time_fails_before_any_step(monkeypatch, bad):
+    ps = system([-0.5, 0.5], [0.5, 0.5], pot=EXP_POINTY)
+
+    def no_step(*args):
+        raise AssertionError("integrated towards a non-finite time")
+
+    monkeypatch.setattr(particles, "_rk4_next", no_step)
+    with pytest.raises(ValueError, match="sample times must be finite"):
+        advance_to(ps, bad)
+    with pytest.raises(ValueError, match="sample times must be finite"):
+        list(trajectory(ps, [0.5, bad]))
+
+
 def test_rk4_step_whose_stages_overflow_is_halved():
     # speeds near 1e6 close a gap of 0.012 within 1e-8: a full step's stages pass the
     # contact by about 1e4, where the exponential sums overflow, so the step is halved
