@@ -27,12 +27,13 @@ x0 + t v0 (Brenier & Grenier 1998).
 
 Other potentials integrate by classical RK4 with steps of MAX_STEP counted
 from the last contact; the speeds at the end of a step are the next step's
-first stage.  Positions and speeds at both ends of a step define a cubic
-Hermite interpolant of every gap, and its earliest zero names the pair that
-makes contact first and estimates when.  A safeguarded regula falsi
-(Illinois) on that pair's RK4 gap then locates the contact time to
-BISECT_TOL; the system advances to it and merges every gap within the
-contact tolerance.  Both engines commit only these events and steps: a
+first stage.  A step holds a contact when the smallest gap at its end is
+<= 0.  The earliest root of the quadratic through a closed pair's gap
+(value and slope at the start, value at the end) then seeds a safeguarded
+regula falsi (Illinois) on the smallest RK4 gap, which locates the first
+contact time to BISECT_TOL; the system advances to it and merges every gap
+within the contact tolerance.  A gap that closes and reopens inside one
+step is not seen.  Both engines commit only these events and steps: a
 sample time moves the clusters linearly from the last event, or takes one
 RK4 step from the last committed point, and commits nothing.
 """
@@ -128,69 +129,21 @@ def _rk4(x, m, h, vel, k1):
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _first_gap_zero(g0, d0, g1, d1, h):
-    """Earliest zero of the cubic Hermite interpolants of the gaps over a step.
+def _locate_contact(x, m, k1, vel, h, g_end, tau, rate):
+    """The first contact in an RK4 step from x (speeds k1) of length at most h.
 
-    Pair i's gap runs from g0[i] > 0 with slope d0[i] to g1[i] with slope
-    d1[i] over a step of length h.  Returns (i, tau) for the pair whose
-    interpolant reaches zero first, at tau in (0, h]; None if none does.
-    """
-    hd0, hd1 = h * d0, h * d1
-    # power-basis coefficients in s = tau / h
-    c1 = hd0
-    c2 = 3.0 * (g1 - g0) - 2.0 * hd0 - hd1
-    c3 = 2.0 * (g0 - g1) + hd0 + hd1
-    # knots 0 <= s_a <= s_b <= 1 at the critical points split [0, 1] into monotone pieces
-    qa, qb = 3.0 * c3, 2.0 * c2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        disc = np.sqrt(qb * qb - 4.0 * qa * c1)
-        q = -0.5 * (qb + np.copysign(disc, qb))
-        crit = np.stack([q / qa, c1 / q])
-    crit = np.sort(np.where((crit > 0.0) & (crit < 1.0), crit, 1.0), axis=0)
-    knots = np.concatenate([np.zeros((1, g0.size)), crit, np.ones((1, g0.size))])
-    vals = np.where(knots == 1.0, g1, g0 + knots * (c1 + knots * (c2 + knots * c3)))
-    hit = vals <= 0.0
-    pairs = np.flatnonzero(np.any(hit, axis=0))
-    if pairs.size == 0:
-        return None
-    k = np.argmax(hit[:, pairs], axis=0)  # first knot at or below zero; knot 0 holds g0 > 0
-    lo, hi = knots[k - 1, pairs], knots[k, pairs]
-    a0, a1, a2, a3 = g0[pairs], c1[pairs], c2[pairs], c3[pairs]
-    # safeguarded Newton on each bracketing monotone piece, from the secant point
-    p_lo, p_hi = vals[k - 1, pairs], vals[k, pairs]
-    s = lo + (hi - lo) * p_lo / (p_lo - p_hi)
-    for _ in range(60):
-        p = a0 + s * (a1 + s * (a2 + s * a3))
-        lo = np.where(p > 0.0, s, lo)
-        hi = np.where(p > 0.0, hi, s)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s_new = s - p / (a1 + s * (2.0 * a2 + 3.0 * s * a3))
-        s_new = np.where((s_new >= lo) & (s_new <= hi), s_new, 0.5 * (lo + hi))
-        converged = np.all(np.abs(s_new - s) <= 4.0 * np.finfo(float).eps)
-        s = s_new
-        if converged:
-            break
-    j = int(np.argmin(s))
-    return int(pairs[j]), float(s[j]) * h
-
-
-def _locate_contact(x, m, k1, vel, i, h, g_end, tau, rate):
-    """Pair i's contact in an RK4 step from x (speeds k1) of length at most h.
-
-    f(t), the gap of pair i after an RK4 step of length t, is positive at
-    t = 0 and equals g_end at t = h; tau estimates its first zero.  A
+    f(t), the smallest gap after an RK4 step of length t, is positive at
+    t = 0 and equals g_end <= 0 at t = h; tau estimates its first zero.  A
     safeguarded regula falsi (Illinois) on f runs until the zero is known
-    to ``BISECT_TOL`` in time, with ``rate`` the pair's closing speed.
-    Returns (t, x(t)).  If f(tau) > 0 and g_end > 0, no sign change
-    brackets a contact; (tau, x(tau)) is returned, short of contact.
+    to ``BISECT_TOL`` in time, with ``rate`` a closing speed.  Returns (t, x(t)).
     """
     lo, hi = 0.0, h
-    f_lo, f_hi = x[i + 1] - x[i], g_end
+    f_lo, f_hi = np.min(np.diff(x)), g_end
     side = 0
     for _ in range(100):
         y = _rk4(x, m, tau, vel, k1)
-        f = y[i + 1] - y[i]
-        if abs(f) <= rate * BISECT_TOL or (f > 0.0 and f_hi > 0.0):
+        f = np.min(np.diff(y))
+        if abs(f) <= rate * BISECT_TOL:
             return tau, y
         if f > 0.0:
             lo, f_lo = tau, f
@@ -239,10 +192,14 @@ def _exact_path(ps: ParticleSystem, times, log):
 def _rk4_next(x, m, v, vel, t):
     """The committed point after (t, x) with speeds v: (time, positions, speeds or None, merge gap).
 
-    That is a full step's end, or the contact located inside it.  A step whose
-    stages pass a contact so far that the exponential sums overflow is halved.
+    That is a full step's end, or the first contact inside the step when the
+    smallest gap at its end is <= 0.  The quadratic through each closed pair's
+    gap (value and slope at t, value at the end) seeds the contact search at
+    its earliest root.  A step whose stages pass a contact so far that the
+    exponential sums overflow is halved.
     """
-    if np.min(np.diff(x)) <= CONTACT_TOL:  # touching at a committed point: they merge there
+    g0 = np.diff(x)
+    if np.min(g0) <= CONTACT_TOL:  # touching at a committed point: they merge there
         return t, x, None, CONTACT_TOL
     h = MAX_STEP
     with np.errstate(all="ignore"):  # a stage far past a contact overflows the sums: halve the step
@@ -250,15 +207,18 @@ def _rk4_next(x, m, v, vel, t):
         while not np.all(np.isfinite(x_end)) and h > MAX_STEP * 2.0**-40:
             h *= 0.5
             x_end = _rk4(x, m, h, vel, v)
-        v_end = vel(x_end, m)
-    d0, d1, g_end = np.diff(v), np.diff(v_end), np.diff(x_end)
-    contact = _first_gap_zero(np.diff(x), d0, g_end, d1, h)
-    if contact is None:
-        return t + h, x_end, v_end, 0.0
-    i, tau = contact
-    tau, y = _locate_contact(x, m, v, vel, i, h, g_end[i], tau, max(abs(d0[i]), abs(d1[i])))
-    vmax = max(float(np.max(np.abs(v))), float(np.max(np.abs(v_end))))
-    return t + tau, y, None, max(CONTACT_TOL, 4.0 * vmax * BISECT_TOL)
+        g1 = np.diff(x_end)
+        if not np.min(g1) <= 0.0:
+            return t + h, x_end, vel(x_end, m), 0.0
+        closed = g1 <= 0.0
+        g0, g1, b = g0[closed], g1[closed], np.diff(v)[closed]
+        kappa = (g1 - g0 - b * h) / (h * h)
+        tau = 2.0 * g0 / (np.sqrt(np.maximum(b * b - 4.0 * kappa * g0, 0.0)) - b)
+    # rounding can break the quadratic's root: then the secant point
+    tau = np.where(np.isfinite(tau) & (tau >= 0.0) & (tau <= h), tau, h * g0 / (g0 - g1))
+    j = int(np.argmin(tau))
+    tau, y = _locate_contact(x, m, v, vel, h, float(np.min(g1)), float(tau[j]), abs(float(b[j])))
+    return t + tau, y, None, max(CONTACT_TOL, 4.0 * float(np.max(np.abs(v))) * BISECT_TOL)
 
 
 def _rk4_path(ps: ParticleSystem, times, log):
@@ -285,23 +245,26 @@ def _rk4_path(ps: ParticleSystem, times, log):
         yield _rk4(x, m, s - t, vel, v) if x.size > 1 and s > t else x, m
 
 
+def _sample_state(ps: ParticleSystem, t: float, x, m) -> ParticleSystem:
+    if not np.all(np.isfinite(x)):
+        raise RuntimeError("non-finite particle state")
+    x, m, _ = merge_runs(x, m, np.diff(x) <= 0.0)  # a side run may close a gap
+    return replace(ps, x=x, m=m, time=t)
+
+
 def trajectory(ps: ParticleSystem, times, log: list[TrajectoryEvent] | None = None):
-    """Yield the system at each of the finite, nondecreasing ``times``, none before ``ps.time``.
+    """An iterator over the system at each of the finite, nondecreasing ``times``, none before ``ps.time``.
 
     The state at t is a side run from the committed path, the same bits
     whichever other times are sampled.  Each merge on the path up to t is
     first logged as a :class:`TrajectoryEvent` (kind "merge", snapshot just
-    after it).  Raises ValueError on other times, RuntimeError on non-finite
-    state and on a stall: an RK4 point that neither advances nor merges, or
-    an event that merges nothing.
+    after it).  Raises ValueError on other times at once, before iterating;
+    the iteration raises RuntimeError on non-finite state and on a stall: an
+    RK4 point that neither advances nor merges, or an event that merges nothing.
     """
     times = sample_times(ps.time, times)
-    path = _exact_path if ps.pot.amp == 0.0 else _rk4_path
-    for t, (x, m) in zip(times, path(ps, times, log)):
-        if not np.all(np.isfinite(x)):
-            raise RuntimeError("non-finite particle state")
-        x, m, _ = merge_runs(x, m, np.diff(x) <= 0.0)  # a side run may close a gap
-        yield replace(ps, x=x, m=m, time=t)
+    path = (_exact_path if ps.pot.amp == 0.0 else _rk4_path)(ps, times, log)
+    return (_sample_state(ps, t, x, m) for t, (x, m) in zip(times, path))
 
 
 def advance_to(ps: ParticleSystem, t_end: float, log: list[TrajectoryEvent] | None = None) -> ParticleSystem:

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 from dataclasses import replace
@@ -7,6 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from aggr1d import particles
+from aggr1d.cli import main as cli_main
 from aggr1d.config import example_preset
 from aggr1d.experiments import _particle_system
 from aggr1d.measure import DiscreteMeasure, wasserstein1
@@ -178,11 +180,11 @@ def test_kink_only_contact_past_the_float_range_is_none():
 
 
 def test_kink_only_path_is_exact_and_steps_nothing(monkeypatch):
-    # speeds are evaluated once per call; no RK4 step, gap interpolant or root find
+    # speeds are evaluated once per call; no RK4 step or root find
     def forbidden(*args):
         raise AssertionError("the kink-only path takes no time step")
 
-    for name in ("_rk4", "_first_gap_zero", "_locate_contact"):
+    for name in ("_rk4", "_locate_contact"):
         monkeypatch.setattr(particles, name, forbidden)
     calls = []
     vel = particles._nonlinear_vel
@@ -238,6 +240,35 @@ def test_exp_two_body_merge_time_analytic():
         assert len(merges) == 1 and ps.n == 1
         assert merges[0].time == pytest.approx(t_contact, abs=1e-11)
         assert abs(ps.x[0]) <= 1e-11
+
+
+def test_two_contacts_inside_one_rk4_step():
+    # two exp_pointy pairs 800 apart, masses 1/4, identity law: the pairs do not
+    # interact (e^-800 underflows), and each gap obeys d' = -e^{-d}/4, so it
+    # closes at 4(e^{d0} - 1); both contacts fall inside the step from t = 1
+    times = (1.003, 1.007)
+    d = [math.log1p(t / 4.0) for t in times]
+    x = [-400.0 - 0.5 * d[0], -400.0 + 0.5 * d[0], 400.0 - 0.5 * d[1], 400.0 + 0.5 * d[1]]
+    assert times[1] - times[0] < particles.MAX_STEP
+    log = []
+    ps = advance_to(system(x, [0.25] * 4, pot=EXP_POINTY), 1.1, log)
+    merges = [ev for ev in log if ev.kind == "merge"]
+    assert [ev.snapshot.n_atoms for ev in merges] == [3, 2] and ps.n == 2
+    for ev, t in zip(merges, times):
+        assert ev.time == pytest.approx(t, abs=1e-11)
+
+
+def test_contact_search_iteration_cap_aborts(monkeypatch, tmp_path):
+    # a tolerance no search can meet; at 0 an exact zero gap in floating point would still stop it
+    monkeypatch.setattr(particles, "BISECT_TOL", -1.0)
+    atoms = [[-0.25, 0.5], [0.25, 0.5]]
+    with pytest.raises(RuntimeError, match="did not converge"):
+        advance_to(system(*zip(*atoms), pot=EXP_POINTY), 5.0)
+    doc = {"label": "cap", "potential": {"name": "exp_pointy"}, "velocity_law": {"name": "identity"}}
+    doc.update(t_end=5.0, initial={"kind": "atoms", "atoms": atoms}, output_dir=str(tmp_path / "out"))
+    (tmp_path / "cap.json").write_text(json.dumps(doc))
+    assert cli_main(["particles", "--config", str(tmp_path / "cap.json")]) == 3
+    assert not (tmp_path / "out").exists()
 
 
 def test_three_body_against_fixed_step_rk4():
@@ -320,20 +351,25 @@ def test_contraction_growth_bound_lambda_positive():
 
 
 def test_velocity_osl_diagnostic():
-    # v_i - v_j <= lam (x_i - x_j) * total mass for i right of j
+    # v_j - v_i <= alpha (x_j - x_i) for j right of i, alpha = lam * M * sup a'
+    # (1 for the identity law, k * scale for atan): a is nondecreasing with
+    # a' <= sup a', and each particle speed lies between a(u(x+)) and a(u(x-)),
+    # so v_j - v_i <= a(u(x_j-)) - a(u(x_i+)), while u = W' * rho rises between
+    # x_i and x_j at most at rate lam * M (its jumps at atoms are falls)
     rng = np.random.default_rng(61)
-    for pot in (ABS_HALF, EXP_POINTY):
-        lam = closed_form(pot).lam
-        for _ in range(40):
-            n = rng.integers(2, 30)
-            x = np.sort(rng.normal(size=n) * 2.0)
-            if np.any(np.diff(x) <= 1e-9):
-                continue
-            m = rng.random(n) + 0.02
-            v = velocities(system(x, m, pot=pot))
-            i, j = np.triu_indices(n, k=1)
-            slack = v[j] - v[i] - lam * (x[j] - x[i]) * m.sum()  # j > i here
-            assert np.max(slack) <= 1e-9
+    for law, slope in ((IDENTITY, 1.0), (ATAN, 50.0 * 2.0 / math.pi)):
+        for pot in (ABS_HALF, EXP_POINTY):
+            lam = closed_form(pot).lam
+            for _ in range(40):
+                n = rng.integers(2, 30)
+                x = np.sort(rng.normal(size=n) * 2.0)
+                if np.any(np.diff(x) <= 1e-9):
+                    continue
+                m = rng.random(n) + 0.02
+                v = velocities(system(x, m, pot=pot, law=law))
+                i, j = np.triu_indices(n, k=1)
+                slack = v[j] - v[i] - lam * m.sum() * slope * (x[j] - x[i])  # j > i here
+                assert np.max(slack) <= 1e-9
 
 
 def test_trajectory_log_monotone_times_and_mass():
@@ -395,6 +431,12 @@ def test_non_finite_sample_time_fails_before_any_step(monkeypatch, bad):
         advance_to(ps, bad)
     with pytest.raises(ValueError, match="sample times must be finite"):
         list(trajectory(ps, [0.5, bad]))
+
+
+def test_trajectory_checks_its_times_before_iteration():
+    ps = system([-0.5, 0.5], [0.5, 0.5], pot=EXP_POINTY)
+    with pytest.raises(ValueError, match="sample times must be finite"):
+        trajectory(ps, [math.nan])
 
 
 def test_rk4_step_whose_stages_overflow_is_halved():
