@@ -4,9 +4,10 @@ Subcommands: simulate | particles | compare | converge.  A run is defined
 by either a JSON config (--config) or a preset (--example 1|2|3), not
 both; the other flags override individual fields.  Exit codes: 0 success,
 2 configuration or usage error (nothing is written), 3 runtime abort (CFL
-violation, mass leaving the grid, a step that does not advance the time,
-non-finite speed, particle-oracle failure).  Any other exception is a bug
-and surfaces as a traceback.
+violation, a step that does not advance the time, non-finite speed,
+particle-oracle failure).  Any other exception is a bug and surfaces as a
+traceback.  Every potential is attractive, so the grid is a closed box:
+no mass leaves it.
 """
 
 from __future__ import annotations

@@ -16,11 +16,11 @@ difference) so positivity survives floating point.
 :func:`run` commits full steps whichever times are sampled, and reaches a
 sample time by one shorter step that commits nothing.
 
-The grid stands in for the whole line: the flux that leaves the two end
-cells is dropped, so the mass recorded at each step is exactly what the
-grid still holds.  With an attractive potential the end-cell speeds point
-inward and nothing leaves.  :func:`run` alone aborts, on its diagnostics rows:
-lost mass above ``BOUNDARY_MASS_TOL``, a non-finite max|a|, a CFL violation.
+The grid stands in for the whole line as a closed box: every potential is
+attractive, so the end-cell speeds point inward and nothing leaves (the
+proof is in ``velocity_sup_bound``), and :func:`step` keeps it so in
+floating point.  :func:`run` alone aborts, on its diagnostics rows: a
+non-finite max|a|, a CFL violation.
 
 Cell i's speed is the mean of the speed law a over [s_{i-1/2}, s_{i+1/2}],
 between two interface values of the cumulative primitive gradient
@@ -72,9 +72,6 @@ __all__ = [
     "run",
 ]
 
-# run() aborts once the grid has lost this much mass through its two end cells
-BOUNDARY_MASS_TOL = 1e-8
-
 # 5-point Gauss-Legendre rule on [-1, 1], the values of
 # numpy.polynomial.legendre.leggauss(5) bit for bit (the closed form 128/225
 # of the middle weight differs in the last bit)
@@ -83,7 +80,7 @@ GAUSS5_WEIGHTS = (0.23692688505618928, 0.4786286704993663, 0.5688888888888887, 0
 
 
 class SchemeError(RuntimeError):
-    """Abort of :func:`run`: non-finite speed, CFL violation, mass lost at the grid edge, stalled time."""
+    """Abort of :func:`run`: non-finite speed, CFL violation, stalled time."""
 
 
 @dataclass(frozen=True)
@@ -302,15 +299,20 @@ def step(state: FVState, a: np.ndarray, dt: float) -> FVState:
     rho_i^{n+1} = rho_i (1 - s_i) + s_{i-1} rho_{i-1} [a_{i-1} > 0]
                   + s_{i+1} rho_{i+1} [a_{i+1} < 0].
 
-    Every addend is nonnegative and no cell sends more than it holds, so for
-    finite speeds and dt >= 0 the step conserves mass and keeps min rho >= 0
-    exactly; :func:`run` checks CFL, and the cap binds only in its 1e-9 slack.
+    The box is closed: an end cell whose speed points out of the grid keeps
+    its share, so every share sent lands in a cell.  The end speeds point
+    inward in exact arithmetic (see ``velocity_sup_bound``), so this can
+    bind only on a rounding error of the speed.  Every addend is
+    nonnegative and no cell sends more than it holds, so for finite speeds
+    and dt >= 0 the step conserves mass and keeps min rho >= 0 exactly;
+    :func:`run` checks CFL, and the cap binds only in its 1e-9 slack.
     """
     if dt < 0.0:
         raise ValueError("dt must be nonnegative")
     rho = state.rho
     share = dt / state.grid.dx * np.abs(a)
     np.minimum(share, 1.0, out=share)
+    share[:: share.size - 1] *= (a[0] >= 0.0, a[-1] <= 0.0)  # the two end cells: no share leaves the grid
     new = 1.0 - share
     new *= rho
     share *= rho  # becomes the mass each cell sends
@@ -373,10 +375,9 @@ def run(state0: FVState, pot: PointyPotential, law: VelocityLaw, gamma: float, t
     ``times`` must pass :func:`~aggr1d.measure.sample_times` (ValueError).
     Snapshots are (s, DiscreteMeasure) pairs; ``on_sample``, if given, is
     called with each sampled density, a read-only cell array.  Every state
-    gets a diagnostics row, whose mass measures the outflow exactly: the run
-    aborts (SchemeError) on a row that lost more than ``BOUNDARY_MASS_TOL``
-    or whose max|a| is not finite or makes dt*max|a|/dx exceed 1 + 1e-9,
-    and on a step that does not advance the time.
+    gets a diagnostics row: the run aborts (SchemeError) on a row whose
+    max|a| is not finite or makes dt*max|a|/dx exceed 1 + 1e-9, and on a
+    step that does not advance the time.
     """
     times = sample_times(state0.time, times)
     grid = state0.grid
@@ -387,13 +388,10 @@ def run(state0: FVState, pot: PointyPotential, law: VelocityLaw, gamma: float, t
     def checked_speeds(state: FVState) -> np.ndarray:
         a = nonlinear_velocity(state, pot, law, kernel)
         diag.record(state, a)
-        amax, lost = diag.max_abs_a[-1], diag.mass[0] - diag.mass[-1]
-        if not np.isfinite(amax):
+        if not np.isfinite(diag.max_abs_a[-1]):
             raise SchemeError(f"non-finite mean speed at t = {state.time:.6g}")
-        if lost > BOUNDARY_MASS_TOL:
-            raise SchemeError(f"mass {lost:.3g} left the grid by t = {state.time:.6g}; enlarge the domain")
-        if dt / grid.dx * amax > 1.0 + 1e-9:
-            raise SchemeError(f"CFL violation: dt*max|a|/dx = {dt / grid.dx * amax:.6g} > 1")
+        if (cfl := dt / grid.dx * diag.max_abs_a[-1]) > 1.0 + 1e-9:
+            raise SchemeError(f"CFL violation: dt*max|a|/dx = {cfl:.6g} > 1")
         return a
 
     state, snapshots, a = state0, [], checked_speeds(state0)

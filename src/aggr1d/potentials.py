@@ -83,12 +83,20 @@ class PointyPotential:
     single exponential, so every sum of it over a sorted point set (the
     grid's nu convolution, the particles' wtilde sums) splits into the
     one-sided sums of :func:`left_exp_sums`.
+
+    The potential must be attractive, c > 0 and W' >= 0 on (-inf, 0), that
+    is u_inf >= 0; anything else raises ValueError.  The grid's end-cell
+    speeds then point inward (:func:`velocity_sup_bound`): it is a closed box.
     """
 
     name: str
     c: float
     amp: float = 0.0
     rate: float = 1.0
+
+    def __post_init__(self):
+        if not (self.c > 0.0 and self.amp >= 0.0 and self.rate > 0.0 and self.u_inf >= 0.0):
+            raise ValueError(f"{self.name}: an attractive potential needs c > 0, amp >= 0, rate > 0, c/2 >= amp/rate")
 
     @property
     def w0(self) -> float:
@@ -102,8 +110,8 @@ class PointyPotential:
 
     @property
     def lip(self) -> float:
-        """sup |W'|: W' runs monotonically from -c/2 at 0+ to -u_inf at +inf and is odd."""
-        return max(0.5 * abs(self.c), abs(self.u_inf))
+        """sup |W'|: W' is odd and runs monotonically from -c/2 at 0+ to -u_inf in [-c/2, 0] at +inf."""
+        return 0.5 * self.c
 
     def w_eval(self, x):
         return self.amp * np.exp(-self.rate * np.abs(x))
@@ -119,13 +127,14 @@ class PointyPotential:
 
 @dataclass(frozen=True)
 class VelocityLaw:
-    """Nondecreasing C^1 speed law a, given by its mean over an interval.
+    """Odd, nondecreasing C^1 speed law a, given by its mean over an interval.
 
     ``mean(lo, hi)`` is the exact mean of a over [lo, hi] elementwise, for
     either orientation, in a closed form that stays well-conditioned for
     every interval length; at lo == hi it is a itself, a(x) = mean(x, x).
     The mean is the law's only evaluator: both engines read a through it,
-    and so does the CFL bound (:func:`velocity_sup_bound`).
+    and so does the CFL bound (:func:`velocity_sup_bound`).  Since a is odd
+    and nondecreasing, a mean has the sign of its interval's midpoint.
     """
 
     name: str
@@ -216,5 +225,14 @@ def velocity_sup_bound(pot: PointyPotential, law: VelocityLaw) -> float:
     limit at the origin), at most lip in modulus.  For a kink-only
     potential this is s = c*(M/2 - F) with F the cumulative mass, and for
     the identity law the bound is lip itself.
+
+    The end-cell speeds point inward, so no mass leaves the grid.  Cell 0's
+    speed is the mean of a over [s_{-1/2}, s_{1/2}], which has the sign of
+    the interval's midpoint.  With the left-anchor weights tail_j =
+    Phi(-j dx) - dx*g_j/2 that midpoint is u_inf*(M - m_0) + sum_{j>=1}
+    m_j*(tail_j + dx*g_j/2): cell 0's own term m_0*(u_inf + Phi(0) - c/2)
+    is 0, since Phi(0) = amp/rate = c/2 - u_inf, and the rest is >= 0,
+    since u_inf >= 0 and tail_j + dx*g_j/2 = Phi(-j dx) >= 0.  So a_0 >= 0,
+    and the mirror image gives a_{N-1} <= 0.
     """
     return float(max(abs(law.mean(-pot.lip, -pot.lip)), abs(law.mean(pot.lip, pot.lip))))

@@ -4,21 +4,17 @@ W, W' and the concavity constant lambda of each builtin potential, keyed
 by its name and written out by hand, never derived from the numbers
 (c, amp, rate) of W'' that the engines use, so they stay an independent
 reference for them.  lambda is the one-sided Lipschitz constant of W':
-W'(x) - W'(y) <= lambda*(x - y) for x > y away from 0.  ``REPULSIVE`` is
-the kink of the wrong sign, W(x) = |x|/2, which has no such constant.
+W'(x) - W'(y) <= lambda*(x - y) for x > y away from 0.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from aggr1d.potentials import PointyPotential
-
-REPULSIVE = PointyPotential("repulsive", c=-1.0)
 
 
 @dataclass(frozen=True)
@@ -42,6 +38,4 @@ def closed_form(pot: PointyPotential) -> ClosedForm:
             lambda x: -0.5 * np.sign(x) * np.exp(-np.abs(x)),
             0.5,
         )
-    if name == "repulsive":
-        return ClosedForm(lambda x: 0.5 * np.abs(x), lambda x: 0.5 * np.sign(x), math.inf)
     raise KeyError(f"no closed form for potential {name!r}")

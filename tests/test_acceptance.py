@@ -1,5 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
+The end-speed test beside criterion 1 reuses its runs.
+
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  Desk scale: at most 4000 cells and 512 particles per study.
 """
@@ -8,9 +10,10 @@ import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from aggr1d import fv, particles
-from aggr1d.config import example_preset
+from aggr1d.config import SimConfig, example_preset
 from aggr1d.experiments import cmd_converge
 from aggr1d.fv import build_nu_kernel, compute_nu, nonlinear_velocity, project_initial, run, solve_s_gradient
 from aggr1d.initial import builtin_initial, sample_particles
@@ -26,14 +29,26 @@ def _report(num: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num}: {detail}"
 
 
-def _preset_run(number: int, t_end: float):
-    cfg = replace(example_preset(number), t_end=t_end)
+def _run(cfg):
+    """(cfg, grid, pot, law, snaps, diag, ends), with (a_0, a_{N-1}) of each step in ``ends``."""
     grid = cfg.make_grid()
     pot = cfg.make_potential()
     law = cfg.make_law()
     state0 = project_initial(cfg.initial.density, grid)
-    snaps, diag = run(state0, pot, law, cfg.gamma, cfg.schedule())
-    return cfg, grid, pot, law, snaps, diag
+    ends, real_step = [], fv.step
+
+    def step(state, a, dt):
+        ends.append((a[0], a[-1]))
+        return real_step(state, a, dt)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fv, "step", step)
+        snaps, diag = run(state0, pot, law, cfg.gamma, cfg.schedule())
+    return cfg, grid, pot, law, snaps, diag, np.array(ends)
+
+
+def _preset_run(number: int, t_end: float):
+    return _run(replace(example_preset(number), t_end=t_end))
 
 
 _CACHE = {}
@@ -46,11 +61,16 @@ def preset_run(number: int, t_end: float):
     return _CACHE[key]
 
 
+# |M_n - M_0| in floating point: at most 3.0e-15 on presets 1-3 at 4000 cells
+# and 1.1e-16 on CI's wide-exp config when measured
+MASS_DRIFT_TOL = 1e-14
+
+
 def _scheme_invariant_violations(pot, law, diag) -> list[str]:
     bad = []
     a_inf = velocity_sup_bound(pot, law)
     mass = np.asarray(diag.mass)
-    if float(np.max(np.abs(mass - mass[0]))) > 1e-12:
+    if float(np.max(np.abs(mass - mass[0]))) > MASS_DRIFT_TOL:
         bad.append(f"mass drift {np.max(np.abs(mass - mass[0])):.3g}")
     if min(diag.min_rho) < 0.0:
         bad.append("negative density")
@@ -66,14 +86,44 @@ def _scheme_invariant_violations(pot, law, diag) -> list[str]:
     return bad
 
 
+# presets 1 and 3 to t = 2 and preset 2 to its t_end, 1000 cells, gamma = 0.9
+CRITERION_1_RUNS = ((1, 2.0), (2, example_preset(2).t_end), (3, 2.0))
+
+# CI's wide-exp config: three bumps 400 apart on [-700, 700], far from both ends
+WIDE_EXP = {
+    "label": "wide-exp",
+    "potential": {"name": "exp_pointy"},
+    "velocity_law": {"name": "atan", "k": 50.0, "scale": 0.6366197723675814},
+    "domain": [-700.0, 700.0],
+    "n_cells": 1400,
+    "t_end": 2.0,
+    "initial": {
+        "kind": "bumps",
+        "bumps": [{"amplitude": 1.0, "center": x, "width": 5.0} for x in (-400.0, 0.0, 400.0)],
+    },
+}
+
+
 def test_criterion_1_scheme_invariants():
-    # presets 1 and 3 to t = 2 and preset 2 to its t_end, 1000 cells, gamma = 0.9
     bad = []
-    for number, t_end in ((1, 2.0), (2, example_preset(2).t_end), (3, 2.0)):
-        _, _, pot, law, _, diag = preset_run(number, t_end)
+    for number, t_end in CRITERION_1_RUNS:
+        _, _, pot, law, _, diag, _ = preset_run(number, t_end)
         bad += [f"example {number}: {b}" for b in _scheme_invariant_violations(pot, law, diag)]
     # positivity and constant mass make the cumulative mass's total variation equal the mass: TVD
     _report(1, not bad, "; ".join(bad) or "mass/positivity/velocity/moment/support hold on presets 1, 2 and 3")
+
+
+def test_end_cell_speeds_point_inward():
+    # a_0 >= 0 and a_{N-1} <= 0 at every step (the proof is in
+    # velocity_sup_bound), so the step's closed box never binds.  min a_0 reads
+    # 0.712, 0.126 and 0.004 on criterion 1's runs; wide-exp's end cells hold
+    # no mass, and its end speeds point inward by 2.4e-127 and 5.2e-16
+    wide = _run(SimConfig.from_dict(WIDE_EXP))
+    for cfg, *_, ends in [*(preset_run(number, t_end) for number, t_end in CRITERION_1_RUNS), wide]:
+        assert ends.size and np.all(ends[:, 0] >= 0.0) and np.all(ends[:, 1] <= 0.0), cfg.label
+    *_, wide_diag, _ = wide
+    mass = np.asarray(wide_diag.mass)
+    assert np.max(np.abs(mass - mass[0])) <= MASS_DRIFT_TOL
 
 
 def test_criterion_2_two_particle_oracle():
@@ -175,7 +225,7 @@ def _peak_and_near_mass(m: DiscreteMeasure, grid, n_side=5):
 
 
 def test_criterion_6_peaks_merge_and_freeze():
-    cfg, grid, _, _, snaps, _ = preset_run(1, 3.0)
+    cfg, grid, _, _, snaps, _, _ = preset_run(1, 3.0)
     two_clusters = False
     for t, m in snaps:
         if 0.0 < t < 3.0:
@@ -195,7 +245,7 @@ def test_criterion_6_peaks_merge_and_freeze():
 
 
 def test_criterion_7_central_blowup():
-    cfg, grid, _, _, snaps, _ = preset_run(2, example_preset(2).t_end)
+    cfg, grid, _, _, snaps, _, _ = preset_run(2, example_preset(2).t_end)
     peak, near = _peak_and_near_mass(snaps[-1][1], grid)
     ok = abs(peak) <= 3.0 * grid.dx
     _report(7, ok, f"final concentration point {peak:+.4f}, window 3dx = {3 * grid.dx:.4f} (mass nearby {near:.4f})")
@@ -206,7 +256,7 @@ def test_criterion_8_entropy_diagnostic():
     # relation (s_{i+1/2} - s_{i-1/2})/dx - nu_i = -c rho_i, in both directions
     worst = 0.0
     for number, t_end in ((1, 2.0), (1, 3.0), (2, example_preset(2).t_end), (3, 2.0)):
-        _, grid, pot, _, snaps, _ = preset_run(number, t_end)
+        _, grid, pot, _, snaps, _, _ = preset_run(number, t_end)
         kern = build_nu_kernel(pot, grid)
         for _, m in snaps:
             worst = max(worst, conservation_residual(state_from_snapshot(m, grid), pot, kern))

@@ -371,7 +371,7 @@ def test_compare_scheme_error_wins_and_kills_the_child(tmp_path, monkeypatch):
     monkeypatch.setattr(particles, "trajectory", lambda ps, times, log=None: time.sleep(60.0))
 
     def aborting_run(*args, **kwargs):
-        raise fv.SchemeError("mass left the grid")
+        raise fv.SchemeError("CFL violation")
 
     monkeypatch.setattr(fv, "run", aborting_run)
     t0 = time.perf_counter()
@@ -381,7 +381,7 @@ def test_compare_scheme_error_wins_and_kills_the_child(tmp_path, monkeypatch):
     with pytest.raises(ProcessLookupError):
         os.kill(pids[0], 0)  # killed and reaped
     assert not (tmp_path / "abort").exists()
-    with pytest.raises(fv.SchemeError, match="mass left the grid"):
+    with pytest.raises(fv.SchemeError, match="CFL violation"):
         cmd_compare(_compare_config(tmp_path))
     _assert_no_children()
 
@@ -470,7 +470,7 @@ def test_simulate_scheme_error_kills_the_formatter(tmp_path, monkeypatch):
     def aborting_step(state, a, dt):
         calls.append(dt)
         if len(calls) % 5 == 0:
-            raise fv.SchemeError("mass left the grid")
+            raise fv.SchemeError("CFL violation")
         return real_step(state, a, dt)
 
     monkeypatch.setattr(fv, "step", aborting_step)
@@ -638,7 +638,7 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "cli" / "manifest.json").exists()
     # runtime abort: a scheme failure exits 3 and writes nothing
     def aborting_run(*args, **kwargs):
-        raise fv.SchemeError("mass left the grid")
+        raise fv.SchemeError("CFL violation")
 
     monkeypatch.setattr(fv, "run", aborting_run)
     assert cli_main(["simulate", "--example", "3", "--label", "abort", "--out", str(tmp_path)]) == 3

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -10,6 +9,7 @@ from aggr1d import fv
 from aggr1d.particles import ParticleSystem
 from aggr1d.potentials import (
     EXP_BLOCK,
+    PointyPotential,
     left_exp_sums,
     make_builtin_potential,
     make_velocity_law,
@@ -17,7 +17,7 @@ from aggr1d.potentials import (
 )
 from mean_speed_reference import QUOTIENT_MIN, atan_a, atan_mean, identity_a, identity_mean
 from particle_views import velocities
-from potential_reference import REPULSIVE, closed_form
+from potential_reference import closed_form
 
 ALL_BUILTINS = [
     make_builtin_potential("abs_half"),
@@ -58,6 +58,32 @@ def test_unknown_potential_and_bad_sigma():
         make_builtin_potential("abs_scaled", sigma=0.0)
     with pytest.raises(ValueError):
         make_builtin_potential("abs_scaled", sigma=-1.0)
+
+
+NOT_ATTRACTIVE = {
+    "c=0": (0.0, 0.0, 1.0),
+    "c=-1": (-1.0, 0.0, 1.0),
+    "c=nan": (math.nan, 0.0, 1.0),
+    "amp<0": (1.0, -0.25, 1.0),
+    "rate=0": (1.0, 0.25, 0.0),
+    "rate<0": (1.0, 0.25, -1.0),
+    "u_inf<0": (1.0, 1.0, 1.0),  # u_inf = 1/2 - 1 = -1/2
+}
+
+
+@pytest.mark.parametrize(
+    "c, amp, rate, accepted",
+    [*((pot.c, pot.amp, pot.rate, True) for pot in ALL_BUILTINS), *((*v, False) for v in NOT_ATTRACTIVE.values())],
+    ids=[*(pot.name for pot in ALL_BUILTINS), *NOT_ATTRACTIVE],
+)
+def test_potential_must_be_attractive(c, amp, rate, accepted):
+    # c > 0, amp >= 0, rate > 0 and u_inf = c/2 - amp/rate >= 0, so W' >= 0
+    # on (-inf, 0); exp_pointy sits on the edge, u_inf = 0.0 exactly
+    if accepted:
+        assert PointyPotential("p", c=c, amp=amp, rate=rate).u_inf >= 0.0
+    else:
+        with pytest.raises(ValueError, match="attractive"):
+            PointyPotential("p", c=c, amp=amp, rate=rate)
 
 
 def test_potential_symmetries():
@@ -243,7 +269,7 @@ def test_velocity_sup_bound_frozen(pot, expected):
     assert tuple(velocity_sup_bound(pot, law) for law in laws) == expected
 
 
-@pytest.mark.parametrize("pot", [*ALL_BUILTINS, REPULSIVE], ids=lambda pot: pot.name)
+@pytest.mark.parametrize("pot", ALL_BUILTINS, ids=lambda pot: pot.name)
 def test_lip_is_sup_of_wprime(pot):
     # the derived lip against the hand-written W' over a dense grid and its
     # limits at 0- and 0+ and at -inf and +inf
@@ -289,7 +315,8 @@ def test_longdouble_reference_matches_mpmath():
 def test_mean_speed_matches_longdouble_reference(d):
     # every builtin law over [-2, 2], four times exp_pointy's gradient range
     # [-1/2, 1/2], and preset 2's [-1/250, 1/250], on intervals of length d in
-    # either orientation, through law.mean and the speeds of both engines
+    # either orientation, through law.mean and the grid's speeds, and in the
+    # one orientation the particles' speeds take
     lo = np.concatenate([np.linspace(-2.0, 2.0, 401), np.linspace(-0.004, 0.004, 41)])
     for law, reference in LAWS_AND_REFERENCES:
         for sign in (1.0, -1.0):
@@ -298,13 +325,12 @@ def test_mean_speed_matches_longdouble_reference(d):
             grid = np.sort(np.concatenate([lo, hi]))[:: int(sign)]  # a gradient profile with intervals of length d
             profile = fv.velocity_from_gradients(law, grid)
             assert np.max(np.abs(profile - reference(grid[:-1], grid[1:]))) <= 1e-14
-            # atoms of mass 1/41 alternate with atoms of mass d/4 under a kink of
-            # either sign, c = 4*sign, whose trace intervals [u(x_i+), u(x_i+) + c*m_i]
-            # then take the orientation of sign
-            c = 4.0 * sign
-            pot = replace(make_builtin_potential("abs_scaled", sigma=2.0), c=c)
-            m = np.tile([1.0 / 41.0, d / 4.0], 41)
-            m = m[m > 0.0]
-            speeds = velocities(ParticleSystem(x=np.arange(m.size, dtype=float), m=m, time=0.0, pot=pot, law=law))
-            u_plus = -c * np.cumsum(m) + 0.5 * c * np.sum(m)  # the kink-only traces as the engine forms them
-            assert np.max(np.abs(speeds - reference(u_plus, u_plus + c * m))) <= 1e-14
+        # atoms of mass 1/41 alternate with atoms of mass d/4 under the kink
+        # c = 4, whose trace intervals [u(x_i+), u(x_i+) + c*m_i] are increasing,
+        # as they are under every attractive potential
+        pot = make_builtin_potential("abs_scaled", sigma=2.0)
+        m = np.tile([1.0 / 41.0, d / 4.0], 41)
+        m = m[m > 0.0]
+        speeds = velocities(ParticleSystem(x=np.arange(m.size, dtype=float), m=m, time=0.0, pot=pot, law=law))
+        u_plus = -pot.c * np.cumsum(m) + 0.5 * pot.c * np.sum(m)  # the kink-only traces as the engine forms them
+        assert np.max(np.abs(speeds - reference(u_plus, u_plus + pot.c * m))) <= 1e-14
