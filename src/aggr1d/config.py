@@ -37,8 +37,8 @@ the label names one directory inside ``output_dir`` in at most 255 bytes,
 neither holds a NUL, the nearest existing path on ``output_dir/label`` is
 a directory, atoms lie in the half-open domain [lo, hi) and their
 masses sum to 1 within 1e-9, and on every grid the run uses the cell
-centers lie farther apart than ``measure.MERGE_TOL`` and bump data
-project to a positive mass without overflow, and the CFL speed bound
+centers strictly increase in floating point and bump data project to a
+positive mass without overflow, and the CFL speed bound
 a_inf is a positive normal float reached without overflow.
 """
 
@@ -55,7 +55,7 @@ import numpy as np
 
 from .fv import Grid, project_initial
 from .initial import GaussianBump, InitialData, builtin_initial
-from .measure import MERGE_TOL, DiscreteMeasure
+from .measure import DiscreteMeasure
 from .potentials import PointyPotential, VelocityLaw, make_builtin_potential, make_velocity_law, velocity_sup_bound
 
 __all__ = ["ConfigError", "SimConfig", "example_preset", "load_config"]
@@ -129,8 +129,8 @@ class SimConfig:
             raise ConfigError("every refinement level must have at least 10 cells")
         for n in {self.n_cells, *self.levels}:
             grid = self.make_grid(n)
-            if np.min(np.diff(grid.centers)) <= MERGE_TOL:  # from_cells would merge the snapshot's cells
-                raise ConfigError(f"the {n}-cell grid's cell centers lie within {MERGE_TOL} of each other")
+            if np.min(np.diff(grid.centers)) <= 0.0:  # from_cells would make one atom of coincident cells
+                raise ConfigError(f"the {n}-cell grid's cell centers do not strictly increase in floating point")
             if not init.is_atomic:
                 try:
                     with np.errstate(over="raise"):

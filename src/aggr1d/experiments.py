@@ -191,8 +191,8 @@ def cmd_simulate(cfg: SimConfig) -> RunArtifacts:
 
 
 def _particle_system(cfg: SimConfig, n: int) -> particles.ParticleSystem:
-    x, m = sample_particles(cfg.initial, n, cfg.domain)
-    return particles.ParticleSystem(x=x, m=m, time=0.0, pot=cfg.make_potential(), law=cfg.make_law())
+    atoms = sample_particles(cfg.initial, n, cfg.domain)
+    return particles.ParticleSystem(atoms, time=0.0, pot=cfg.make_potential(), law=cfg.make_law())
 
 
 def cmd_particles(cfg: SimConfig) -> RunArtifacts:
@@ -204,19 +204,19 @@ def cmd_particles(cfg: SimConfig) -> RunArtifacts:
     log = []
     t0 = _time.perf_counter()
     for state in particles.trajectory(ps, cfg.schedule(), log):
-        log.append(particles.TrajectoryEvent(state.time, "sample", DiscreteMeasure(state.x, state.m)))
+        log.append(particles.TrajectoryEvent(state.time, "sample", state.atoms))
     runtime = _time.perf_counter() - t0
     out = _run_dir(cfg)
     rows = ([ev.time, ev.kind, *ev.snapshot.positions, *ev.snapshot.masses] for ev in log)
     traj_path = write_csv(out / "trajectory.csv", "time,event,positions_then_masses", rows)
-    final_path = write_atoms_csv(DiscreteMeasure(state.x, state.m), out / "final_atoms.csv")
+    final_path = write_atoms_csv(state.atoms, out / "final_atoms.csv")
     merges = [ev for ev in log if ev.kind == "merge"]
     summary = {
         "runtime_s": runtime,
         "n_initial": cfg.initial.atoms.n_atoms,
-        "n_final": state.n,
+        "n_final": state.atoms.n_atoms,
         "n_merge_events": len(merges),
-        "final_mass": state.total_mass,
+        "final_mass": state.atoms.total_mass,
     }
     return _write_manifest(cfg, "particles", out, [traj_path, final_path], summary)
 
@@ -307,9 +307,13 @@ def _start(fn, *args):
 
 
 def _oracle(_feed, cfg: SimConfig, n: int):
-    """The n-label particle oracle at every time of the schedule: ([(positions, masses)], its seconds)."""
+    """The n-label particle oracle at every time of the schedule: ([(positions, masses)], its seconds).
+
+    Plain arrays, not measures: a forked oracle's measures would unpickle writable.
+    """
     t0 = _time.perf_counter()
-    states = [(ps.x, ps.m) for ps in particles.trajectory(_particle_system(cfg, n), cfg.schedule())]
+    path = particles.trajectory(_particle_system(cfg, n), cfg.schedule())
+    states = [(ps.atoms.positions, ps.atoms.masses) for ps in path]
     return states, _time.perf_counter() - t0
 
 

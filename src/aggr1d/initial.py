@@ -144,22 +144,21 @@ def builtin_initial(name: str) -> InitialData:
     raise ValueError(f"unknown initial profile {name!r}")
 
 
-def sample_particles(initial: InitialData, n: int, domain: tuple[float, float]):
-    """Equal-mass quantile discretization of the initial data.
+def sample_particles(initial: InitialData, n: int, domain: tuple[float, float]) -> DiscreteMeasure:
+    """Equal-mass quantile discretization of the initial data, as a measure.
 
-    Returns (positions, masses) of n particles with mass 1/n each.  The
-    positions are the exact quantiles F^{-1}((i + 1/2)/n) of the bumps'
-    closed-form CDF normalized to the mass inside ``domain``.  Labels above
+    Bump data give n labels of mass 1/n each, at the exact quantiles
+    F^{-1}((i + 1/2)/n) of the bumps' closed-form CDF normalized to the
+    mass inside ``domain``; coincident labels are one atom.  Labels above
     the median invert the mass right of them (the mirrored bumps' CDF), so
     tail labels keep their digits and even data give mirror-image labels.
-    Atomic data is passed through unchanged (its own atoms are the
-    discretization).
+    Atomic data give their own atoms, with the masses scaled to sum to 1.
     """
     if initial.is_atomic:
         atoms = initial.atoms
         if not atoms.is_probability():
             raise ValueError("atomic initial data must carry unit mass")
-        return atoms.positions.copy(), atoms.masses / atoms.total_mass
+        return DiscreteMeasure(atoms.positions, atoms.masses / atoms.total_mass)
     if n < 1:
         raise ValueError("need at least one particle")
     lo, hi = domain
@@ -170,9 +169,4 @@ def sample_particles(initial: InitialData, n: int, domain: tuple[float, float]):
     z = (np.arange((n + 1) // 2) + 0.5) / n
     left = _left_labels(initial, z * inside, lo, hi)
     right = -_left_labels(mirror, z[: n // 2] * inside, -hi, -lo)[::-1]
-    positions = np.concatenate([left, right])
-    if np.any(np.diff(positions) <= 0.0):
-        # merge coincident quantiles through the measure constructor
-        dm = DiscreteMeasure(positions, np.full(n, 1.0 / n))
-        return dm.positions.copy(), dm.masses.copy()
-    return positions, np.full(n, 1.0 / n)
+    return DiscreteMeasure(np.concatenate([left, right]), np.full(n, 1.0 / n))

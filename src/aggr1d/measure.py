@@ -29,10 +29,6 @@ __all__ = [
     "write_csv",
 ]
 
-# Atoms closer than this are merged on construction; particle collisions
-# produce exactly coincident positions and must yield one quantile breakpoint.
-MERGE_TOL = 1e-12
-
 PROBABILITY_TOL = 1e-9
 MASS_MATCH_TOL = 1e-10
 
@@ -76,9 +72,11 @@ def merge_runs(x: np.ndarray, m: np.ndarray, linked: np.ndarray, *values: np.nda
 class DiscreteMeasure:
     """Atoms (position, mass) with strictly increasing positions.
 
-    Construction sorts atoms, merges positions closer than ``MERGE_TOL``
-    (masses summed, position mass-averaged) and drops zero-mass atoms.
-    Negative masses are rejected.  Instances are immutable.
+    Construction sorts the atoms, drops zero-mass ones and makes one atom
+    of each exactly coincident position, with the masses summed.  Distinct
+    positions stay distinct atoms however close they lie: only the
+    particle engine merges atoms, on contact.  Negative masses are
+    rejected.  Instances are immutable.
     """
 
     positions: np.ndarray
@@ -95,8 +93,11 @@ class DiscreteMeasure:
         pos, mas = pos[keep], mas[keep]
         order = np.argsort(pos, kind="stable")
         pos, mas = pos[order], mas[order]
-        pos, mas, _ = merge_runs(pos, mas, np.diff(pos) <= MERGE_TOL)
-        _set_atoms(self, pos, mas)
+        pos, mas, _ = merge_runs(pos, mas, np.diff(pos) <= 0.0)
+        pos.setflags(write=False)
+        mas.setflags(write=False)
+        object.__setattr__(self, "positions", pos)
+        object.__setattr__(self, "masses", mas)
 
     @property
     def n_atoms(self) -> int:
@@ -113,15 +114,6 @@ class DiscreteMeasure:
         return abs(self.total_mass - 1.0) <= PROBABILITY_TOL
 
 
-def _set_atoms(m: DiscreteMeasure, pos: np.ndarray, mas: np.ndarray) -> DiscreteMeasure:
-    """Freeze and install atoms that already satisfy the class invariants."""
-    pos.setflags(write=False)
-    mas.setflags(write=False)
-    object.__setattr__(m, "positions", pos)
-    object.__setattr__(m, "masses", mas)
-    return m
-
-
 def from_cells(grid_origin: float, dx: float, densities) -> DiscreteMeasure:
     """Atomize cell-average data: one atom of mass rho_i*dx at each center.
 
@@ -132,14 +124,7 @@ def from_cells(grid_origin: float, dx: float, densities) -> DiscreteMeasure:
     rho = np.atleast_1d(np.asarray(densities, dtype=float))
     if np.any(rho < 0.0):
         raise ValueError("densities must be nonnegative")
-    centers = grid_origin + dx * np.arange(rho.size)
-    mass = rho * dx
-    if centers.size > 1 and np.min(np.diff(centers)) <= MERGE_TOL:
-        return DiscreteMeasure(centers, mass)
-    # sorted centers farther apart than MERGE_TOL: the constructor's sort and
-    # merge scan would only drop the zero cells
-    keep = mass > 0.0
-    return _set_atoms(object.__new__(DiscreteMeasure), centers[keep], mass[keep])
+    return DiscreteMeasure(grid_origin + dx * np.arange(rho.size), rho * dx)
 
 
 def quantile(m: DiscreteMeasure, z):

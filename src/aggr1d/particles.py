@@ -61,35 +61,12 @@ BISECT_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ParticleSystem:
-    """Ordered distinct particles with the potential and speed law they follow."""
+    """The particles' atoms at ``time``, with the potential and speed law they follow."""
 
-    x: np.ndarray
-    m: np.ndarray
+    atoms: DiscreteMeasure
     time: float
     pot: PointyPotential
     law: VelocityLaw
-
-    def __post_init__(self):
-        x = np.atleast_1d(np.asarray(self.x, dtype=float)).copy()
-        m = np.atleast_1d(np.asarray(self.m, dtype=float)).copy()
-        if x.shape != m.shape:
-            raise ValueError("positions and masses must have equal length")
-        if np.any(m <= 0.0):
-            raise ValueError("particle masses must be positive")
-        if x.size > 1 and np.any(np.diff(x) <= 0.0):
-            raise ValueError("particle positions must be strictly increasing")
-        x.setflags(write=False)
-        m.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "m", m)
-
-    @property
-    def n(self) -> int:
-        return int(self.x.size)
-
-    @property
-    def total_mass(self) -> float:
-        return float(np.sum(self.m))
 
 
 @dataclass(frozen=True)
@@ -165,7 +142,7 @@ def _locate_contact(x, m, k1, vel, h, g_end, tau, rate):
 
 def _exact_path(ps: ParticleSystem, times, log):
     """(x, m) at each sample time of a kink-only potential, by exact contact events."""
-    x, m, t = ps.x, ps.m, ps.time
+    x, m, t = ps.atoms.positions, ps.atoms.masses, ps.time
     v = _nonlinear_vel(x, m, ps.pot, ps.law)
     for s in times:
         while x.size > 1:
@@ -223,7 +200,7 @@ def _rk4_next(x, m, v, vel, t):
 
 def _rk4_path(ps: ParticleSystem, times, log):
     """(x, m) at each sample time, by RK4 between the committed points of :func:`_rk4_next`."""
-    x, m, t = ps.x, ps.m, ps.time
+    x, m, t = ps.atoms.positions, ps.atoms.masses, ps.time
     vel = lambda x, m: _nonlinear_vel(x, m, ps.pot, ps.law)  # noqa: E731
     v = nxt = None  # the speeds at x and the next committed point, once known
     for s in times:
@@ -249,7 +226,7 @@ def _sample_state(ps: ParticleSystem, t: float, x, m) -> ParticleSystem:
     if not np.all(np.isfinite(x)):
         raise RuntimeError("non-finite particle state")
     x, m, _ = merge_runs(x, m, np.diff(x) <= 0.0)  # a side run may close a gap
-    return replace(ps, x=x, m=m, time=t)
+    return replace(ps, atoms=DiscreteMeasure(x, m), time=t)
 
 
 def trajectory(ps: ParticleSystem, times, log: list[TrajectoryEvent] | None = None):

@@ -21,7 +21,7 @@ from aggr1d.measure import DiscreteMeasure, quantile, wasserstein1
 from aggr1d.potentials import make_builtin_potential, make_velocity_law, velocity_sup_bound
 from conservation import conservation_residual, state_from_snapshot
 from direct_sums import cell_speeds
-from particle_views import snapshot, velocities
+from particle_views import velocities
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -129,13 +129,13 @@ def test_end_cell_speeds_point_inward():
 def test_criterion_2_two_particle_oracle():
     pot = make_builtin_potential("abs_half")
     ps0 = particles.ParticleSystem(
-        x=np.array([-1.0, 1.0]), m=np.array([0.5, 0.5]), time=0.0, pot=pot, law=make_velocity_law("identity")
+        DiscreteMeasure([-1.0, 1.0], [0.5, 0.5]), time=0.0, pot=pot, law=make_velocity_law("identity")
     )
     log = []
     ps = particles.advance_to(ps0, 5.0, log)
     merges = [ev for ev in log if ev.kind == "merge"]
     t_err = abs(merges[0].time - 4.0) if merges else math.inf
-    x_err = abs(float(ps.x[0]))
+    x_err = abs(float(ps.atoms.positions[0]))
     v_post = float(velocities(ps)[0])
     ok = len(merges) == 1 and t_err <= 1e-14 and x_err <= 1e-14 and v_post == 0.0
     _report(2, ok, f"merge time error {t_err:.2e}, point error {x_err:.2e}, post-merge speed {v_post}")
@@ -166,20 +166,21 @@ def test_criterion_4_contraction():
     rng = np.random.default_rng(99)
     pot = make_builtin_potential("abs_half")
     ident = make_velocity_law("identity")
-    x, m = sample_particles(builtin_initial("init1"), 4096, (-2.5, 2.5))
+    labels = sample_particles(builtin_initial("init1"), 4096, (-2.5, 2.5))
+    x, m = labels.positions, labels.masses
     systems = []
     for _ in range(2):
         pert = np.sort(x + rng.normal(scale=0.02, size=x.size))
         while np.any(np.diff(pert) <= 1e-9):
             pert = np.sort(x + rng.normal(scale=0.02, size=x.size))
-        systems.append(particles.ParticleSystem(x=pert, m=m.copy(), time=0.0, pot=pot, law=ident))
+        systems.append(particles.ParticleSystem(DiscreteMeasure(pert, m), time=0.0, pot=pot, law=ident))
     a, b = systems
-    last = wasserstein1(snapshot(a), snapshot(b))
+    last = wasserstein1(a.atoms, b.atoms)
     worst_rise = 0.0
     for t in np.linspace(0.1, 5.0, 50):
         a = particles.advance_to(a, float(t))
         b = particles.advance_to(b, float(t))
-        cur = wasserstein1(snapshot(a), snapshot(b))
+        cur = wasserstein1(a.atoms, b.atoms)
         worst_rise = max(worst_rise, cur - last)
         last = cur
     _report(4, worst_rise <= 1e-13, f"largest W1 increase between samples {worst_rise:.3e}")

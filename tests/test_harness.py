@@ -43,15 +43,16 @@ def test_initial_data_exclusive_kinds():
 
 def test_sample_particles_quantiles():
     init = builtin_initial("init1")
-    x, m = sample_particles(init, 64, (-2.5, 2.5))
+    labels = sample_particles(init, 64, (-2.5, 2.5))
+    assert isinstance(labels, DiscreteMeasure)
+    x, m = labels.positions, labels.masses
     assert x.shape == (64,)
     np.testing.assert_allclose(m, 1.0 / 64.0)
     assert np.all(np.diff(x) > 0)
     assert abs(float(np.sum(x * m))) <= 1e-3  # even profile: center of mass at 0
     # atomic data passes through
     atoms = DiscreteMeasure([-1.0, 1.0], [0.5, 0.5])
-    x2, m2 = sample_particles(InitialData(atoms=atoms), 10, (-2.5, 2.5))
-    np.testing.assert_array_equal(x2, [-1.0, 1.0])
+    np.testing.assert_array_equal(sample_particles(InitialData(atoms=atoms), 10, (-2.5, 2.5)).positions, [-1.0, 1.0])
 
 
 def test_config_roundtrip(tmp_path):
@@ -799,8 +800,12 @@ def test_cli_rejects_a_run_directory_a_file_blocks(tmp_path, command, out, label
 
 _HALF_MASS_ATOMS = {"kind": "atoms", "atoms": [[-1.0, 0.25], [1.0, 0.25]]}
 _OFF_GRID_BUMP = {"kind": "bumps", "bumps": [{"amplitude": 1.0, "center": 50.0, "width": 0.316}]}
-# cell centers 5e-13 apart, closer than measure.MERGE_TOL: every snapshot would merge into one cell
+# cell centers 5e-13 apart: distinct in floating point, so every cell is its own snapshot atom
 _TINY_BUMP = {"kind": "bumps", "bumps": [{"amplitude": 1.0, "center": 5e-11, "width": 2e-11}]}
+# at 1e6 doubles lie 1.2e-10 apart: on [1e6, 1e6 + 1e-9] the 500 cell centers round to 10
+# distinct values; on [1e6, 1e6 + 1e-8] 50 cells keep 50 and 100 cells round to 86
+_ROUNDED_BUMP = {"kind": "bumps", "bumps": [{"amplitude": 1.0, "center": 1e6 + 5e-10, "width": 2e-10}]}
+_ROUNDED_WIDE_BUMP = {"kind": "bumps", "bumps": [{"amplitude": 1.0, "center": 1e6 + 5e-9, "width": 2e-9}]}
 _NARROW_BUMPS = {
     "kind": "bumps",
     "bumps": [{"amplitude": 1.0, "center": 0.7, "width": 0.316}, {"amplitude": 1.0, "center": 0.0, "width": 1e-320}],
@@ -813,13 +818,12 @@ _GATE_CASES = {
     "k-inf": ("simulate", {"velocity_law": {"name": "atan", "k": math.inf, "scale": 0.5}}),
     "domain-inf": ("simulate", {"domain": [-2.5, math.inf]}),
     "bump-off-grid": ("simulate", {"initial": _OFF_GRID_BUMP}),
-    "cells-within-merge-tol": (
-        "simulate",
-        {"domain": [0.0, 1e-10], "n_cells": 200, "t_end": 1e-9, "initial": _TINY_BUMP},
-    ),
-    "level-within-merge-tol": (
+    "initial-cells": ("simulate", {"initial": {"kind": "cells"}}),
+    # coincident cell centers would be one snapshot atom
+    "cells-coincide": ("simulate", {"domain": [1e6, 1e6 + 1e-9], "n_cells": 500, "initial": _ROUNDED_BUMP}),
+    "level-cells-coincide": (
         "converge",
-        {"domain": [0.0, 1e-10], "n_cells": 50, "levels": [50, 100, 200], "t_end": 1e-9, "initial": _TINY_BUMP},
+        {"domain": [1e6, 1e6 + 1e-8], "levels": [50, 100, 200], "t_end": 1e-9, "initial": _ROUNDED_WIDE_BUMP},
     ),
     # the CFL bound a_inf = a(k*lip) underflows to 0
     "k-subnormal": ("simulate", {"velocity_law": {"name": "atan", "k": 5e-324, "scale": 0.5}}),
@@ -860,6 +864,22 @@ def test_cli_input_gate(tmp_path, command, fields):
     out = tmp_path / "out"
     assert cli_main([command, "--config", str(p), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_grid_with_cells_5e13_apart_runs(tmp_path):
+    doc = {"label": "fine", "domain": [0.0, 1e-10], "n_cells": 200, "t_end": 1e-9, "initial": _TINY_BUMP}
+    p = tmp_path / "fine.json"
+    p.write_text(json.dumps(doc))
+    assert cli_main(["simulate", "--config", str(p), "--out", str(tmp_path)]) == 0
+    steps, mass = np.loadtxt(tmp_path / "fine" / "diagnostics.csv", delimiter=",", skiprows=1, usecols=(0, 2)).T
+    assert steps[-1] == 1112 and np.max(np.abs(mass - 1.0)) <= 1e-14
+    cfg = load_config(p)
+    grid = cfg.make_grid()
+    assert np.unique(grid.centers).size == 200
+    densities = []
+    snaps, _ = experiments._run_fv(cfg, cfg.n_cells, on_sample=lambda rho: densities.append(rho.copy()))
+    for (_, m), rho in zip(snaps, densities, strict=True):
+        np.testing.assert_array_equal(m.positions, grid.centers[rho > 0.0])
 
 
 def test_cli_value_error_is_not_an_abort(tmp_path, monkeypatch):

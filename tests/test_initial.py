@@ -63,7 +63,8 @@ def test_labels_are_exact_quantiles(name, n):
     # measured: at most 2.7e-15 at 512 labels and 6.4e-15 at 10^5 (next to
     # the median of init1, where the density is lowest); a 2^18-point
     # cumulative sum puts labels up to 3.9e-10 off
-    x, m = sample_particles(builtin_initial(name), n, DOMAIN)
+    labels = sample_particles(builtin_initial(name), n, DOMAIN)
+    x, m = labels.positions, labels.masses
     np.testing.assert_array_equal(m, np.full(n, 1.0 / n))
     if n <= 512:
         idx = np.arange(n)
@@ -75,7 +76,7 @@ def test_labels_are_exact_quantiles(name, n):
 
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 511, 512, 100_000])
 def test_init1_labels_are_antisymmetric(n):
-    x, _ = sample_particles(builtin_initial("init1"), n, DOMAIN)
+    x = sample_particles(builtin_initial("init1"), n, DOMAIN).positions
     assert np.max(np.abs(x + x[::-1])) <= 1e-14
 
 
@@ -83,7 +84,7 @@ def test_labels_stop_per_label_well_inside_the_cap(monkeypatch):
     # each label stops on its own after 3-4 iterations on the builtin profiles
     monkeypatch.setattr(initial, "MAX_LABEL_ITERATIONS", 6)
     for name in ("init1", "init2"):
-        x, _ = sample_particles(builtin_initial(name), 100_000, DOMAIN)
+        x = sample_particles(builtin_initial(name), 100_000, DOMAIN).positions
         assert np.all(np.diff(x) > 0.0)
     monkeypatch.setattr(initial, "MAX_LABEL_ITERATIONS", 1)
     with pytest.raises(RuntimeError, match="did not converge"):
@@ -96,7 +97,7 @@ def test_labels_bracketed_on_a_wide_domain():
     init = InitialData(bumps=(GaussianBump(1.0, -400.0, 5.0), GaussianBump(1.0, 0.3, 1e-3), GaussianBump(2.0, 400.0, 5.0)))
     domain = (-700.0, 700.0)
     n = 512
-    x, _ = sample_particles(init, n, domain)
+    x = sample_particles(init, n, domain).positions
     idx = np.arange(0, n, 7)
     ref = _reference_labels(init, n, domain, idx)
     assert np.max(np.abs(x[idx] - ref) / np.maximum(np.abs(ref), 1.0)) <= 1e-14

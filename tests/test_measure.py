@@ -40,7 +40,8 @@ def test_from_cells_empty_and_errors():
 
 @pytest.mark.parametrize(
     "origin, dx",
-    [(-2.4975, 0.005), (0.0, 1.0), (1e6, 2e-12), (0.0, 5e-13)],  # the last two merge through the constructor
+    # at 1e6 steps of 2e-12 round to coincident centers, which become one atom; steps of 5e-13 from 0 stay distinct
+    [(-2.4975, 0.005), (0.0, 1.0), (1e6, 2e-12), (0.0, 5e-13)],
 )
 def test_from_cells_matches_constructor(origin, dx):
     # denormal densities whose cell mass underflows to zero are dropped too
@@ -57,12 +58,14 @@ def test_from_cells_matches_constructor(origin, dx):
     assert np.all(m.masses > 0.0)
 
 
-def test_constructor_merges_close_atoms():
-    m = DiscreteMeasure([1.0, 1.0 + 5e-13, 0.0], [0.25, 0.25, 0.5])
-    assert m.n_atoms == 2
-    np.testing.assert_allclose(m.positions, [0.0, 1.0 + 2.5e-13], atol=1e-12)
+def test_constructor_merges_only_coincident_atoms():
+    m = DiscreteMeasure([1.0, 0.0, 1.0], [0.25, 0.5, 0.25])
+    np.testing.assert_array_equal(m.positions, [0.0, 1.0])
     np.testing.assert_array_equal(m.masses, [0.5, 0.5])
-    assert np.all(np.diff(m.positions) > 0)
+    # atoms 5e-13 apart are two atoms: only the particle engine merges distinct positions
+    close = DiscreteMeasure([1.0, 1.0 + 5e-13, 0.0], [0.25, 0.25, 0.5])
+    np.testing.assert_array_equal(close.positions, [0.0, 1.0, 1.0 + 5e-13])
+    np.testing.assert_array_equal(close.masses, [0.5, 0.25, 0.25])
 
 
 def test_constructor_rejects_negative_mass():
@@ -134,6 +137,16 @@ def _random_probability(rng, max_atoms=8):
     n = rng.integers(1, max_atoms + 1)
     w = rng.random(n) + 0.02
     return DiscreteMeasure(rng.normal(size=n) * 4.0, w / w.sum())
+
+
+def test_wasserstein_empty_measures():
+    empty = DiscreteMeasure([], [])
+    assert wasserstein1(empty, empty) == 0.0
+    # the masses agree to 1e-11, within MASS_MATCH_TOL, but no transport plan exists
+    with pytest.raises(ValueError, match="empty"):
+        wasserstein1(empty, DiscreteMeasure([0.0], [1e-11]))
+    with pytest.raises(ValueError, match="empty"):
+        wasserstein1(DiscreteMeasure([0.0], [1e-11]), empty)
 
 
 def test_wasserstein_triangle_inequality():

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 
 from aggr1d import particles
 from aggr1d.cli import main as cli_main
-from aggr1d.config import example_preset
+from aggr1d.config import SimConfig, example_preset
 from aggr1d.experiments import _particle_system
 from aggr1d.measure import DiscreteMeasure, wasserstein1
 from aggr1d.particles import ParticleSystem, advance_to, trajectory
@@ -17,7 +17,7 @@ from aggr1d.potentials import make_builtin_potential, make_velocity_law
 from direct_sums import pairwise_speeds, wtilde_sums
 from isotonic_reference import isotonic_projection
 from mean_speed_reference import atan_a, atan_antideriv, identity_antideriv
-from particle_views import snapshot, velocities
+from particle_views import velocities
 from potential_reference import closed_form
 
 ABS_HALF = make_builtin_potential("abs_half")
@@ -29,7 +29,7 @@ ANTIDERIV = {IDENTITY.name: identity_antideriv, ATAN.name: lambda x: atan_antide
 
 
 def system(x, m, pot=ABS_HALF, law=IDENTITY):
-    return ParticleSystem(x=np.asarray(x, float), m=np.asarray(m, float), time=0.0, pot=pot, law=law)
+    return ParticleSystem(DiscreteMeasure(x, m), time=0.0, pot=pot, law=law)
 
 
 def test_linear_velocities_two_body():
@@ -130,21 +130,46 @@ def test_light_particle_moves_at_trace_midpoint():
 
 def test_system_requires_law():
     with pytest.raises(TypeError):
-        ParticleSystem(x=np.array([-1.0, 1.0]), m=np.array([0.5, 0.5]), time=0.0, pot=ABS_HALF)
+        ParticleSystem(DiscreteMeasure([-1.0, 1.0], [0.5, 0.5]), time=0.0, pot=ABS_HALF)
 
 
-def test_coincident_particles_rejected():
-    with pytest.raises(ValueError):
-        system([0.0, 0.0], [0.5, 0.5])
+def test_coincident_particles_are_one_atom():
+    ps = system([0.0, 0.0], [0.5, 0.5])
+    np.testing.assert_array_equal(ps.atoms.positions, [0.0])
+    np.testing.assert_array_equal(ps.atoms.masses, [1.0])
+
+
+# the last two atoms lie 5e-13 apart: distinct atoms, which the engine merges on contact
+CLOSE_ATOMS = [[-0.5, 0.25], [0.2, 0.25], [0.2000000000005, 0.5]]
+
+
+@pytest.mark.parametrize("pot, law", [(EXP_POINTY, ATAN), (ABS_HALF, IDENTITY)], ids=["rk4", "exact"])
+def test_atoms_5e13_apart_merge_in_the_engine(pot, law):
+    doc = {"potential": {"name": pot.name}, "initial": {"kind": "atoms", "atoms": CLOSE_ATOMS}}
+    assert SimConfig.from_dict(doc).initial.atoms.n_atoms == 3  # loading the config merges nothing
+    ps = system(*zip(*CLOSE_ATOMS), pot=pot, law=law)
+    log = []
+    t0, t1 = trajectory(ps, [0.0, 0.5], log)
+    merges = [ev for ev in log if ev.kind == "merge"]
+    assert len(merges) == 1 and merges[0].snapshot.n_atoms == 2 and t1.atoms.n_atoms == 2
+    x = ps.atoms.positions
+    if pot.amp > 0.0:
+        # the RK4 path merges a pair within CONTACT_TOL where it stands, before any step
+        assert merges[0].time == 0.0 and t0.atoms.n_atoms == 2
+    else:
+        # the exact path merges the pair at its contact time gap / closing speed
+        gap, closing = x[2] - x[1], -np.diff(velocities(ps))[1]
+        assert merges[0].time == gap / closing and merges[0].time == pytest.approx(1.333e-12, rel=1e-3)
+        assert t0.atoms.n_atoms == 3
 
 
 def test_two_body_merge_time_and_point():
     # gap 2 closes at rate 1/2: contact at t = 4, x = 0 by symmetry
     log = []
     ps = advance_to(system([-1.0, 1.0], [0.5, 0.5]), 5.0, log)
-    assert ps.n == 1
-    assert abs(ps.x[0]) <= 1e-14
-    assert ps.m[0] == 1.0
+    assert ps.atoms.n_atoms == 1
+    assert abs(ps.atoms.positions[0]) <= 1e-14
+    assert ps.atoms.masses[0] == 1.0
     merges = [ev for ev in log if ev.kind == "merge"]
     assert len(merges) == 1
     assert merges[0].time == pytest.approx(4.0, abs=1e-14)
@@ -176,7 +201,7 @@ def test_kink_only_contact_past_the_float_range_is_none():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = advance_to(ps, 1.0)
-    assert out.n == 2 and np.array_equal(out.x, ps.x)
+    assert out.atoms.n_atoms == 2 and np.array_equal(out.atoms.positions, ps.atoms.positions)
 
 
 def test_kink_only_path_is_exact_and_steps_nothing(monkeypatch):
@@ -193,7 +218,7 @@ def test_kink_only_path_is_exact_and_steps_nothing(monkeypatch):
     for k, t in enumerate((0.5, 1.0, 8.0), start=1):
         ps = advance_to(ps, t)
         assert len(calls) == k
-    assert ps.n == 1
+    assert ps.atoms.n_atoms == 1
 
 
 @pytest.mark.parametrize("n", [64, 256, 1024])
@@ -206,14 +231,14 @@ def test_kink_only_matches_isotonic_projection(preset, n):
     ps = ps0
     for t in (0.5 * cfg.t_end, cfg.t_end):
         ps = advance_to(ps, t)
-        x, m = isotonic_projection(ps0.x + t * v0, ps0.m)
-        assert ps.n == x.size
-        assert wasserstein1(snapshot(ps), DiscreteMeasure(x, m)) <= 1e-14
+        x, m = isotonic_projection(ps0.atoms.positions + t * v0, ps0.atoms.masses)
+        assert ps.atoms.n_atoms == x.size
+        assert wasserstein1(ps.atoms, DiscreteMeasure(x, m)) <= 1e-14
 
 
 def test_single_particle_never_moves():
     ps = advance_to(system([0.7], [1.0]), 123.0)
-    assert ps.x[0] == 0.7
+    assert ps.atoms.positions[0] == 0.7
     assert ps.time == 123.0
 
 
@@ -222,9 +247,9 @@ def test_three_body_collapse():
     log = []
     ps0 = system([-1.0, 0.0, 1.0], [0.25, 0.5, 0.25])
     ps = advance_to(ps0, 4.0, log)
-    assert ps.n == 1
-    assert abs(ps.x[0]) <= 1e-14
-    assert ps.m[0] == 1.0
+    assert ps.atoms.n_atoms == 1
+    assert abs(ps.atoms.positions[0]) <= 1e-14
+    assert ps.atoms.masses[0] == 1.0
     merges = [ev for ev in log if ev.kind == "merge"]
     assert merges[0].time == pytest.approx(8.0 / 3.0, abs=1e-14)
 
@@ -237,9 +262,9 @@ def test_exp_two_body_merge_time_analytic():
         t_contact = 2.0 * math.expm1(d0)
         ps = advance_to(system([-0.5 * d0, 0.5 * d0], [0.5, 0.5], pot=EXP_POINTY), t_contact + 0.1, log)
         merges = [ev for ev in log if ev.kind == "merge"]
-        assert len(merges) == 1 and ps.n == 1
+        assert len(merges) == 1 and ps.atoms.n_atoms == 1
         assert merges[0].time == pytest.approx(t_contact, abs=1e-11)
-        assert abs(ps.x[0]) <= 1e-11
+        assert abs(ps.atoms.positions[0]) <= 1e-11
 
 
 def test_two_contacts_inside_one_rk4_step():
@@ -253,7 +278,7 @@ def test_two_contacts_inside_one_rk4_step():
     log = []
     ps = advance_to(system(x, [0.25] * 4, pot=EXP_POINTY), 1.1, log)
     merges = [ev for ev in log if ev.kind == "merge"]
-    assert [ev.snapshot.n_atoms for ev in merges] == [3, 2] and ps.n == 2
+    assert [ev.snapshot.n_atoms for ev in merges] == [3, 2] and ps.atoms.n_atoms == 2
     for ev, t in zip(merges, times):
         assert ev.time == pytest.approx(t, abs=1e-11)
 
@@ -293,12 +318,12 @@ def test_three_body_against_fixed_step_rk4():
         y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
         t += h
     ps = advance_to(system(x, m, pot=pot), t, [])
-    if ps.n == 3:
-        np.testing.assert_allclose(ps.x, y, atol=1e-6)
+    if ps.atoms.n_atoms == 3:
+        np.testing.assert_allclose(ps.atoms.positions, y, atol=1e-6)
     else:
         # the event-driven run already merged: states agree as measures
         # (the oracle endpoint may have touching atoms, hence the raw measure)
-        assert wasserstein1(snapshot(ps), DiscreteMeasure(y, m)) <= 1e-5
+        assert wasserstein1(ps.atoms, DiscreteMeasure(y, m)) <= 1e-5
 
 
 def test_mass_and_center_conservation():
@@ -309,12 +334,12 @@ def test_mass_and_center_conservation():
         m = rng.random(n) + 0.05
         m /= m.sum()
         ps0 = system(x, m)
-        com0 = float(np.sum(ps0.x * ps0.m))
+        com0 = float(np.sum(ps0.atoms.positions * ps0.atoms.masses))
         ps = ps0
         for t in (0.3, 0.9, 2.0, 6.0):
             ps = advance_to(ps, t)
-            assert abs(ps.total_mass - ps0.total_mass) <= 1e-14
-            assert abs(float(np.sum(ps.x * ps.m)) - com0) <= 1e-10
+            assert abs(ps.atoms.total_mass - ps0.atoms.total_mass) <= 1e-14
+            assert abs(float(np.sum(ps.atoms.positions * ps.atoms.masses)) - com0) <= 1e-10
 
 
 def test_contraction_at_lambda_zero():
@@ -325,10 +350,10 @@ def test_contraction_at_lambda_zero():
     x2 = np.sort(x1 + rng.normal(scale=0.05, size=n))
     m = np.full(n, 1.0 / n)
     a, b = system(x1, m), system(x2, m)
-    last = wasserstein1(snapshot(a), snapshot(b))
+    last = wasserstein1(a.atoms, b.atoms)
     for t in np.linspace(0.2, 5.0, 25):
         a, b = advance_to(a, t), advance_to(b, t)
-        cur = wasserstein1(snapshot(a), snapshot(b))
+        cur = wasserstein1(a.atoms, b.atoms)
         assert cur <= last + 1e-9
         last = cur
 
@@ -342,11 +367,11 @@ def test_contraction_growth_bound_lambda_positive():
     m = np.full(n, 1.0 / n)
     a = system(x1, m, pot=EXP_POINTY)
     b = system(x2, m, pot=EXP_POINTY)
-    d0 = wasserstein1(snapshot(a), snapshot(b))
+    d0 = wasserstein1(a.atoms, b.atoms)
     lam = closed_form(EXP_POINTY).lam
     for t in (0.25, 0.5, 1.0, 2.0):
         at, bt = advance_to(a, t), advance_to(b, t)
-        d = wasserstein1(snapshot(at), snapshot(bt))
+        d = wasserstein1(at.atoms, bt.atoms)
         assert d <= math.exp(2.0 * lam * t) * d0 * (1.0 + 1e-6)
 
 
@@ -377,11 +402,11 @@ def test_trajectory_log_monotone_times_and_mass():
     ps = system([-1.0, -0.2, 0.4, 1.3], [0.25, 0.25, 0.25, 0.25])
     for t in (1.0, 2.0, 8.0):
         ps = advance_to(ps, t, log)
-        log.append(particles.TrajectoryEvent(t, "sample", snapshot(ps)))
+        log.append(particles.TrajectoryEvent(t, "sample", ps.atoms))
     times = [ev.time for ev in log]
     assert all(b >= a for a, b in zip(times, times[1:]))
     assert all(abs(ev.snapshot.total_mass - 1.0) <= 1e-12 for ev in log)
-    assert ps.n == 1  # everything aggregates eventually
+    assert ps.atoms.n_atoms == 1  # everything aggregates eventually
 
 
 @pytest.mark.parametrize("preset, n", [(1, 256), (2, 4096)], ids=["rk4", "exact"])
@@ -390,8 +415,8 @@ def test_state_at_t_does_not_depend_on_other_sample_times(preset, n):
     cfg = example_preset(preset)
     ps0 = _particle_system(cfg, n)
     for ps in trajectory(ps0, cfg.schedule()):
-        alone = advance_to(ps0, ps.time)
-        assert np.array_equal(alone.x, ps.x) and np.array_equal(alone.m, ps.m), f"t = {ps.time}"
+        alone, got = advance_to(ps0, ps.time).atoms, ps.atoms
+        assert np.array_equal(alone.positions, got.positions) and np.array_equal(alone.masses, got.masses), f"t = {ps.time}"
 
 
 def test_rk4_takes_one_side_step_per_sample_time(monkeypatch):
@@ -406,8 +431,8 @@ def test_rk4_takes_one_side_step_per_sample_time(monkeypatch):
     alone = len(lengths)
     lengths.clear()
     states = list(trajectory(ps0, cfg.schedule()))
-    assert final.n == 1 and np.array_equal(states[-1].x, final.x)
-    assert len(lengths) == alone + sum(1 for ps in states if ps.n > 1 and ps.time > 0.0)
+    assert final.atoms.n_atoms == 1 and np.array_equal(states[-1].atoms.positions, final.atoms.positions)
+    assert len(lengths) == alone + sum(1 for ps in states if ps.atoms.n_atoms > 1 and ps.time > 0.0)
     assert max(lengths) == particles.MAX_STEP
 
 
@@ -447,4 +472,4 @@ def test_rk4_step_whose_stages_overflow_is_halved():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = advance_to(ps, 0.02)
-    assert out.n == 1 and out.x[0] == pytest.approx(-4.4271, abs=1e-3)
+    assert out.atoms.n_atoms == 1 and out.atoms.positions[0] == pytest.approx(-4.4271, abs=1e-3)

@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from aggr1d import fv
+from aggr1d.measure import DiscreteMeasure
 from aggr1d.particles import ParticleSystem
 from aggr1d.potentials import (
     EXP_BLOCK,
@@ -331,6 +332,6 @@ def test_mean_speed_matches_longdouble_reference(d):
         pot = make_builtin_potential("abs_scaled", sigma=2.0)
         m = np.tile([1.0 / 41.0, d / 4.0], 41)
         m = m[m > 0.0]
-        speeds = velocities(ParticleSystem(x=np.arange(m.size, dtype=float), m=m, time=0.0, pot=pot, law=law))
+        speeds = velocities(ParticleSystem(DiscreteMeasure(np.arange(m.size), m), time=0.0, pot=pot, law=law))
         u_plus = -pot.c * np.cumsum(m) + 0.5 * pot.c * np.sum(m)  # the kink-only traces as the engine forms them
         assert np.max(np.abs(speeds - reference(u_plus, u_plus + pot.c * m))) <= 1e-14
