@@ -29,7 +29,7 @@ import numpy as np
 from . import fv, particles
 from .config import ConfigError, SimConfig
 from .initial import sample_particles
-from .measure import DiscreteMeasure, wasserstein1, write_atoms_csv, write_csv
+from .measure import wasserstein1, write_atoms_csv, write_csv
 from .potentials import velocity_sup_bound
 
 __all__ = [
@@ -126,22 +126,20 @@ def _snapshot_paths(cfg: SimConfig) -> list[Path]:
 def _snapshot_files(source, cfg: SimConfig):
     """Snapshot CSVs of the densities read from ``source``, written once it ends: (paths, seconds).
 
-    Each density arrives as n_cells float64 values.  Its ``x,rho`` rows hold
-    the masses/dx of its :func:`~aggr1d.measure.from_cells` atoms, and 0 in
-    the cells without one, as :func:`~aggr1d.measure.write_csv` formats
-    them, with the x column formatted once.  The seconds are those spent
+    Each density arrives as n_cells float64 values, and its ``x,rho`` rows
+    hold those values bit for bit, as :func:`~aggr1d.measure.write_csv`
+    formats them, with the x column formatted once.  The seconds are those spent
     formatting and writing, not waiting for ``source``.
     """
     t0 = _time.perf_counter()
     grid = cfg.make_grid()
-    dx, n = grid.dx, grid.n_cells
+    n = grid.n_cells
     template = "x,rho\n" + ("%.17g,%%.17g\n" * n) % tuple(grid.centers.tolist())
     texts = []
     busy = _time.perf_counter() - t0
     while chunk := source.read(8 * n):
         t0 = _time.perf_counter()
-        mass = np.frombuffer(chunk) * dx
-        texts.append(template % tuple(np.divide(mass, dx, out=np.zeros(n), where=mass > 0.0).tolist()))
+        texts.append(template % tuple(np.frombuffer(chunk).tolist()))
         busy += _time.perf_counter() - t0
     t0 = _time.perf_counter()
     paths = _snapshot_paths(cfg)
@@ -307,14 +305,10 @@ def _start(fn, *args):
 
 
 def _oracle(_feed, cfg: SimConfig, n: int):
-    """The n-label particle oracle at every time of the schedule: ([(positions, masses)], its seconds).
-
-    Plain arrays, not measures: a forked oracle's measures would unpickle writable.
-    """
+    """The n-label particle oracle at every time of the schedule: (its DiscreteMeasures, its seconds)."""
     t0 = _time.perf_counter()
-    path = particles.trajectory(_particle_system(cfg, n), cfg.schedule())
-    states = [(ps.atoms.positions, ps.atoms.masses) for ps in path]
-    return states, _time.perf_counter() - t0
+    atoms = [ps.atoms for ps in particles.trajectory(_particle_system(cfg, n), cfg.schedule())]
+    return atoms, _time.perf_counter() - t0
 
 
 def _study(cfg: SimConfig, levels, n: int):
@@ -336,13 +330,12 @@ def _study(cfg: SimConfig, levels, n: int):
         wait(kill=True)
         raise
     grid_s = _time.perf_counter() - t0
-    states, oracle_s = wait()
-    oracle = [DiscreteMeasure(x, m) for x, m in states]
+    oracle, oracle_s = wait()
     summary = {
         "grid_s": grid_s,
         "oracle_s": oracle_s,
         "oracle_labels": n,
-        "oracle_atoms_final": states[-1][0].size,
+        "oracle_atoms_final": oracle[-1].n_atoms,
         "runtimes_s": {level: secs for level, (_, secs) in runs.items()},
     }
     return [[wasserstein1(a, b) for a, b in zip(snaps, oracle)] for snaps, _ in runs.values()], summary

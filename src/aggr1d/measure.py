@@ -76,7 +76,8 @@ class DiscreteMeasure:
     of each exactly coincident position, with the masses summed.  Distinct
     positions stay distinct atoms however close they lie: only the
     particle engine merges atoms, on contact.  Negative masses are
-    rejected.  Instances are immutable.
+    rejected.  Instances are immutable, and an unpickled one is rebuilt by
+    the constructor, read-only arrays and all.
     """
 
     positions: np.ndarray
@@ -98,6 +99,9 @@ class DiscreteMeasure:
         mas.setflags(write=False)
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "masses", mas)
+
+    def __reduce__(self):
+        return DiscreteMeasure, (self.positions, self.masses)
 
     @property
     def n_atoms(self) -> int:

@@ -5,7 +5,8 @@ law, the s-gradient / jump-quotient formulas must reproduce these sums.
 They evaluate the hand-written W' of ``potential_reference`` over every
 pair with the self term excluded exactly, and share no code with the
 engines.  ``nu_sum`` is the term-by-term w-convolution that the
-exponential sums of ``fv.compute_nu`` must reproduce.
+exponential sums of ``fv.compute_nu`` must reproduce, and
+``interaction_energy`` the Lyapunov functional of sticky particles.
 """
 
 import numpy as np
@@ -46,3 +47,9 @@ def nu_sum(rho, kernel, dx) -> np.ndarray:
         k = np.arange(max(0, i - half), min(rho.size, i + half + 1))
         out[i] = dx * np.dot(rho[k], kernel.values[i - k + half])
     return out
+
+
+def interaction_energy(x, m, pot) -> float:
+    """E = 1/2 sum_{i,j} m_i m_j W(x_i - x_j) over every pair; W(0) = 0, so the self terms vanish."""
+    x, m = np.asarray(x, dtype=float), np.asarray(m, dtype=float)
+    return 0.5 * float(m @ np.asarray(closed_form(pot).w(x[:, None] - x[None, :]), dtype=float) @ m)

@@ -303,6 +303,22 @@ def test_compare_forked_and_inline_write_identical_csv(tmp_path, monkeypatch):
     _assert_no_children()
 
 
+@needs_fork
+def test_forked_oracle_returns_read_only_measures(tmp_path):
+    # the child's DiscreteMeasures unpickle through the constructor, with the inline oracle's bits
+    cfg = _compare_config(tmp_path)
+    _, wait = experiments._start(experiments._oracle, cfg, 64)
+    forked, _ = wait()
+    inline, _ = experiments._oracle(None, cfg, 64)
+    assert len(forked) == len(inline) == len(cfg.schedule())
+    for got, want in zip(forked, inline):
+        assert isinstance(got, DiscreteMeasure)
+        assert not got.positions.flags.writeable and not got.masses.flags.writeable
+        assert got.positions.tobytes() == want.positions.tobytes()
+        assert got.masses.tobytes() == want.masses.tobytes()
+    _assert_no_children()
+
+
 def _oracle_error_reaches_caller(tmp_path, monkeypatch, command):
     # exp_pointy: both studies fork their RK4 oracle
     from aggr1d import particles
@@ -455,6 +471,34 @@ def test_simulate_forked_and_inline_write_identical_csv(tmp_path, monkeypatch):
         manifest = json.loads((tmp_path / label / "manifest.json").read_text())
         assert {entry["path"] for entry in manifest["outputs"]} == set(forked)
         assert manifest["summary"]["format_s"] > 0.0
+    _assert_no_children()
+
+
+@pytest.mark.parametrize("path", ["forked", "inline"])
+def test_simulate_snapshot_rho_is_the_sampled_density(tmp_path, monkeypatch, path):
+    # the rho column, read back with float, holds the densities fv.run sampled bit for bit;
+    # at gamma = 1 the tail reaches densities where rho*dx underflows to 0, and many more
+    # where (rho*dx)/dx is not rho
+    if path == "inline":
+        monkeypatch.delattr(os, "fork", raising=False)
+    elif not hasattr(os, "fork"):
+        pytest.skip("the formatter runs inline without os.fork")
+    sampled = []
+    real_run = fv.run
+
+    def spy_run(*args, on_sample):
+        return real_run(*args, on_sample=lambda rho: sampled.append(rho) or on_sample(rho))
+
+    monkeypatch.setattr(fv, "run", spy_run)
+    assert cli_main([*_simulate_args(tmp_path, path, t_end="4"), "--gamma", "1"]) == 0
+    snaps = sorted((tmp_path / path).glob("snapshot_*.csv"))
+    assert len(snaps) == len(sampled) == 5
+    for snap, rho in zip(snaps, sampled):
+        written = np.array([float(line.split(",")[1]) for line in snap.read_text().splitlines()[1:]])
+        assert written.tobytes() == rho.tobytes(), snap.name
+    dx = example_preset(2).make_grid(400).dx
+    assert any(np.any((rho > 0.0) & (rho * dx == 0.0)) for rho in sampled)
+    assert any(np.any((rho * dx) / dx != rho) for rho in sampled)
     _assert_no_children()
 
 

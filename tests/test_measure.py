@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,15 @@ from aggr1d.measure import (
 
 def dirac(x):
     return DiscreteMeasure([x], [1.0])
+
+
+def test_unpickled_measure_is_read_only_with_the_same_bits():
+    rng = np.random.default_rng(7)
+    m = DiscreteMeasure(rng.normal(size=50), rng.random(50) * 1e-300)
+    back = pickle.loads(pickle.dumps(m))
+    for got, want in ((back.positions, m.positions), (back.masses, m.masses)):
+        assert not got.flags.writeable
+        assert got.tobytes() == want.tobytes()
 
 
 def test_from_cells_basic():
