@@ -7,9 +7,9 @@ pure function of the config (runtimes live only in the manifest), so
 repeated runs of the same config produce bit-identical CSV files.
 ``compare`` and ``converge`` are one study (:func:`_study`) at one grid
 level or at several.  Where ``os.fork`` exists, ``simulate`` formats its
-snapshot CSVs in a child (:func:`_start`) during the scheme, and the study
-runs an RK4 oracle in one; without it each runs after the scheme, to the
-same bytes.
+snapshot CSVs in a child (:func:`_start`) during the scheme, and a study
+runs its oracle and every level but the finest in one while the finest
+runs; without it the child's work runs after, to the same bytes.
 """
 
 from __future__ import annotations
@@ -311,34 +311,53 @@ def _oracle(_feed, cfg: SimConfig, n: int):
     return atoms, _time.perf_counter() - t0
 
 
+def _level(cfg: SimConfig, n_cells: int):
+    """The scheme on ``n_cells`` cells: (its sampled DiscreteMeasures, its manifest record).
+
+    The record holds ``runtimes_s``, the run's seconds, and the run's
+    conservation record: ``mass_drift``, the largest |mass - 1| over its
+    diagnostics rows, and ``min_rho``, its smallest density.
+    """
+    t0 = _time.perf_counter()
+    snaps, diag = _run_fv(cfg, n_cells)
+    secs = _time.perf_counter() - t0
+    drift = max(abs(mass - 1.0) for mass in diag.mass)
+    return [m for _, m in snaps], {"runtimes_s": secs, "mass_drift": drift, "min_rho": min(diag.min_rho)}
+
+
+def _coarse_levels(_feed, cfg: SimConfig, levels, n: int):
+    """The n-label oracle, then each level against it: (the oracle, its seconds, {level: (W1 series, record)})."""
+    oracle, oracle_s = _oracle(_feed, cfg, n)
+    runs = {}
+    for n_cells in levels:
+        snaps, record = _level(cfg, n_cells)
+        runs[n_cells] = ([wasserstein1(a, b) for a, b in zip(snaps, oracle)], record)
+    return oracle, oracle_s, runs
+
+
 def _study(cfg: SimConfig, levels, n: int):
     """W1 between the scheme at each level and the n-label oracle at every time of the schedule.
 
-    Returns (one W1 list per level, the oracle's and the grids' summary).  An
-    RK4 oracle (``pot.amp > 0``) runs in a forked child while the grids run;
-    an exact-event oracle costs about what a fork does, so it runs after them.
+    Returns (one W1 list per level, the oracle's and the grids' summary).
+    One child (:func:`_start`) runs the oracle and every level but the
+    finest while this process runs the finest, the most costly one: each
+    level divides the next and the CFL step scales with dx.
     """
+    *coarse, finest = levels
     t0 = _time.perf_counter()
-    _, wait = (_start if cfg.make_potential().amp > 0.0 else _inline)(_oracle, cfg, n)  # reads no feed
+    _, wait = _start(_coarse_levels, cfg, coarse, n)  # reads no feed
     try:
-        runs = {}
-        for n_cells in levels:
-            t1 = _time.perf_counter()
-            snaps, _ = _run_fv(cfg, n_cells)
-            runs[str(n_cells)] = ([m for _, m in snaps], _time.perf_counter() - t1)
+        snaps, record = _level(cfg, finest)
     except BaseException:
         wait(kill=True)
         raise
     grid_s = _time.perf_counter() - t0
-    oracle, oracle_s = wait()
-    summary = {
-        "grid_s": grid_s,
-        "oracle_s": oracle_s,
-        "oracle_labels": n,
-        "oracle_atoms_final": oracle[-1].n_atoms,
-        "runtimes_s": {level: secs for level, (_, secs) in runs.items()},
-    }
-    return [[wasserstein1(a, b) for a, b in zip(snaps, oracle)] for snaps, _ in runs.values()], summary
+    oracle, oracle_s, runs = wait()
+    runs[finest] = ([wasserstein1(a, b) for a, b in zip(snaps, oracle)], record)
+    summary = {"grid_s": grid_s, "oracle_s": oracle_s, "oracle_labels": n, "oracle_atoms_final": oracle[-1].n_atoms}
+    for key in record:
+        summary[key] = {str(n_cells): runs[n_cells][1][key] for n_cells in levels}
+    return [runs[n_cells][0] for n_cells in levels], summary
 
 
 def cmd_compare(cfg: SimConfig) -> CompareResult:

@@ -354,13 +354,77 @@ def test_converge_oracle_error_in_child_reaches_caller(tmp_path, monkeypatch):
     _oracle_error_reaches_caller(tmp_path, monkeypatch, "converge")
 
 
-def test_exact_oracle_runs_without_a_child(tmp_path, monkeypatch):
-    # kink-only: the exact-event oracle costs about what a fork does, so no study forks it
+def _study_args(preset, command, label, out):
+    # kink-only preset 2 (exact-event oracle) and exp_pointy preset 1 (RK4 oracle) at small sizes
+    flags = ["--example", str(preset), "--cells", "100", "--particles", "64", "--t-end", {2: "2", 1: "0.5"}[preset]]
+    levels = ["--levels", "50,100,200"] if command == "converge" else []
+    return [command, *flags, *levels, "--label", label, "--out", str(out)]
+
+
+def _spy_levels(monkeypatch):
+    # the cell counts of the scheme runs made in this process; a forked child's calls stay in the child
+    calls = []
+    run_fv = experiments._run_fv
+
+    def spy(cfg, n_cells, on_sample=None):
+        calls.append(n_cells)
+        return run_fv(cfg, n_cells, on_sample)
+
+    monkeypatch.setattr(experiments, "_run_fv", spy)
+    return calls
+
+
+@needs_fork
+@pytest.mark.parametrize("preset", [2, 1])
+def test_study_forks_once_and_runs_only_the_finest_level_here(tmp_path, monkeypatch, preset):
+    # one child takes the oracle and every coarser level; the CSVs match the inline path's
+    pids, calls = _spy_forks(monkeypatch), _spy_levels(monkeypatch)
+    for command, finest in (("compare", 100), ("converge", 200)):
+        assert cli_main(_study_args(preset, command, f"{command}-forked", tmp_path)) == 0
+        assert len(pids) == 1 and calls == [finest]
+        _assert_no_children()
+        pids.clear()
+        calls.clear()
+    monkeypatch.delattr(os, "fork")  # the inline path
+    for command in ("compare", "converge"):
+        assert cli_main(_study_args(preset, command, f"{command}-inline", tmp_path)) == 0
+        assert _csv_bytes(tmp_path / f"{command}-forked") == _csv_bytes(tmp_path / f"{command}-inline")
+    assert calls == [100, 200, 50, 100]  # the finest level here, then the child's work inside wait()
+
+
+@needs_fork
+@pytest.mark.parametrize("preset", [2, 1])
+def test_converge_coarse_level_abort_in_the_child_exits_3(tmp_path, monkeypatch, capsys, preset):
+    run = fv.run
+
+    def aborting_run(state0, *args, **kwargs):
+        if state0.grid.n_cells == 100:
+            raise fv.SchemeError(f"CFL violation at 100 cells in process {os.getpid()}")
+        return run(state0, *args, **kwargs)
+
+    monkeypatch.setattr(fv, "run", aborting_run)  # before the fork, so the child runs it too
     pids = _spy_forks(monkeypatch)
-    flags = ["--example", "2", "--cells", "100", "--particles", "64", "--t-end", "2", "--out", str(tmp_path)]
-    assert cli_main(["compare", *flags]) == 0
-    assert cli_main(["converge", *flags, "--levels", "50,100,200"]) == 0
-    assert pids == []
+    assert cli_main(_study_args(preset, "converge", "abort", tmp_path)) == 3
+    assert len(pids) == 1
+    err = capsys.readouterr().err
+    assert "run aborted: CFL violation at 100 cells in process" in err
+    assert f"in process {os.getpid()}\n" not in err  # raised in the child
+    assert not (tmp_path / "abort").exists()
+    _assert_no_children()
+
+
+@pytest.mark.parametrize("command", ["compare", "converge"])
+def test_study_manifest_holds_each_levels_conservation_record(tmp_path, command):
+    # each level's largest |mass - 1| and smallest density, as an in-process run of that level reads them
+    cfg = replace(_compare_config(tmp_path), levels=(50, 100, 200))
+    study = cmd_compare(cfg).artifacts if command == "compare" else cmd_converge(cfg).artifacts
+    summary = json.loads((study.out_dir / "manifest.json").read_text())["summary"]
+    levels = [200] if command == "compare" else [50, 100, 200]
+    assert sorted(summary["mass_drift"]) == sorted(summary["min_rho"]) == sorted(summary["runtimes_s"]) == sorted(map(str, levels))
+    for n_cells in levels:
+        _, diag = experiments._run_fv(cfg, n_cells)
+        assert summary["mass_drift"][str(n_cells)] == max(abs(mass - 1.0) for mass in diag.mass)
+        assert summary["min_rho"][str(n_cells)] == min(diag.min_rho) >= 0.0
 
 
 @needs_fork

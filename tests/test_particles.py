@@ -19,6 +19,7 @@ from isotonic_reference import isotonic_projection
 from mean_speed_reference import atan_a, atan_antideriv, identity_antideriv
 from particle_views import velocities
 from potential_reference import closed_form
+from rescaling import rescaling
 
 ABS_HALF = make_builtin_potential("abs_half")
 EXP_POINTY = make_builtin_potential("exp_pointy")
@@ -185,6 +186,25 @@ def test_stalled_contact_search_aborts(monkeypatch):
         advance_to(system([-0.25, 0.25], [0.5, 0.5], pot=EXP_POINTY), 5.0)
 
 
+def test_contact_search_returns_once_the_bracket_closes(monkeypatch):
+    # constant speeds: the gap 0.3 - t closes at t = 0.3, but the RK4 gap at the
+    # iterate does not read 0 exactly here, so with rate = 0 the search can only end
+    # when its bracket closes to BISECT_TOL, on the iterate's nonzero gap
+    x, m, v = np.array([0.0, 0.3]), np.array([0.5, 0.5]), np.array([0.7, -0.3])
+
+    def vel(y, m):
+        return v
+
+    g_end = float(np.min(np.diff(particles._rk4(x, m, 0.5, vel, v))))
+    calls = []
+    rk4 = particles._rk4
+    monkeypatch.setattr(particles, "_rk4", lambda *args: calls.append(args[2]) or rk4(*args))
+    t, y = particles._locate_contact(x, m, v, vel, 0.5, g_end, 0.1, 0.0)
+    assert abs(t - 0.3) <= particles.BISECT_TOL
+    assert np.min(np.diff(y)) != 0.0  # the zero-gap exit cannot have returned
+    assert calls[-1] == t and len(calls) == 3
+
+
 def test_kink_only_event_merging_nothing_aborts(monkeypatch):
     # a merge that leaves every particle in place makes the contact event no progress
     monkeypatch.setattr(particles, "merge_runs", lambda x, m, linked, *values: (x, m, False, *values))
@@ -234,6 +254,23 @@ def test_kink_only_matches_isotonic_projection(preset, n):
         x, m = isotonic_projection(ps0.atoms.positions + t * v0, ps0.atoms.masses)
         assert ps.atoms.n_atoms == x.size
         assert wasserstein1(ps.atoms, DiscreteMeasure(x, m)) <= 1e-14
+
+
+@pytest.mark.parametrize("symmetry", ["time", "space"])
+@pytest.mark.parametrize("preset", [2, 3])
+def test_kink_only_path_is_exactly_covariant_under_power_of_two_rescaling(preset, symmetry):
+    # the exact event oracle with its labels at lam*x, sampled at tau*t: the
+    # same atoms at every sample time, bit for bit, with no floor
+    cfg = example_preset(preset)
+    law, scaled, lam, tau = rescaling(cfg, symmetry)
+    atoms = _particle_system(cfg, 256).atoms
+    want = [ps.atoms for ps in trajectory(ParticleSystem(atoms, 0.0, cfg.make_potential(), law), cfg.schedule())]
+    moved = ParticleSystem(DiscreteMeasure(lam * atoms.positions, atoms.masses), 0.0, scaled, law)
+    got = [ps.atoms for ps in trajectory(moved, [tau * t for t in cfg.schedule()])]
+    assert len(got) == len(want) == len(cfg.schedule())
+    for g, w in zip(got, want):
+        assert (g.positions / lam).tobytes() == w.positions.tobytes()
+        assert g.masses.tobytes() == w.masses.tobytes()
 
 
 def test_single_particle_never_moves():
