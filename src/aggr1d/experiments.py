@@ -8,8 +8,8 @@ repeated runs of the same config produce bit-identical CSV files.
 ``compare`` and ``converge`` are one study (:func:`_study`) at one grid
 level or at several.  Where ``os.fork`` exists, ``simulate`` formats its
 snapshot CSVs in a child (:func:`_start`) during the scheme, and a study
-runs its oracle and every level but the finest in one while the finest
-runs; without it the child's work runs after, to the same bytes.
+runs its oracle in one while the finest level runs, the two sharing the
+coarser levels; without it the child's work runs after, to the same bytes.
 """
 
 from __future__ import annotations
@@ -304,7 +304,7 @@ def _start(fn, *args):
     return send, wait
 
 
-def _oracle(_feed, cfg: SimConfig, n: int):
+def _oracle(cfg: SimConfig, n: int):
     """The n-label particle oracle at every time of the schedule: (its DiscreteMeasures, its seconds)."""
     t0 = _time.perf_counter()
     atoms = [ps.atoms for ps in particles.trajectory(_particle_system(cfg, n), cfg.schedule())]
@@ -325,37 +325,59 @@ def _level(cfg: SimConfig, n_cells: int):
     return [m for _, m in snaps], {"runtimes_s": secs, "mass_drift": drift, "min_rho": min(diag.min_rho)}
 
 
-def _coarse_levels(_feed, cfg: SimConfig, levels, n: int):
-    """The n-label oracle, then each level against it: (the oracle, its seconds, {level: (W1 series, record)})."""
-    oracle, oracle_s = _oracle(_feed, cfg, n)
+def _claimed(cfg: SimConfig, coarse, jobs: int):
+    """Run each of the ``coarse`` levels this process claims from ``jobs``: {level: :func:`_level`'s pair}.
+
+    ``jobs`` is the read end of a pipe that holds one byte, an index into
+    ``coarse``, per level no process has claimed; reading a byte claims its
+    level, so whichever process is free runs the next one.
+    """
     runs = {}
-    for n_cells in levels:
-        snaps, record = _level(cfg, n_cells)
-        runs[n_cells] = ([wasserstein1(a, b) for a, b in zip(snaps, oracle)], record)
-    return oracle, oracle_s, runs
+    while index := os.read(jobs, 1):
+        runs[coarse[index[0]]] = _level(cfg, coarse[index[0]])
+    return runs
+
+
+def _scored(runs, oracle):
+    """{level: (its W1 series against the oracle, its record)} from {level: (its measures, its record)}."""
+    return {n: ([wasserstein1(a, b) for a, b in zip(snaps, oracle)], record) for n, (snaps, record) in runs.items()}
+
+
+def _oracle_then_levels(_feed, cfg: SimConfig, n: int, coarse, jobs: int):
+    """The n-label oracle, then the levels claimed from ``jobs``: (the oracle, its seconds, their :func:`_scored`)."""
+    oracle, oracle_s = _oracle(cfg, n)
+    return oracle, oracle_s, _scored(_claimed(cfg, coarse, jobs), oracle)
 
 
 def _study(cfg: SimConfig, levels, n: int):
     """W1 between the scheme at each level and the n-label oracle at every time of the schedule.
 
     Returns (one W1 list per level, the oracle's and the grids' summary).
-    One child (:func:`_start`) runs the oracle and every level but the
-    finest while this process runs the finest, the most costly one: each
-    level divides the next and the CFL step scales with dx.
+    One child (:func:`_start`) runs the oracle while this process runs the
+    finest level; then each takes the coarser levels, costliest first, from
+    one queue (:func:`_claimed`) until none is left.  Each level divides the
+    next and the CFL step scales with dx, so the finest level costs at least
+    as much as the others together, and whichever side is free runs the rest.
     """
     *coarse, finest = levels
-    t0 = _time.perf_counter()
-    _, wait = _start(_coarse_levels, cfg, coarse, n)  # reads no feed
+    jobs, queue = os.pipe()
+    os.write(queue, bytes(range(len(coarse)))[::-1])
+    os.close(queue)  # an empty queue reads as end of file
     try:
-        snaps, record = _level(cfg, finest)
-    except BaseException:
-        wait(kill=True)
-        raise
-    grid_s = _time.perf_counter() - t0
-    oracle, oracle_s, runs = wait()
-    runs[finest] = ([wasserstein1(a, b) for a, b in zip(snaps, oracle)], record)
+        t0 = _time.perf_counter()
+        _, wait = _start(_oracle_then_levels, cfg, n, coarse, jobs)  # reads no feed
+        try:
+            runs = {finest: _level(cfg, finest), **_claimed(cfg, coarse, jobs)}
+        except BaseException:
+            wait(kill=True)
+            raise
+        grid_s = _time.perf_counter() - t0
+        oracle, oracle_s, done = wait()
+    finally:
+        os.close(jobs)
+    runs = {**_scored(runs, oracle), **done}
     summary = {"grid_s": grid_s, "oracle_s": oracle_s, "oracle_labels": n, "oracle_atoms_final": oracle[-1].n_atoms}
-    for key in record:
+    for key in runs[finest][1]:
         summary[key] = {str(n_cells): runs[n_cells][1][key] for n_cells in levels}
     return [runs[n_cells][0] for n_cells in levels], summary
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import select
 import signal
 import time
 
@@ -307,9 +308,15 @@ def test_compare_forked_and_inline_write_identical_csv(tmp_path, monkeypatch):
 def test_forked_oracle_returns_read_only_measures(tmp_path):
     # the child's DiscreteMeasures unpickle through the constructor, with the inline oracle's bits
     cfg = _compare_config(tmp_path)
-    _, wait = experiments._start(experiments._oracle, cfg, 64)
-    forked, _ = wait()
-    inline, _ = experiments._oracle(None, cfg, 64)
+    jobs, queue = os.pipe()
+    os.close(queue)  # no level to claim: compare's child
+    try:
+        _, wait = experiments._start(experiments._oracle_then_levels, cfg, 64, [], jobs)
+        forked, _, runs = wait()
+    finally:
+        os.close(jobs)
+    inline, _ = experiments._oracle(cfg, 64)
+    assert runs == {}
     assert len(forked) == len(inline) == len(cfg.schedule())
     for got, want in zip(forked, inline):
         assert isinstance(got, DiscreteMeasure)
@@ -361,50 +368,117 @@ def _study_args(preset, command, label, out):
     return [command, *flags, *levels, "--label", label, "--out", str(out)]
 
 
-def _spy_levels(monkeypatch):
-    # the cell counts of the scheme runs made in this process; a forked child's calls stay in the child
-    calls = []
+def _log_levels(monkeypatch, log, before=None, after=None):
+    # append "pid cells" to log as each scheme run ends, here and in a forked child; hooks run around each run
     run_fv = experiments._run_fv
 
     def spy(cfg, n_cells, on_sample=None):
-        calls.append(n_cells)
-        return run_fv(cfg, n_cells, on_sample)
+        if before:
+            before(n_cells)
+        out = run_fv(cfg, n_cells, on_sample)
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()} {n_cells}\n")
+        if after:
+            after(n_cells)
+        return out
 
     monkeypatch.setattr(experiments, "_run_fv", spy)
-    return calls
+
+
+def _runs(log):
+    # (ran in this process, cell count) for each logged scheme run, in the order the runs ended
+    return [(int(pid) == os.getpid(), int(n)) for pid, n in map(str.split, log.read_text().splitlines())]
+
+
+def _take(tokens, count):
+    # block until count tokens arrive on the pipe's read end, for at most a minute
+    got = b""
+    while len(got) < count:
+        assert select.select([tokens], [], [], 60.0)[0], "no token within a minute"
+        got += os.read(tokens, count - len(got))
 
 
 @needs_fork
 @pytest.mark.parametrize("preset", [2, 1])
-def test_study_forks_once_and_runs_only_the_finest_level_here(tmp_path, monkeypatch, preset):
-    # one child takes the oracle and every coarser level; the CSVs match the inline path's
-    pids, calls = _spy_forks(monkeypatch), _spy_levels(monkeypatch)
-    for command, finest in (("compare", 100), ("converge", 200)):
+def test_study_forks_once_and_runs_each_level_once(tmp_path, monkeypatch, preset):
+    # one child, the finest level first here, every level once; the CSVs match the inline path's
+    pids = _spy_forks(monkeypatch)
+    for command, levels in (("compare", [100]), ("converge", [50, 100, 200])):
+        log = tmp_path / f"{command}.log"
+        _log_levels(monkeypatch, log)
         assert cli_main(_study_args(preset, command, f"{command}-forked", tmp_path)) == 0
-        assert len(pids) == 1 and calls == [finest]
+        assert len(pids) == 1
+        runs = _runs(log)
+        assert sorted(n for _, n in runs) == levels
+        assert [n for here, n in runs if here][0] == levels[-1]
         _assert_no_children()
         pids.clear()
-        calls.clear()
-    monkeypatch.delattr(os, "fork")  # the inline path
-    for command in ("compare", "converge"):
+    monkeypatch.delattr(os, "fork")  # the inline path: every level here, then the oracle inside wait()
+    for command, levels in (("compare", [100]), ("converge", [200, 100, 50])):
+        log = tmp_path / f"{command}-inline.log"
+        _log_levels(monkeypatch, log)
         assert cli_main(_study_args(preset, command, f"{command}-inline", tmp_path)) == 0
+        assert _runs(log) == [(True, n) for n in levels]
         assert _csv_bytes(tmp_path / f"{command}-forked") == _csv_bytes(tmp_path / f"{command}-inline")
-    assert calls == [100, 200, 50, 100]  # the finest level here, then the child's work inside wait()
+
+
+@needs_fork
+@pytest.mark.parametrize("busy", ["caller", "child"])
+def test_study_gives_the_coarser_levels_to_the_free_side(tmp_path, monkeypatch, busy):
+    # hold one side back until the other has run every level it can reach: the free side runs them all
+    tokens, token = os.pipe()
+    here = os.getpid()
+    log = tmp_path / "runs.log"
+    if busy == "caller":  # the finest level starts once the child has run both coarser levels
+
+        def before(n_cells):
+            if os.getpid() == here:
+                _take(tokens, 2)
+
+        _log_levels(monkeypatch, log, before=before, after=lambda n_cells: os.write(token, b"."))
+        want = [(False, 100), (False, 50), (True, 200)]
+    else:  # the child's oracle starts once this process has run all three levels
+        oracle = experiments._oracle
+
+        def held_oracle(cfg, n):
+            _take(tokens, 3)
+            return oracle(cfg, n)
+
+        monkeypatch.setattr(experiments, "_oracle", held_oracle)
+        _log_levels(monkeypatch, log, after=lambda n_cells: os.write(token, b"."))
+        want = [(True, 200), (True, 100), (True, 50)]
+    try:
+        assert cli_main(_study_args(2, "converge", busy, tmp_path)) == 0
+    finally:
+        os.close(tokens)
+        os.close(token)
+    assert _runs(log) == want
+    _assert_no_children()
 
 
 @needs_fork
 @pytest.mark.parametrize("preset", [2, 1])
 def test_converge_coarse_level_abort_in_the_child_exits_3(tmp_path, monkeypatch, capsys, preset):
+    # the finest level starts here once the child has aborted at 100 cells, the first level it claims
+    tokens, token = os.pipe()
+    here = os.getpid()
     run = fv.run
 
     def aborting_run(state0, *args, **kwargs):
         if state0.grid.n_cells == 100:
+            os.write(token, b".")
             raise fv.SchemeError(f"CFL violation at 100 cells in process {os.getpid()}")
+        if state0.grid.n_cells == 200 and os.getpid() == here:
+            _take(tokens, 1)
         return run(state0, *args, **kwargs)
 
     monkeypatch.setattr(fv, "run", aborting_run)  # before the fork, so the child runs it too
     pids = _spy_forks(monkeypatch)
-    assert cli_main(_study_args(preset, "converge", "abort", tmp_path)) == 3
+    try:
+        assert cli_main(_study_args(preset, "converge", "abort", tmp_path)) == 3
+    finally:
+        os.close(tokens)
+        os.close(token)
     assert len(pids) == 1
     err = capsys.readouterr().err
     assert "run aborted: CFL violation at 100 cells in process" in err
