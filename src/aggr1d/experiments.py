@@ -101,10 +101,10 @@ def _run_dir(cfg: SimConfig) -> Path:
     if old.is_file():
         try:
             listed = [entry["path"] for entry in json.loads(old.read_text())["outputs"]]
-        except ValueError:  # a manifest cut short by a killed run lists nothing
+        except (ValueError, LookupError, TypeError):  # a manifest cut short or of another shape lists nothing
             listed = []
         for name in listed:
-            if Path(name).name == name and (d / name).is_file():  # a bare file name
+            if isinstance(name, str) and Path(name).name == name and (d / name).is_file():  # a bare file name
                 (d / name).unlink()
         old.unlink()
     return d

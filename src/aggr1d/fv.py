@@ -32,7 +32,9 @@ conservation relation per cell
 
 where nu_i discretizes (w * rho)(x_i) with a kernel whose two-term
 averages are the exact cell integrals of w; w is one exponential, so the
-kernel is too, and nu is two one-sided exponential sums in O(N).  The left
+kernel is too, and nu is two one-sided exponential sums in O(N), or zero
+for a kink-only potential (w = 0).  :func:`solve_s_gradient` is the one
+call from a density to its interface gradients.  The left
 anchor of the cumulative solve is the value of W' * rho left of the grid:
 the -infinity limit u_inf * mass plus a correction for the w-mass that the
 grid-limited nu sum cannot see, one weight per source cell that the kernel
@@ -66,7 +68,6 @@ __all__ = [
     "compute_nu",
     "solve_s_gradient",
     "velocity_from_gradients",
-    "nonlinear_velocity",
     "cfl_dt",
     "step",
     "run",
@@ -222,26 +223,23 @@ def build_nu_kernel(pot: PointyPotential, grid: Grid) -> NuKernel:
 
 
 def compute_nu(state: FVState, kernel: NuKernel) -> np.ndarray:
-    """Discrete w-convolution nu_i = dx * sum_k rho_k g_{i-k}.
+    """Discrete w-convolution nu_i = dx * sum_k rho_k g_{i-k}, for a kernel with width.
 
-    A point kernel (``half_width == 0``, kink-only potentials) is a plain
-    scale.  A geometric kernel gives nu = g_0 * (P + Q + m) with cell
-    masses m = rho*dx and the one-sided sums P_i = sum_{k<i} m_k
-    e^{-rate (i-k) dx}, Q_i = sum_{k>i} likewise: O(N) per call.
+    A geometric kernel gives nu = g_0 * (P + Q + m) with cell masses
+    m = rho*dx and the one-sided sums P_i = sum_{k<i} m_k e^{-rate (i-k) dx},
+    Q_i = sum_{k>i} likewise: O(N) per call.  A point kernel, like a kernel
+    built for another grid, raises ValueError.
     """
     k = kernel.half_width
     rho = state.rho
-    dx = state.grid.dx
-    if k == 0:
-        return rho * kernel.values[0] * dx
     if rho.size != k + 1:
-        raise ValueError("the nu kernel was built for another grid")
-    m = rho * dx
+        raise ValueError("the nu kernel is a point kernel or was built for another grid")
+    m = rho * state.grid.dx
     sums = block_exp_sums(kernel.blocks, m) + block_exp_sums(kernel.blocks, m[::-1])[::-1]
     return kernel.values[k] * (sums + m)
 
 
-def solve_s_gradient(state: FVState, pot: PointyPotential, nu: np.ndarray | None, kernel: NuKernel) -> np.ndarray:
+def solve_s_gradient(state: FVState, pot: PointyPotential, kernel: NuKernel) -> np.ndarray:
     """Interface gradients of the primitive: n+1 values s_{i-1/2}, i = 0..n.
 
     Cumulative solve of  s_{i+1/2} = s_{i-1/2} + dx*(nu_i - c*rho_i),
@@ -249,8 +247,9 @@ def solve_s_gradient(state: FVState, pot: PointyPotential, nu: np.ndarray | None
     u_inf*mass + sum_j m_j tail_j with the kernel's stored left-anchor
     weights.  Those use the kernel's own left-edge values, so the
     telescoped interface gradients agree with the direct convolution
-    identically.  The point kernel's nu and tail are all zeros, so there
-    ``nu`` is not read (``None`` will do) and the sums run on -c*rho*dx.
+    identically.  A kernel with width gets its nu from :func:`compute_nu`;
+    the point kernel's nu and tail are all zeros, so there the sums run on
+    -c*rho*dx alone.
     """
     dx = state.grid.dx
     rho = state.rho
@@ -259,7 +258,7 @@ def solve_s_gradient(state: FVState, pot: PointyPotential, nu: np.ndarray | None
     rhs = pot.c * rho
     if kernel.half_width:
         u_left += float(cell_mass.dot(kernel.tail))
-        np.subtract(nu, rhs, out=rhs)
+        np.subtract(compute_nu(state, kernel), rhs, out=rhs)
         rhs *= dx
     else:
         rhs *= -dx
@@ -273,12 +272,6 @@ def solve_s_gradient(state: FVState, pot: PointyPotential, nu: np.ndarray | None
 def velocity_from_gradients(law: VelocityLaw, s: np.ndarray) -> np.ndarray:
     """Per-cell speed from interface gradients: the mean of a over [s_{i-1/2}, s_{i+1/2}]."""
     return law.mean(s[:-1], s[1:])
-
-
-def nonlinear_velocity(state: FVState, pot: PointyPotential, law: VelocityLaw, kernel: NuKernel) -> np.ndarray:
-    """Per-cell speeds a_i for any speed law, as an array, with the grid's nu kernel."""
-    nu = compute_nu(state, kernel) if kernel.half_width else None
-    return velocity_from_gradients(law, solve_s_gradient(state, pot, nu, kernel))
 
 
 def cfl_dt(vel_bound: float, dx: float, gamma: float) -> float:
@@ -386,7 +379,7 @@ def run(state0: FVState, pot: PointyPotential, law: VelocityLaw, gamma: float, t
     diag = DiagnosticsReport(abs_x=np.abs(grid.centers))
 
     def checked_speeds(state: FVState) -> np.ndarray:
-        a = nonlinear_velocity(state, pot, law, kernel)
+        a = velocity_from_gradients(law, solve_s_gradient(state, pot, kernel))
         diag.record(state, a)
         if not np.isfinite(diag.max_abs_a[-1]):
             raise SchemeError(f"non-finite mean speed at t = {state.time:.6g}")

@@ -20,9 +20,9 @@ def conservation_residual(state, pot, kernel, s=None) -> float:
     ``s`` defaults to the engine's own interface gradients of ``state``;
     pass a modified copy to check that instead.
     """
-    nu = compute_nu(state, kernel)
+    nu = compute_nu(state, kernel) if kernel.half_width else np.zeros(state.grid.n_cells)
     if s is None:
-        s = solve_s_gradient(state, pot, nu, kernel)
+        s = solve_s_gradient(state, pot, kernel)
     return float(np.max(np.abs((np.diff(s) / state.grid.dx - nu) / pot.c + state.rho)))
 
 

@@ -197,6 +197,19 @@ def test_manifest_lists_all_outputs_with_checksums(tmp_path):
     assert (tmp_path / "example2" / "notes.txt").read_text() == "kept"
 
 
+def test_a_manifest_of_another_shape_lists_nothing(tmp_path):
+    # valid JSON that is not an object, has no outputs, or lists a path that is not a
+    # string lists nothing, like a manifest cut short: the run writes its own outputs
+    run_dir = tmp_path / "example2"
+    run_dir.mkdir()
+    (run_dir / "notes.txt").write_text("kept")
+    for manifest in ("{}", "[]", '{"outputs": [{"path": 3}]}'):
+        (run_dir / "manifest.json").write_text(manifest)
+        assert cli_main(["simulate", "--example", "2", "--cells", "100", "--t-end", "1", "--out", str(tmp_path)]) == 0, manifest
+        listed = json.loads((run_dir / "manifest.json").read_text())["outputs"]
+        assert {entry["path"] for entry in listed} | {"manifest.json", "notes.txt"} == {p.name for p in run_dir.iterdir()}
+
+
 def test_cmd_compare_initial_projection_error(tmp_path):
     cfg = _atoms_config(tmp_path, [(-1.0, 0.5), (1.0, 0.5)], t_end=1.0, label="cmp")
     res = cmd_compare(cfg)
