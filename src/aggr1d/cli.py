@@ -63,7 +63,7 @@ def _config_from_args(args) -> SimConfig:
         raise ConfigError("give exactly one of --config and --example")
     cfg = load_config(args.config) if args.config is not None else example_preset(args.example)
     overrides = {dest: getattr(args, dest) for _, dest, *_ in _OVERRIDES if getattr(args, dest, None) is not None}
-    return replace(cfg, **overrides).validate()
+    return replace(cfg, **overrides)
 
 
 def main(argv=None) -> int:

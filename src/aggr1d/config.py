@@ -30,15 +30,18 @@ The identity law (the default) is the linear aggregation equation; every
 law runs through the same velocity engine.  Bump data are always
 renormalized to unit mass.
 
-Validation raises :class:`ConfigError` (CLI exit 2, nothing written) unless
-the document is a JSON object whose every key is one named above, every
-number in it is finite, the domain has exactly two increasing endpoints,
-the label names one directory inside ``output_dir`` in at most 255 bytes,
-neither holds a NUL, the nearest existing path on ``output_dir/label`` is
-a directory, atoms lie in the half-open domain [lo, hi) and their
-masses sum to 1 within 1e-9, and on every grid the run uses the cell
-centers strictly increase in floating point and bump data project to a
-positive mass without overflow, and the CFL speed bound
+A :class:`SimConfig` checks itself when it is made, ``dataclasses.replace``
+included, so every one that exists is valid.  Validation raises
+:class:`ConfigError` (CLI exit 2, nothing written) unless the document is
+a JSON object whose every key is one named above, every number in it is
+finite, the domain has exactly two increasing endpoints, the label names
+one directory inside ``output_dir`` in at most 255 bytes, neither holds a
+NUL, the nearest existing path on ``output_dir/label`` is a directory,
+atoms lie in the half-open domain [lo, hi) and their masses sum to 1
+within 1e-9, and on every grid the run uses the cell width is positive
+and finite, the cell centers strictly increase in floating point and the
+run's first state (:meth:`SimConfig.initial_state`, atoms or bumps) is
+built without overflow and with a positive mass, and the CFL speed bound
 a_inf is a positive normal float reached without overflow.
 """
 
@@ -53,7 +56,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fv import Grid, project_initial
+from .fv import FVState, Grid, project_initial
 from .initial import GaussianBump, InitialData, builtin_initial
 from .measure import DiscreteMeasure
 from .potentials import PointyPotential, VelocityLaw, make_builtin_potential, make_velocity_law, velocity_sup_bound
@@ -84,7 +87,11 @@ class SimConfig:
     converge_particles: int = 512
     levels: tuple[int, ...] = ()
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> "SimConfig":
+        """Raise :class:`ConfigError` unless every check of the module docstring passes; return self."""
         if len(self.domain) != 2:
             raise ConfigError("domain must have exactly two endpoints")
         init = self.initial
@@ -128,15 +135,13 @@ class SimConfig:
         if any(n < 10 for n in self.levels):
             raise ConfigError("every refinement level must have at least 10 cells")
         for n in {self.n_cells, *self.levels}:
-            grid = self.make_grid(n)
-            if np.min(np.diff(grid.centers)) <= 0.0:  # from_cells would make one atom of coincident cells
+            try:  # a cell width of 0 or inf, zero projected mass, a bump too narrow
+                with np.errstate(over="raise"):
+                    centers = self.initial_state(n).grid.centers
+            except (ValueError, FloatingPointError) as exc:
+                raise ConfigError(f"the {n}-cell grid or the initial data on it: {exc}") from exc
+            if not np.all(np.diff(centers) > 0.0):  # from_cells would make one atom of coincident cells
                 raise ConfigError(f"the {n}-cell grid's cell centers do not strictly increase in floating point")
-            if not init.is_atomic:
-                try:
-                    with np.errstate(over="raise"):
-                        project_initial(init.density, grid)
-                except (ValueError, FloatingPointError) as exc:  # zero projected mass, or a bump too narrow
-                    raise ConfigError(f"the bump data on the {n}-cell grid: {exc}") from exc
         try:
             with np.errstate(over="raise"):  # the law's mean at +-lip bounds every product the run forms
                 a_inf = velocity_sup_bound(self.make_potential(), self.make_law())
@@ -161,6 +166,11 @@ class SimConfig:
     def make_grid(self, n_cells: int | None = None) -> Grid:
         lo, hi = self.domain
         return Grid.from_domain(lo, hi, n_cells if n_cells is not None else self.n_cells)
+
+    def initial_state(self, n_cells: int | None = None) -> FVState:
+        """The run's first state: the initial data projected onto the ``n_cells``-cell grid (default ``n_cells``)."""
+        init = self.initial
+        return project_initial(init.atoms if init.is_atomic else init.density, self.make_grid(n_cells))
 
     def to_dict(self) -> dict:
         doc: dict = {}
@@ -190,10 +200,9 @@ class SimConfig:
                     value = None if value is None else value.get(part)
                 if value is not None:
                     values[name] = cast(value)
-            cfg = cls(**values)
         except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"malformed config: {exc}") from exc
-        return cfg.validate()
+        return cls(**values)
 
 
 def _initial_from_dict(doc: dict) -> InitialData:
@@ -300,4 +309,4 @@ def example_preset(number: int) -> SimConfig:
     }
     if number not in presets:
         raise ConfigError("example presets are 1, 2 or 3")
-    return SimConfig(label=f"example{number}", **presets[number]).validate()
+    return SimConfig(label=f"example{number}", **presets[number])

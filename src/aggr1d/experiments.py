@@ -1,10 +1,11 @@
 """Experiment drivers behind the CLI subcommands.
 
-Each driver takes a validated :class:`SimConfig`, runs the relevant
-engines, writes CSV artifacts plus a JSON run manifest into the run
-directory, and returns an in-memory result object.  CSV contents are a
-pure function of the config (runtimes live only in the manifest), so
-repeated runs of the same config produce bit-identical CSV files.
+Each driver takes a :class:`SimConfig`, which checks itself when it is
+made, runs the relevant engines, writes CSV artifacts plus a JSON run
+manifest into the run directory, and returns an in-memory result object.
+CSV contents are a pure function of the config (runtimes live only in the
+manifest), so repeated runs of the same config produce bit-identical CSV
+files.
 ``compare`` and ``converge`` are one study (:func:`_study`) at one grid
 level or at several.  Where ``os.fork`` exists, ``simulate`` formats its
 snapshot CSVs in a child (:func:`_start`) during the scheme, and a study
@@ -112,8 +113,7 @@ def _run_dir(cfg: SimConfig) -> Path:
 
 def _run_fv(cfg: SimConfig, n_cells: int, on_sample=None):
     """Run the scheme from the config's initial data on ``n_cells`` cells, sampling the schedule."""
-    initial = cfg.initial.atoms if cfg.initial.is_atomic else cfg.initial.density
-    state0 = fv.project_initial(initial, cfg.make_grid(n_cells))
+    state0 = cfg.initial_state(n_cells)
     return fv.run(state0, cfg.make_potential(), cfg.make_law(), cfg.gamma, cfg.schedule(), on_sample=on_sample)
 
 
@@ -157,7 +157,6 @@ def cmd_simulate(cfg: SimConfig) -> RunArtifacts:
     child, which writes the snapshots once the run directory is ready.  A
     failure after that leaves the run directory empty.
     """
-    cfg.validate()
     a_inf = velocity_sup_bound(cfg.make_potential(), cfg.make_law())
     send, wait = _start(_snapshot_files, cfg)
     written = []  # the files this run writes, once its directory is made
@@ -195,7 +194,6 @@ def _particle_system(cfg: SimConfig, n: int) -> particles.ParticleSystem:
 
 def cmd_particles(cfg: SimConfig) -> RunArtifacts:
     """Sticky-particle run on atomic initial data, with trajectory logging."""
-    cfg.validate()
     if not cfg.initial.is_atomic:
         raise ConfigError("the particles command requires atomic initial data")
     ps = _particle_system(cfg, n=cfg.initial.atoms.n_atoms)
@@ -384,7 +382,6 @@ def _study(cfg: SimConfig, levels, n: int):
 
 def cmd_compare(cfg: SimConfig) -> CompareResult:
     """Scheme vs particle oracle: W1 at every sample time, the one-level :func:`_study`."""
-    cfg.validate()
     t0 = _time.perf_counter()
     (w1,), summary = _study(cfg, [cfg.n_cells], cfg.compare_particles)
     summary.update(runtime_s=_time.perf_counter() - t0, w1_initial=w1[0], w1_final=w1[-1])
@@ -400,7 +397,6 @@ def cmd_converge(cfg: SimConfig) -> ConvergenceReport:
     Levels must be at least three, increasing, each dividing the next; rows
     come out coarse to fine.  A ratio is None where the coarser W1 is 0.
     """
-    cfg.validate()
     levels = list(cfg.levels)
     if len(levels) < 3:
         raise ConfigError("converge needs at least three refinement levels")

@@ -93,8 +93,8 @@ class Grid:
     n_cells: int
 
     def __post_init__(self):
-        if self.dx <= 0.0:
-            raise ValueError("dx must be positive")
+        if not 0.0 < self.dx < np.inf:
+            raise ValueError(f"dx = {self.dx!r} must be positive and finite")
         if self.n_cells < 2:
             raise ValueError("need at least two cells")
 
@@ -175,16 +175,24 @@ def project_initial(initial, grid: Grid) -> FVState:
     cell (atoms on a cell interface go right); callable densities
     are integrated per cell with 5-point Gauss-Legendre.  The projected
     mass is renormalized to 1 exactly at t = 0.
+
+    An atom outside the grid by at most 4 eps (n + |left edge|/dx) cells
+    goes to the end cell next to it.  Rounding a domain [lo, hi) into
+    ``Grid.from_domain`` moves lo or the largest float below hi out of the
+    grid by less (about 2 eps n + eps |lo|/dx cells), so every atom of
+    [lo, hi) lands in a cell; an atom further out raises ValueError.
     """
     dx = grid.dx
-    rho = np.zeros(grid.n_cells)
+    n = grid.n_cells
+    rho = np.zeros(n)
     if isinstance(initial, DiscreteMeasure):
         if not initial.is_probability():
             raise ValueError("atomic initial data must carry unit mass")
-        idx = np.floor((initial.positions - grid.left_edge) / dx).astype(int)
-        if np.any(idx < 0) or np.any(idx >= grid.n_cells):
+        cells = (initial.positions - grid.left_edge) / dx  # in cells from the left edge
+        slack = 4.0 * np.finfo(float).eps * (n + abs(grid.left_edge) / dx)
+        if not np.all((cells >= -slack) & (cells <= n + slack)):
             raise ValueError("atom support extends outside the grid")
-        np.add.at(rho, idx, initial.masses / dx)
+        np.add.at(rho, np.clip(np.floor(cells), 0, n - 1).astype(int), initial.masses / dx)
     elif callable(initial):
         centers = grid.centers
         for xi, wi in zip(GAUSS5_NODES, GAUSS5_WEIGHTS):

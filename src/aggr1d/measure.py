@@ -94,7 +94,7 @@ class DiscreteMeasure:
         pos, mas = pos[keep], mas[keep]
         order = np.argsort(pos, kind="stable")
         pos, mas = pos[order], mas[order]
-        pos, mas, _ = merge_runs(pos, mas, np.diff(pos) <= 0.0)
+        pos, mas, _ = merge_runs(pos, mas, pos[1:] <= pos[:-1])  # no difference to overflow
         pos.setflags(write=False)
         mas.setflags(write=False)
         object.__setattr__(self, "positions", pos)

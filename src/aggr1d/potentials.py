@@ -190,7 +190,16 @@ def make_velocity_law(name: str, k: float | None = None, scale: float | None = N
             np.multiply(p, p, out=p)
             p += 1.0
             v /= p
+            # log1p loses digits as v nears -1 and fails where rounding takes it past;
+            # below -0.999, where (1 + q^2)/(1 + p^2) < 1e-3 and so |p| > 31, the log
+            # is the difference of two logs instead, above 6.9 apart
+            near = None
+            if v.min() < -0.999:
+                near = v < -0.999
+                v[near] = 0.0
             np.log1p(v, out=v)
+            if near is not None:
+                v[near] = np.log1p(np.square(q[near])) - np.log(p[near])
             v *= 0.5
             u -= v  # the bracket
             np.divide(u, d, out=u, where=d != 0.0)  # kept as it is, over 1, at d = 0

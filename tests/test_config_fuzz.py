@@ -2,7 +2,9 @@
 
 Random JSON configs of at most 100 cells go through ``cli.main`` over all
 four subcommands, with warnings turned into errors, as under
-``python -W error``.  Exit 2 and exit 3 leave the output tree as it was, and
+``python -W error``.  The draws include atoms at both ends of the domain,
+domains from 0 whose cell width underflows and domains whose width
+overflows.  Exit 2 and exit 3 leave the output tree as it was, and
 no run leaves a child process behind.
 """
 
@@ -35,7 +37,8 @@ def _magnitude(rng, lo=1e-8, hi=1e8):
     return 10.0 ** rng.uniform(math.log10(lo), math.log10(hi))
 
 
-def _initial(rng, lo, width):
+def _initial(rng, lo, hi):
+    half = hi / 2 - lo / 2  # half the width, finite where hi - lo overflows
     kind = rng.choice(("builtin", "bumps", "atoms"))
     if kind == "builtin":
         return {"kind": "builtin", "name": rng.choice(("init1", "init2"))}
@@ -43,8 +46,8 @@ def _initial(rng, lo, width):
         bumps = [
             {
                 "amplitude": _magnitude(rng, 1e-3, 1e3),
-                "center": lo + width * rng.uniform(-0.2, 1.2),
-                "width": width * _magnitude(rng, 1e-3, 1.0),
+                "center": lo + half * rng.uniform(-0.4, 2.4),
+                "width": half * (2.0 * _magnitude(rng, 1e-3, 1.0)),
             }
             for _ in range(rng.randint(1, 3))
         ]
@@ -52,15 +55,28 @@ def _initial(rng, lo, width):
     n = rng.randint(1, 4)
     masses = [rng.choice((0.0, 1.0)) if rng.random() < 0.1 else rng.random() for _ in range(n)]
     total = sum(masses) or 1.0
-    positions = [lo + width * rng.uniform(-0.05, 1.05) for _ in range(n)]
+    # some atoms at the ends of the half-open domain [lo, hi), where rounding may put them off the grid
+    ends = (lo, math.nextafter(hi, lo))
+    positions = [rng.choice(ends) if rng.random() < 0.2 else lo + half * rng.uniform(-0.1, 2.1) for _ in range(n)]
     if n > 1 and rng.random() < 0.2:
         positions[1] = positions[0]  # coincident atoms
     return {"kind": "atoms", "atoms": [[x, m / total] for x, m in zip(positions, masses)]}
 
 
-def _draw(rng):
+def _domain(rng):
+    """(lo, hi), some empty, some of cells that underflow and some whose width overflows."""
+    r = rng.random()
+    if r < 0.05:  # hi - lo is inf
+        return -1e308 * rng.uniform(1.0, 1.7), 1e308 * rng.uniform(1.0, 1.7)
+    if r < 0.15:  # from 0, a tiny width is a nonempty domain whose cell width may round to 0 or be subnormal
+        return 0.0, rng.choice((5e-324, 1e-320, 2.0**-1022, 1e-300, 1.0))
     width = rng.choice(EXTREMES) if rng.random() < 0.05 else 10.0 ** rng.uniform(-3.0, 3.0)
     lo = rng.uniform(-5.0, 5.0) - 0.5 * width
+    return lo, lo + width
+
+
+def _draw(rng):
+    lo, hi = _domain(rng)
     t_end = rng.choice(EXTREMES) if rng.random() < 0.1 else 10.0 ** rng.uniform(-4.0, 1.0)
     n = rng.randint(5, 25)
     potential = rng.choice(({"name": "abs_half"}, {"name": "abs_scaled"}, {"name": "exp_pointy"}))
@@ -73,12 +89,12 @@ def _draw(rng):
         "label": "fuzz",
         "potential": potential,
         "velocity_law": law,
-        "domain": [lo, lo + width],
+        "domain": [lo, hi],
         "n_cells": rng.randint(5, 100),
         "gamma": rng.choice(EXTREMES + (1.0, 1.5)) if rng.random() < 0.1 else rng.uniform(0.0, 1.0),
         "t_end": t_end,
         "sample_times": [t_end * rng.uniform(-0.1, 1.2) for _ in range(rng.randint(0, 3))],
-        "initial": _initial(rng, lo, width),
+        "initial": _initial(rng, lo, hi),
         "compare_particles": rng.randint(0, 48),
         "converge_particles": rng.randint(0, 48),
         "levels": [n, 2 * n, 4 * n] if rng.random() < 0.8 else [rng.randint(5, 100) for _ in range(3)],
@@ -94,7 +110,7 @@ def _cap_run_length(command, doc):
     lo, hi = cfg.domain
     cells = max(cfg.levels) if command == "converge" else cfg.n_cells
     a_inf = velocity_sup_bound(cfg.make_potential(), cfg.make_law())
-    steps = cfg.t_end * a_inf * cells / ((hi - lo) * cfg.gamma)
+    steps = cfg.t_end * a_inf * (cells / (hi - lo)) / cfg.gamma  # (hi - lo) * gamma may underflow
     if command != "simulate" and cfg.make_potential().amp != 0.0:
         steps = max(steps, cfg.t_end / MAX_STEP * GRID_STEPS / RK4_STEPS)
     if not steps > GRID_STEPS:

@@ -934,17 +934,66 @@ def test_example_preset_fields():
 def test_atoms_outside_domain_exit_2(tmp_path):
     for atoms in ([(-1.0, 0.5), (3.0, 0.5)], [(-2.6, 1.0)], [(2.5, 1.0)]):
         init = InitialData(atoms=DiscreteMeasure([a for a, _ in atoms], [b for _, b in atoms]))
-        cfg = SimConfig(label="outside", initial=init, output_dir=str(tmp_path / "out"))
-        with pytest.raises(ConfigError):
-            cfg.validate()
+        with pytest.raises(ConfigError, match="atoms must lie in the domain"):
+            SimConfig(label="outside", initial=init, output_dir=str(tmp_path / "out"))
         p = tmp_path / "outside.json"
-        p.write_text(json.dumps(cfg.to_dict()))
+        doc = {"label": "outside", "initial": {"kind": "atoms", "atoms": atoms}, "output_dir": str(tmp_path / "out")}
+        p.write_text(json.dumps(doc))
         for command in ("simulate", "particles"):
             assert cli_main([command, "--config", str(p)]) == 2
             assert not (tmp_path / "out").exists()
     # the left edge belongs to the domain
     init = InitialData(atoms=DiscreteMeasure([-2.5, 1.0], [0.5, 0.5]))
-    SimConfig(initial=init).validate()
+    SimConfig(initial=init)
+
+
+def test_a_config_is_checked_when_it_is_made():
+    # dataclasses.replace makes a new SimConfig, so it checks it again
+    with pytest.raises(ConfigError, match="n_cells must be at least 10"):
+        replace(example_preset(1), n_cells=5)
+    with pytest.raises(ConfigError, match="gamma"):
+        SimConfig(gamma=1.5)
+
+
+_COMMANDS = ("simulate", "particles", "compare", "converge")
+# atoms at the ends of the half-open domain [lo, hi) that rounding puts off the grid
+_EDGE_ATOMS = {
+    # the largest float below 2.5 at index n on every grid
+    "top": {"t_end": 0.1, "initial": {"kind": "atoms", "atoms": [[-1.0, 0.5], [2.4999999999999996, 0.5]]}},
+    # lo at index -1 on 100 cells
+    "bottom": {
+        "domain": [0.01, 7.98],
+        "n_cells": 100,
+        "t_end": 0.1,
+        "initial": {"kind": "atoms", "atoms": [[0.01, 0.5], [4.0, 0.5]]},
+    },
+}
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+@pytest.mark.parametrize("fields", list(_EDGE_ATOMS.values()), ids=list(_EDGE_ATOMS))
+def test_atoms_at_the_domain_ends_run_on_every_command(tmp_path, command, fields):
+    p = tmp_path / "edge.json"
+    p.write_text(json.dumps({"label": "edge", **fields}))
+    levels = ["--levels", "100,200,400"] if command == "converge" else []
+    assert cli_main([command, "--config", str(p), "--out", str(tmp_path / "out"), *levels]) == 0
+    assert (tmp_path / "out" / "edge" / "manifest.json").is_file()
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+@pytest.mark.parametrize("kind", ["bumps", "atoms"])
+@pytest.mark.parametrize("domain", [[0.0, 5e-324], [-1e308, 1e308]], ids=["cells-underflow", "width-overflows"])
+def test_cli_rejects_a_cell_width_of_zero_or_inf(tmp_path, command, kind, domain):
+    doc = {"label": "width", "domain": domain, "n_cells": 10, "levels": [10, 20, 40]}
+    if kind == "atoms":
+        doc["initial"] = {"kind": "atoms", "atoms": [[domain[0], 1.0]]}
+    p = tmp_path / "width.json"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match="must be positive and finite"):
+        load_config(p)
+    out = tmp_path / "out"
+    assert cli_main([command, "--config", str(p), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_label_must_stay_inside_out_dir(tmp_path):

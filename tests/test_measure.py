@@ -1,4 +1,5 @@
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -77,6 +78,12 @@ def test_constructor_merges_only_coincident_atoms():
     close = DiscreteMeasure([1.0, 1.0 + 5e-13, 0.0], [0.25, 0.25, 0.5])
     np.testing.assert_array_equal(close.positions, [0.0, 1.0, 1.0 + 5e-13])
     np.testing.assert_array_equal(close.masses, [0.5, 0.25, 0.25])
+    # positions whose differences overflow, or are inf - inf, compare with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        far = DiscreteMeasure([1.5e308, -1.5e308, np.inf, np.inf], [0.25, 0.25, 0.25, 0.25])
+    np.testing.assert_array_equal(far.positions, [-1.5e308, 1.5e308, np.inf])
+    np.testing.assert_array_equal(far.masses, [0.25, 0.25, 0.5])
 
 
 def test_constructor_rejects_negative_mass():

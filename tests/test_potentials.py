@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -214,6 +215,29 @@ def test_mean_matches_quadrature(name):
         assert mean == pytest.approx(integral / (b - a), abs=1e-12)
     x = np.concatenate([lo, [0.0, -0.0, 1e-300, -5e-324, 1e6, -1e6]])
     assert np.array_equal(law.mean(x, x), a_of(x))
+
+
+def test_atan_mean_where_one_end_is_far_above_the_other():
+    # at k*|lo| above 1e8 and k*|hi| below 1e-8 of it, the log's argument
+    # d*(p+q)/(1+p^2) rounds to -1 or past it; the mean stays within 1e-14
+    # of the 40-digit one, with no warning
+    lo = np.array([-10930.0, 10930.0, -1.0, 3e3, -0.5])
+    hi = np.array([1e-5, -1e-5, 0.0, 0.0, 1e-9])
+    for k in (46487151.461524196, 1e8, 1e10):
+        law = make_velocity_law("atan", k=k, scale=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = law.mean(lo, hi)
+            scalars = [law.mean(a, b) for a, b in zip(lo, hi)]
+        with mpmath.workdps(40):
+
+            def antideriv(x):
+                y = mpmath.mpf(k) * mpmath.mpf(x)
+                return y * mpmath.atan(y) - mpmath.log1p(y * y) / 2
+
+            exact = [float((antideriv(b) - antideriv(a)) / (k * (mpmath.mpf(b) - mpmath.mpf(a)))) for a, b in zip(lo, hi)]
+        np.testing.assert_allclose(got, exact, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(scalars, exact, rtol=1e-14, atol=0)
 
 
 def test_velocity_sup_bound_linear():
