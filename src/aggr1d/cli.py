@@ -36,8 +36,8 @@ def _cell_counts(text: str) -> tuple[int, ...]:
 _OVERRIDES = (
     ("--out", "output_dir", str, "output directory", _ALL),
     ("--label", "label", str, "run label (output subdirectory name)", _ALL),
-    ("--cells", "n_cells", int, "override n_cells", _ALL),
-    ("--gamma", "gamma", float, "override CFL fraction", _ALL),
+    ("--cells", "n_cells", int, "override n_cells", ("simulate", "compare")),
+    ("--gamma", "gamma", float, "override CFL fraction", ("simulate", "compare", "converge")),
     ("--t-end", "t_end", float, "override final time", _ALL),
     ("--levels", "levels", _cell_counts, "comma-separated cell counts, e.g. 100,200,400", ("converge",)),
     ("--particles", "compare_particles", int, "oracle particle count", ("compare",)),

@@ -6,7 +6,7 @@ form so catalogue runs are reproducible byte for byte.  Schema:
     {
       "label": "example1",
       "potential": {"name": "exp_pointy"},            # or abs_half, abs_scaled{+sigma}
-      "velocity_law": {"name": "atan", "k": 50.0, "scale": 0.6366197723675814},
+      "velocity_law": {"name": "atan", "k": 50.0, "scale": 0.6366197723675814},  # or identity
       "domain": [-2.5, 2.5],
       "n_cells": 1000,
       "gamma": 0.9,
@@ -18,7 +18,7 @@ form so catalogue runs are reproducible byte for byte.  Schema:
       "output_dir": "out",
       "compare_particles": 256,                       # oracle size for `compare`, >= 1
       "converge_particles": 512,                      # oracle size for `converge`, >= 1
-      "levels": [100, 200, 400]                       # `converge` refinement levels, >= 10 cells
+      "levels": [100, 200, 400]                       # `converge` levels: >= 3, from 10 cells, each dividing the next
     }
 
 Every key may be left out: an absent key (or a null) takes the
@@ -33,16 +33,18 @@ renormalized to unit mass.
 A :class:`SimConfig` checks itself when it is made, ``dataclasses.replace``
 included, so every one that exists is valid.  Validation raises
 :class:`ConfigError` (CLI exit 2, nothing written) unless the document is
-a JSON object whose every key is one named above, every number in it is
-finite, the domain has exactly two increasing endpoints, the label names
-one directory inside ``output_dir`` in at most 255 bytes, neither holds a
-NUL, the nearest existing path on ``output_dir/label`` is a directory,
-atoms lie in the half-open domain [lo, hi) and their masses sum to 1
-within 1e-9, and on every grid the run uses the cell width is positive
-and finite, the cell centers strictly increase in floating point and the
-run's first state (:meth:`SimConfig.initial_state`, atoms or bumps) is
-built without overflow and with a positive mass, and the CFL speed bound
-a_inf is a positive normal float reached without overflow.
+a JSON object whose every key is one named above and read (sigma only by
+abs_scaled, k and scale only by atan, each initial kind's own key), every
+number in it is finite, the domain has exactly two increasing endpoints,
+the label names one directory inside ``output_dir`` in at most 255 bytes,
+neither holds a NUL, the nearest existing path on ``output_dir/label`` is
+a directory, atoms lie in [lo, hi) and their masses sum to 1 within 1e-9,
+any levels form a study as above, and on every grid the run uses the
+cell width is positive and finite, the cell centers strictly increase in
+floating point, the run's first state (:meth:`SimConfig.initial_state`)
+is built and its densities summed without overflow, to a positive mass,
+and the CFL speed bound a_inf is a positive normal float reached without
+overflow.
 """
 
 from __future__ import annotations
@@ -132,15 +134,17 @@ class SimConfig:
                 raise ConfigError(f"atom masses sum to {init.atoms.total_mass!r}, not 1")
         if self.compare_particles < 1 or self.converge_particles < 1:
             raise ConfigError("oracle particle counts must be at least 1")
-        if any(n < 10 for n in self.levels):
-            raise ConfigError("every refinement level must have at least 10 cells")
-        for n in {self.n_cells, *self.levels}:
-            try:  # a cell width of 0 or inf, zero projected mass, a bump too narrow
+        levels = self.levels
+        if levels and (len(levels) < 3 or levels[0] < 10 or any(b <= a or b % a for a, b in zip(levels, levels[1:]))):
+            raise ConfigError(f"levels {levels} are no study: three or more, from 10 cells, each dividing the next")
+        for n in {self.n_cells, *levels}:
+            try:  # a cell width of 0 or inf, zero projected mass, a bump too narrow, densities whose sum overflows
                 with np.errstate(over="raise"):
-                    centers = self.initial_state(n).grid.centers
+                    first = self.initial_state(n)
+                    first.mass  # the run's diagnostics sum the densities, about 1/dx each
             except (ValueError, FloatingPointError) as exc:
                 raise ConfigError(f"the {n}-cell grid or the initial data on it: {exc}") from exc
-            if not np.all(np.diff(centers) > 0.0):  # from_cells would make one atom of coincident cells
+            if not np.all(np.diff(first.grid.centers) > 0.0):  # from_cells would make one atom of coincident cells
                 raise ConfigError(f"the {n}-cell grid's cell centers do not strictly increase in floating point")
         try:
             with np.errstate(over="raise"):  # the law's mean at +-lip bounds every product the run forms
@@ -205,19 +209,24 @@ class SimConfig:
         return cls(**values)
 
 
+# initial kind -> the one key besides "kind" that it reads
+_INITIAL_KEYS = {"builtin": "name", "bumps": "bumps", "atoms": "atoms"}
+
+
 def _initial_from_dict(doc: dict) -> InitialData:
     kind = doc.get("kind", "builtin")
+    if kind not in _INITIAL_KEYS:
+        raise ConfigError(f"unknown initial kind {kind!r}")
+    unread = sorted(set(doc) - {"kind", _INITIAL_KEYS[kind]})
+    if unread:
+        raise ConfigError(f"initial kind {kind!r} reads only {_INITIAL_KEYS[kind]!r}, not {', '.join(unread)}")
     if kind == "builtin":
         return builtin_initial(str(doc["name"]))
     if kind == "bumps":
-        bumps = tuple(
-            GaussianBump(float(b["amplitude"]), float(b["center"]), float(b["width"])) for b in doc["bumps"]
-        )
-        return InitialData(bumps=bumps)
-    if kind == "atoms":
-        arr = np.asarray(doc["atoms"], dtype=float).reshape(-1, 2)
-        return InitialData(atoms=DiscreteMeasure(arr[:, 0], arr[:, 1]))
-    raise ConfigError(f"unknown initial kind {kind!r}")
+        bumps = [GaussianBump(float(b["amplitude"]), float(b["center"]), float(b["width"])) for b in doc["bumps"]]
+        return InitialData(bumps=tuple(bumps))
+    arr = np.asarray(doc["atoms"], dtype=float).reshape(-1, 2)
+    return InitialData(atoms=DiscreteMeasure(arr[:, 0], arr[:, 1]))
 
 
 def _to_json(value):
@@ -262,7 +271,7 @@ _KEYS = {
 # every path a document may hold: the _KEYS paths and the objects on them and
 # the initial object's keys (a bump's inside its list)
 _DOC_PATHS = {*_KEYS, "potential", "velocity_law"}
-_DOC_PATHS |= {f"initial.{k}" for k in ("kind", "name", "bumps", "atoms")}
+_DOC_PATHS |= {f"initial.{k}" for k in ("kind", *_INITIAL_KEYS.values())}
 _DOC_PATHS |= {f"initial.bumps.{k}" for k in ("amplitude", "center", "width")}
 
 

@@ -394,18 +394,13 @@ def cmd_compare(cfg: SimConfig) -> CompareResult:
 def cmd_converge(cfg: SimConfig) -> ConvergenceReport:
     """Grid-refinement study against a particle oracle: W1 at t_end and its sup over the schedule.
 
-    Levels must be at least three, increasing, each dividing the next; rows
-    come out coarse to fine.  A ratio is None where the coarser W1 is 0.
+    Rows run coarse to fine over the config's levels, a study as :class:`SimConfig` checks;
+    a config without levels is a ConfigError.  A ratio is None where the coarser W1 is 0.
     """
-    levels = list(cfg.levels)
-    if len(levels) < 3:
-        raise ConfigError("converge needs at least three refinement levels")
-    if any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ConfigError("refinement levels must be strictly increasing")
-    if any(b % a for a, b in zip(levels, levels[1:])):
-        raise ConfigError("each refinement level must divide the next")
-    w1, summary = _study(cfg, levels, cfg.converge_particles)
-    rows = [ConvergenceRow(cfg.make_grid(n).dx, n, errs[-1], max(errs)) for n, errs in zip(levels, w1)]
+    if not cfg.levels:
+        raise ConfigError("converge needs refinement levels (--levels or the config's levels)")
+    w1, summary = _study(cfg, cfg.levels, cfg.converge_particles)
+    rows = [ConvergenceRow(cfg.make_grid(n).dx, n, errs[-1], max(errs)) for n, errs in zip(cfg.levels, w1)]
     ratios = [b.w1_error / a.w1_error if a.w1_error else None for a, b in zip(rows, rows[1:])]
     table = [(r.dx, r.n_cells, r.w1_error, "" if q is None else q, r.w1_sup) for r, q in zip(rows, [None, *ratios])]
     out = _run_dir(cfg)

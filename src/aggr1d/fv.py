@@ -100,8 +100,6 @@ class Grid:
 
     @classmethod
     def from_domain(cls, lo: float, hi: float, n_cells: int) -> "Grid":
-        if hi <= lo:
-            raise ValueError("empty domain")
         dx = (hi - lo) / n_cells
         return cls(x_min=lo + 0.5 * dx, dx=dx, n_cells=n_cells)
 

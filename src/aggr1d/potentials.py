@@ -148,6 +148,8 @@ def make_builtin_potential(name: str, sigma: float | None = None) -> PointyPoten
     abs_scaled      W(x) = -sigma*|x|      (lambda = 0, c = 2*sigma, w = 0)
     exp_pointy      W(x) = (e^{-|x|}-1)/2  (lambda = 1/2, c = 1, w = e^{-|x|}/2)
     """
+    if sigma is not None and name in ("abs_half", "exp_pointy"):
+        raise ValueError(f"{name} takes no sigma")
     if name == "abs_half":
         return PointyPotential("abs_half", c=1.0)
     if name == "abs_scaled":
@@ -162,6 +164,8 @@ def make_builtin_potential(name: str, sigma: float | None = None) -> PointyPoten
 def make_velocity_law(name: str, k: float | None = None, scale: float | None = None) -> VelocityLaw:
     """Builtin speed laws: ``identity`` (a(x) = x) and ``atan`` (a(x) = scale*atan(k*x))."""
     if name == "identity":
+        if k is not None or scale is not None:
+            raise ValueError("the identity law takes no k or scale")
         return VelocityLaw(name="identity", mean=lambda lo, hi: 0.5 * (hi + lo))
     if name == "atan":
         if k is None or k <= 0 or scale is None or scale <= 0:

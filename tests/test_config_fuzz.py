@@ -4,8 +4,11 @@ Random JSON configs of at most 100 cells go through ``cli.main`` over all
 four subcommands, with warnings turned into errors, as under
 ``python -W error``.  The draws include atoms at both ends of the domain,
 domains from 0 whose cell width underflows and domains whose width
-overflows.  Exit 2 and exit 3 leave the output tree as it was, and
-no run leaves a child process behind.
+overflows, and keys that the named potential, law or initial kind does
+not read (``sigma`` on ``abs_half`` or ``exp_pointy``, ``k`` or ``scale``
+on ``identity``, another kind's ``initial`` key): those configs exit 2.
+Exit 2 and exit 3 leave the output tree as it was, and no run leaves a
+child process behind.
 """
 
 import collections
@@ -29,6 +32,10 @@ EXTREMES = (0.0, -1.0, 5e-324, 2.0**-1022, 1e-300, 1e300)
 # oracle at most RK4_STEPS
 GRID_STEPS = 200
 RK4_STEPS = 30
+# initial kind -> the one key besides "kind" that it reads
+INITIAL_KEYS = {"builtin": "name", "bumps": "bumps", "atoms": "atoms"}
+# the share of draws given a key of each part that the part does not read
+UNREAD = 0.08
 
 
 def _magnitude(rng, lo=1e-8, hi=1e8):
@@ -38,8 +45,17 @@ def _magnitude(rng, lo=1e-8, hi=1e8):
 
 
 def _initial(rng, lo, hi):
+    kind = rng.choice(tuple(INITIAL_KEYS))
+    doc = _initial_of(kind, rng, lo, hi)
+    if rng.random() < UNREAD:  # another kind's key
+        other = rng.choice([k for k in INITIAL_KEYS if k != kind])
+        key = INITIAL_KEYS[other]
+        doc[key] = _initial_of(other, rng, lo, hi)[key]
+    return doc
+
+
+def _initial_of(kind, rng, lo, hi):
     half = hi / 2 - lo / 2  # half the width, finite where hi - lo overflows
-    kind = rng.choice(("builtin", "bumps", "atoms"))
     if kind == "builtin":
         return {"kind": "builtin", "name": rng.choice(("init1", "init2"))}
     if kind == "bumps":
@@ -80,11 +96,13 @@ def _draw(rng):
     t_end = rng.choice(EXTREMES) if rng.random() < 0.1 else 10.0 ** rng.uniform(-4.0, 1.0)
     n = rng.randint(5, 25)
     potential = rng.choice(({"name": "abs_half"}, {"name": "abs_scaled"}, {"name": "exp_pointy"}))
-    if potential["name"] == "abs_scaled":
+    if potential["name"] == "abs_scaled" or rng.random() < UNREAD:
         potential = {**potential, "sigma": _magnitude(rng)}
     law = {"name": "identity"}
     if rng.random() < 0.6:
         law = {"name": "atan", "k": _magnitude(rng), "scale": _magnitude(rng)}
+    elif rng.random() < UNREAD:
+        law.update(rng.choice(({"k": _magnitude(rng)}, {"scale": _magnitude(rng)}, {"k": 1.0, "scale": 1.0})))
     return {
         "label": "fuzz",
         "potential": potential,
@@ -99,6 +117,15 @@ def _draw(rng):
         "converge_particles": rng.randint(0, 48),
         "levels": [n, 2 * n, 4 * n] if rng.random() < 0.8 else [rng.randint(5, 100) for _ in range(3)],
     }
+
+
+def _unread(doc):
+    """The keys of a drawn config that its potential, law or initial kind does not read."""
+    potential, law, initial = doc["potential"], doc["velocity_law"], doc["initial"]
+    keys = [f"potential.{k}" for k in potential if k == "sigma" and potential["name"] != "abs_scaled"]
+    keys += [f"velocity_law.{k}" for k in law if k in ("k", "scale") and law["name"] == "identity"]
+    keys += [f"initial.{k}" for k in initial if k not in ("kind", INITIAL_KEYS[initial["kind"]])]
+    return keys
 
 
 def _cap_run_length(command, doc):
@@ -138,6 +165,7 @@ def test_random_configs_exit_0_2_or_3(tmp_path):
     rng = random.Random(SEED)
     faults = []
     codes = collections.Counter()
+    unread = 0  # draws with a key that nothing reads
     for i in range(N_CONFIGS):
         command = rng.choice(COMMANDS)
         doc = _draw(rng)
@@ -151,8 +179,11 @@ def test_random_configs_exit_0_2_or_3(tmp_path):
         before = _tree(base)
         code = _exit_code(command, {**doc, "output_dir": str(out)}, tmp_path / f"{i}.json")
         codes[code] += 1
+        unread += bool(_unread(doc))
         if code not in (0, 2, 3):
             faults.append((i, command, code, doc))
+        elif _unread(doc) and code != 2:
+            faults.append((i, command, f"exit {code} with keys nothing reads: {_unread(doc)}", doc))
         elif code and _tree(base) != before:
             faults.append((i, command, f"exit {code} changed the output tree", doc))
         try:
@@ -162,3 +193,4 @@ def test_random_configs_exit_0_2_or_3(tmp_path):
         faults.append((i, command, "a child process outlived the run", doc))
     assert not faults, f"{len(faults)} of {N_CONFIGS} configs failed:\n" + "\n".join(map(repr, faults[:10]))
     assert codes[0] and codes[2], codes  # the draw reaches both runs and rejections
+    assert unread, "no draw holds a key that nothing reads"

@@ -36,7 +36,7 @@ from aggr1d.potentials import (
     velocity_sup_bound,
 )
 from conservation import conservation_residual, state_from_snapshot
-from direct_sums import cell_speeds, nu_sum
+from direct_sums import cell_speeds, interaction_energy, nu_sum
 from mean_speed_reference import atan_a
 from rescaling import rescaling
 from step_reference import DIAGNOSTIC_COLUMNS, reference_run
@@ -781,20 +781,14 @@ def test_run_speeds_keep_the_one_sided_lipschitz_bound(monkeypatch, case, n_cell
     assert max(rises) <= bound
 
 
-@pytest.mark.parametrize("preset, n_cells", [(2, 200), (2, 1000), (3, 200), (3, 1000)])
-def test_kink_only_w1_between_two_runs_on_one_grid_never_grows(preset, n_cells):
-    # with w = 0 the scheme is a monotone upwind scheme for the cumulative masses
-    # F_i, so the l1 distance between two runs' F, which on one grid is the W1
-    # dx * sum |F_i - G_i| between their cell-centre measures, does not grow over
-    # a committed step.  The second run's bumps are shifted and widened; both
-    # take the common CFL step.  Measured over 400 steps: it rises by at most
-    # 3.2e-16 over a step, and falls by 41-47% towards the 0.05 that the
-    # shifted centre of mass keeps.  A cell speed read at one interface
-    # gradient, not averaged over both, makes it rise by 4e-4 to 8e-3
-    from aggr1d.config import example_preset
+def _w1_of_two_runs(cfg, pot, law, n_cells, n_steps):
+    """W1 between two runs on one grid after each of ``n_steps`` common CFL steps.
 
-    cfg = example_preset(preset)
-    pot, law, grid = cfg.make_potential(), cfg.make_law(), cfg.make_grid(n_cells)
+    The first run starts from the config's data, the second from its bumps
+    shifted by 0.05 and widened 1.5x.  On one grid W1 between the two
+    cell-centre measures is dx * sum |F_i - G_i| over their cumulative masses.
+    """
+    grid = cfg.make_grid(n_cells)
     moved = InitialData(bumps=tuple(GaussianBump(b.amplitude, b.center + 0.05, 1.5 * b.width) for b in cfg.initial.bumps))
     states = [cfg.initial_state(n_cells), project_initial(moved.density, grid)]
     kernel = build_nu_kernel(pot, grid)
@@ -804,11 +798,71 @@ def test_kink_only_w1_between_two_runs_on_one_grid_never_grows(preset, n_cells):
         return grid.dx * float(np.abs(np.cumsum(a.rho * grid.dx) - np.cumsum(b.rho * grid.dx)).sum())
 
     dist = [w1(*states)]
-    for _ in range(400):
+    for _ in range(n_steps):
         states = [step(st, speeds(st, pot, law, kernel), dt) for st in states]
         dist.append(w1(*states))
+    return dist
+
+
+@pytest.mark.parametrize("preset, n_cells", [(2, 200), (2, 1000), (3, 200), (3, 1000)])
+def test_kink_only_w1_between_two_runs_on_one_grid_never_grows(preset, n_cells):
+    # with w = 0 the scheme is a monotone upwind scheme for the cumulative
+    # masses F_i, so the l1 distance between two runs' F does not grow over a
+    # committed step.  Measured over 400 steps: it rises by at most 3.2e-16
+    # over a step, and falls by 41-47% towards the 0.05 that the shifted
+    # centre of mass keeps.  A cell speed read at one interface gradient,
+    # not averaged over both, makes it rise by 4e-4 to 8e-3
+    from aggr1d.config import example_preset
+
+    cfg = example_preset(preset)
+    dist = _w1_of_two_runs(cfg, cfg.make_potential(), cfg.make_law(), n_cells, 400)
     assert max(np.diff(dist)) <= 1e-13
     assert dist[-1] < 0.75 * dist[0]
+
+
+@pytest.mark.parametrize("n_cells", [200, 1000])
+@pytest.mark.parametrize("preset", [1, 3])
+def test_exp_pointy_w1_between_two_runs_grows_at_most_by_exp_2_lambda_dt(preset, n_cells):
+    # exp_pointy is lambda-concave with lambda = amp = 1/2, so under the identity
+    # law W1 between two solutions grows at most like e^{2 lambda t}: by at most
+    # e^{2 lambda dt} over a committed step, here with no slack, to t = 3 from
+    # preset 1's and preset 3's data.  Measured: the largest rate
+    # log(W1_{k+1}/W1_k)/dt reads 0.16-0.22 against 2 lambda = 1, and the
+    # smallest margin e^{2 lambda dt} W1_k - W1_{k+1} is 6.75e-4.  No bound is
+    # stated for the atan law
+    from aggr1d.config import example_preset
+
+    pot, law = make_builtin_potential("exp_pointy"), make_velocity_law("identity")
+    lam = pot.amp
+    cfg = example_preset(preset)
+    dt = cfl_dt(velocity_sup_bound(pot, law), cfg.make_grid(n_cells).dx, cfg.gamma)
+    dist = np.array(_w1_of_two_runs(cfg, pot, law, n_cells, int(3.0 / dt)))  # the helper's step
+    assert np.all(dist[1:] <= math.exp(2.0 * lam * dt) * dist[:-1])
+
+
+@pytest.mark.parametrize("preset", [1, 2, 3])
+def test_grid_interaction_energy_never_decreases_over_a_committed_step(preset):
+    # E = 1/2 sum_ij m_i m_j W(x_i - x_j) over the cell-centre masses, the
+    # sticky particles' Lyapunov functional, by the test-only direct O(N^2)
+    # sum.  No proof for the upwind scheme is known here; measured at 250
+    # cells it falls on none of the 162, 104 and 111 steps to t_end, checked
+    # with no slack.  Preset 1 at 1000 cells falls on 7 of 649 steps, each
+    # time by at most one ulp of |E| (1.08e-19); its direct sums take 8 s, so
+    # that case is left out.  A cell speed read at one interface gradient,
+    # law.mean(s[1:], s[1:]), makes E fall by up to 7.6e-4, 1.1e-5 and 1.3e-6
+    from aggr1d.config import example_preset
+
+    cfg = example_preset(preset)
+    pot, law, grid = cfg.make_potential(), cfg.make_law(), cfg.make_grid(250)
+    kernel = build_nu_kernel(pot, grid)
+    dt = cfl_dt(velocity_sup_bound(pot, law), grid.dx, cfg.gamma)
+    st = cfg.initial_state(250)
+    energy = [interaction_energy(grid.centers, st.rho * grid.dx, pot)]
+    while st.time + dt <= cfg.t_end:
+        st = step(st, speeds(st, pot, law, kernel), dt)
+        energy.append(interaction_energy(grid.centers, st.rho * grid.dx, pot))
+    assert len(energy) - 1 == {1: 162, 2: 104, 3: 111}[preset]
+    assert min(np.diff(energy)) >= 0.0
 
 
 # a density at or below this in either run may have gone through a subnormal intermediate such as rho*dx

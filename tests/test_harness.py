@@ -266,9 +266,10 @@ def test_cmd_compare_past_merge_time(tmp_path):
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the oracle runs inline without os.fork")
 
 
-def _compare_args(out, label):
-    flags = ["--example", "1", "--cells", "200", "--particles", "64", "--t-end", "0.5"]
-    return ["compare", *flags, "--label", label, "--out", str(out)]
+def _compare_args(out, label, command="compare"):
+    grids = ["--cells", "200"] if command == "compare" else ["--levels", "50,100,200"]
+    flags = ["--example", "1", *grids, "--particles", "64", "--t-end", "0.5"]
+    return [command, *flags, "--label", label, "--out", str(out)]
 
 
 def _compare_config(out):
@@ -358,8 +359,7 @@ def _oracle_error_reaches_caller(tmp_path, monkeypatch, command):
     assert isinstance(cause, experiments.ChildTraceback)
     assert "Traceback (most recent call last)" in str(cause) and "failing_trajectory" in str(cause)
     _assert_no_children()
-    levels = ["--levels", "50,100,200"] if command == "converge" else []
-    assert cli_main([command, *_compare_args(tmp_path / "cli", "err")[1:], *levels]) == 3
+    assert cli_main(_compare_args(tmp_path / "cli", "err", command)) == 3
     assert not (tmp_path / "cli").exists()
     _assert_no_children()
 
@@ -376,9 +376,9 @@ def test_converge_oracle_error_in_child_reaches_caller(tmp_path, monkeypatch):
 
 def _study_args(preset, command, label, out):
     # kink-only preset 2 (exact-event oracle) and exp_pointy preset 1 (RK4 oracle) at small sizes
-    flags = ["--example", str(preset), "--cells", "100", "--particles", "64", "--t-end", {2: "2", 1: "0.5"}[preset]]
-    levels = ["--levels", "50,100,200"] if command == "converge" else []
-    return [command, *flags, *levels, "--label", label, "--out", str(out)]
+    grids = ["--levels", "50,100,200"] if command == "converge" else ["--cells", "100"]
+    flags = ["--example", str(preset), *grids, "--particles", "64", "--t-end", {2: "2", 1: "0.5"}[preset]]
+    return [command, *flags, "--label", label, "--out", str(out)]
 
 
 def _log_levels(monkeypatch, log, before=None, after=None):
@@ -735,15 +735,14 @@ def test_cmd_simulate_example3_aggregates_to_center_of_mass(tmp_path):
 
 
 def test_cmd_converge_level_validation(tmp_path):
-    cfg = replace(example_preset(1), output_dir=str(tmp_path), levels=(100,))
-    with pytest.raises(ConfigError):
+    # a level list that is no study fails when the config is made; converge itself rejects only no levels
+    cfg = replace(example_preset(1), output_dir=str(tmp_path))
+    for levels in ((100,), (100, 200), (5, 10, 20), (100, 150, 200), (200, 100, 400), (400, 200, 100), (100, 100, 200)):
+        with pytest.raises(ConfigError):
+            replace(cfg, levels=levels)
+    with pytest.raises(ConfigError, match="converge needs refinement levels"):
         cmd_converge(cfg)
-    cfg = replace(cfg, levels=(100, 150, 200))
-    with pytest.raises(ConfigError):
-        cmd_converge(cfg)
-    cfg = replace(cfg, levels=(200, 100, 400))
-    with pytest.raises(ConfigError):
-        cmd_converge(cfg)
+    assert not (tmp_path / cfg.label).exists()
 
 
 def test_cmd_converge_small_study(tmp_path):
@@ -1091,11 +1090,83 @@ _GATE_CASES = {
         {"initial": {"kind": "bumps", "bumps": [{"amplitude": 1.0, "centre": 0.7, "width": 0.316}]}},
     ),
     "key-mode": ("simulate", {"mode": "linear"}),
+    # keys that the named potential, law or initial kind does not read
+    "unread-sigma-abs-half": ("compare", {"potential": {"name": "abs_half", "sigma": 0.5}}),
+    "unread-law-k": ("simulate", {"velocity_law": {"name": "identity", "k": 50.0}}),
+    "unread-law-scale": ("compare", {"velocity_law": {"name": "identity", "scale": 1.0}}),
+    "unread-initial-name": (
+        "simulate",
+        {"initial": {"kind": "bumps", "bumps": [{"amplitude": 1.0, "center": 0.7, "width": 0.316}], "name": "init1"}},
+    ),
+    # level lists that are no refinement study, on commands that do not read them
+    "levels-two": ("simulate", {"levels": [100, 200]}),
+    "levels-not-dividing": ("compare", {"levels": [100, 150, 300]}),
+    "levels-repeated": ("simulate", {"levels": [100, 100, 200]}),
     "key-initial-normalize": (
         "simulate",
         {"initial": {"kind": "bumps", "bumps": [{"amplitude": 1.0, "center": 0.7, "width": 0.316}], "normalize": True}},
     ),
 }
+
+
+# inputs that a run would take and never read, a level list that is no study, and
+# a domain on which every unit-mass cell density is about 4.5e307, so that the
+# mass the run's diagnostics sum from them overflows
+_REJECTED_ON_EVERY_COMMAND = {
+    "dead": {
+        "label": "dead",
+        "potential": {"name": "exp_pointy", "sigma": 2.0},
+        "velocity_law": {"name": "identity", "k": 50.0, "scale": 3.0},
+        "t_end": 0.1,
+    },
+    "atoms-with-bumps-and-name": {
+        "t_end": 0.1,
+        "initial": {
+            "kind": "atoms",
+            "atoms": [[-1.0, 0.5], [1.0, 0.5]],
+            "bumps": [{"amplitude": 1, "center": 0, "width": 0.1}],
+            "name": "init2",
+        },
+    },
+    "builtin-with-atoms": {"t_end": 0.1, "initial": {"kind": "builtin", "name": "init1", "atoms": [[0.0, 1.0]]}},
+    "levels-decreasing": {"levels": [400, 200, 100]},
+    "density-sum-overflows": {"domain": [0.0, 2.0**-1022], "n_cells": 10},
+}
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+@pytest.mark.parametrize("doc", list(_REJECTED_ON_EVERY_COMMAND.values()), ids=list(_REJECTED_ON_EVERY_COMMAND))
+def test_every_command_rejects_the_config_before_it_runs(tmp_path, command, doc):
+    p = tmp_path / "rejected.json"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError):
+        load_config(p)
+    out = tmp_path / "out"
+    levels = ["--levels", "50,100,200"] if command == "converge" and "levels" not in doc else []
+    assert cli_main([command, "--config", str(p), "--out", str(out), *levels]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["converge", "--example", "3", "--levels", "100,200,400", "--cells", "400"],
+        ["converge", "--example", "3", "--levels", "100,200,400", "--cells", "5"],
+        ["particles", "--config", "ATOMS", "--gamma", "0.5"],
+        ["particles", "--config", "ATOMS", "--cells", "3"],
+    ],
+    ids=["converge-cells", "converge-cells-5", "particles-gamma", "particles-cells"],
+)
+def test_a_command_takes_only_the_flags_it_reads(tmp_path, capsys, args):
+    # converge reads its levels, not n_cells; particles reads neither n_cells nor gamma
+    atoms = tmp_path / "atoms.json"
+    atoms.write_text(json.dumps({"t_end": 0.1, "initial": {"kind": "atoms", "atoms": [[-1.0, 0.5], [1.0, 0.5]]}}))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        cli_main([str(atoms) if a == "ATOMS" else a for a in args] + ["--out", str(out)])
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, fields", list(_GATE_CASES.values()), ids=list(_GATE_CASES))

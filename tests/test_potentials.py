@@ -60,6 +60,9 @@ def test_unknown_potential_and_bad_sigma():
         make_builtin_potential("abs_scaled", sigma=0.0)
     with pytest.raises(ValueError):
         make_builtin_potential("abs_scaled", sigma=-1.0)
+    for name in ("abs_half", "exp_pointy"):  # only abs_scaled reads sigma
+        with pytest.raises(ValueError, match="takes no sigma"):
+            make_builtin_potential(name, sigma=1.0)
 
 
 NOT_ATTRACTIVE = {
@@ -190,6 +193,9 @@ def test_bad_law_parameters():
         make_velocity_law("atan", k=50.0, scale=-2.0)
     with pytest.raises(ValueError):
         make_velocity_law("tanh")
+    for params in ({"k": 50.0}, {"scale": 1.0}, {"k": 50.0, "scale": 1.0}):  # only atan reads k and scale
+        with pytest.raises(ValueError, match="takes no k or scale"):
+            make_velocity_law("identity", **params)
 
 
 @pytest.mark.parametrize("name", ["identity", "atan"])
