@@ -25,17 +25,20 @@ approaching pairs, moves every particle linearly to it and merges the pairs
 that reach contact there.  The result is the isotonic projection of
 x0 + t v0 (Brenier & Grenier 1998).
 
-Other potentials integrate by classical RK4 with steps of MAX_STEP counted
-from the last contact; the speeds at the end of a step are the next step's
-first stage.  A step holds a contact when the smallest gap at its end is
-<= 0.  The earliest root of the quadratic through a closed pair's gap
-(value and slope at the start, value at the end) then seeds a safeguarded
-regula falsi (Illinois) on the smallest RK4 gap, which locates the first
-contact time to BISECT_TOL; the system advances to it and merges every gap
-within the contact tolerance.  A gap that closes and reopens inside one
-step is not seen.  Both engines commit only these events and steps: a
-sample time moves the clusters linearly from the last event, or takes one
-RK4 step from the last committed point, and commits nothing.
+Other potentials integrate by classical RK4 with steps of STEP time units
+1/(rate*a_inf), a_inf the grid's CFL speed bound, counted from the last
+contact; the speeds at the end of a step are the next step's first stage.
+A step holds a contact when the smallest gap at its end is <= 0.  The
+earliest root of the quadratic through a closed pair's gap (value and
+slope at the start, value at the end) then seeds a safeguarded regula
+falsi (Illinois) on the smallest RK4 gap, which locates the first contact
+time to TOL units; the system advances to it and merges every gap within
+4*a_inf*TOL units.  No time or length is absolute, so power-of-two
+rescalings of x and of W rescale the path bit for bit.  A gap that closes
+and reopens inside one step is not seen.  Both engines commit only these
+events and steps: a sample time moves the clusters linearly from the last
+event, or takes one RK4 step from the last committed point, and commits
+nothing.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .measure import DiscreteMeasure, merge_runs, sample_times
-from .potentials import PointyPotential, VelocityLaw, left_exp_sums
+from .potentials import PointyPotential, VelocityLaw, left_exp_sums, velocity_sup_bound
 
 __all__ = [
     "ParticleSystem",
@@ -54,9 +57,10 @@ __all__ = [
     "trajectory",
 ]
 
-MAX_STEP = 0.01
-CONTACT_TOL = 1e-12
-BISECT_TOL = 1e-12
+# the RK4 step and the contact time tolerance in time units 1/(rate*a_inf): at unit
+# mass a step moves no particle more than STEP/rate, the grid's CFL rule in particle form
+STEP = 2.0**-7
+TOL = 2.0**-40
 
 
 @dataclass(frozen=True)
@@ -106,13 +110,14 @@ def _rk4(x, m, h, vel, k1):
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _locate_contact(x, m, k1, vel, h, g_end, tau, rate):
+def _locate_contact(x, m, k1, vel, h, g_end, tau, closing, tol):
     """The first contact in an RK4 step from x (speeds k1) of length at most h.
 
     f(t), the smallest gap after an RK4 step of length t, is positive at
     t = 0 and equals g_end <= 0 at t = h; tau estimates its first zero.  A
     safeguarded regula falsi (Illinois) on f runs until the zero is known
-    to ``BISECT_TOL`` in time, with ``rate`` a closing speed.  Returns (t, x(t)).
+    to ``tol`` in time: |f| <= closing*tol, with ``closing`` a closing
+    speed, or a bracket no wider than tol.  Returns (t, x(t)).
     """
     lo, hi = 0.0, h
     f_lo, f_hi = np.min(np.diff(x)), g_end
@@ -120,7 +125,7 @@ def _locate_contact(x, m, k1, vel, h, g_end, tau, rate):
     for _ in range(100):
         y = _rk4(x, m, tau, vel, k1)
         f = np.min(np.diff(y))
-        if abs(f) <= rate * BISECT_TOL:
+        if abs(f) <= closing * tol:
             return tau, y
         if f > 0.0:
             lo, f_lo = tau, f
@@ -132,7 +137,7 @@ def _locate_contact(x, m, k1, vel, h, g_end, tau, rate):
             if side < 0:
                 f_lo *= 0.5
             side = -1
-        if hi - lo <= BISECT_TOL:
+        if hi - lo <= tol:
             return tau, y
         tau = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
         if not lo < tau < hi:
@@ -166,22 +171,23 @@ def _exact_path(ps: ParticleSystem, times, log):
         yield x + (s - t) * v if x.size > 1 else x, m
 
 
-def _rk4_next(x, m, v, vel, t):
+def _rk4_next(x, m, v, vel, t, h_max, tol, near):
     """The committed point after (t, x) with speeds v: (time, positions, speeds or None, merge gap).
 
-    That is a full step's end, or the first contact inside the step when the
-    smallest gap at its end is <= 0.  The quadratic through each closed pair's
-    gap (value and slope at t, value at the end) seeds the contact search at
-    its earliest root.  A step whose stages pass a contact so far that the
-    exponential sums overflow is halved.
+    That is a full step's end, or the first contact inside the step, to
+    ``tol`` in time, when the smallest gap at its end is <= 0; gaps within
+    the length ``near`` merge there.  The quadratic through each closed
+    pair's gap (value and slope at t, value at the end) seeds the contact
+    search at its earliest root.  A step whose stages pass a contact so far
+    that the exponential sums overflow is halved.
     """
     g0 = np.diff(x)
-    if np.min(g0) <= CONTACT_TOL:  # touching at a committed point: they merge there
-        return t, x, None, CONTACT_TOL
-    h = MAX_STEP
+    if np.min(g0) <= near:  # touching at a committed point: they merge there
+        return t, x, None, near
+    h = h_max
     with np.errstate(all="ignore"):  # a stage far past a contact overflows the sums: halve the step
         x_end = _rk4(x, m, h, vel, v)
-        while not np.all(np.isfinite(x_end)) and h > MAX_STEP * 2.0**-40:
+        while not np.all(np.isfinite(x_end)) and h > h_max * 2.0**-40:
             h *= 0.5
             x_end = _rk4(x, m, h, vel, v)
         g1 = np.diff(x_end)
@@ -194,20 +200,23 @@ def _rk4_next(x, m, v, vel, t):
     # rounding can break the quadratic's root: then the secant point
     tau = np.where(np.isfinite(tau) & (tau >= 0.0) & (tau <= h), tau, h * g0 / (g0 - g1))
     j = int(np.argmin(tau))
-    tau, y = _locate_contact(x, m, v, vel, h, float(np.min(g1)), float(tau[j]), abs(float(b[j])))
-    return t + tau, y, None, max(CONTACT_TOL, 4.0 * float(np.max(np.abs(v))) * BISECT_TOL)
+    tau, y = _locate_contact(x, m, v, vel, h, float(np.min(g1)), float(tau[j]), abs(float(b[j])), tol)
+    return t + tau, y, None, near
 
 
 def _rk4_path(ps: ParticleSystem, times, log):
     """(x, m) at each sample time, by RK4 between the committed points of :func:`_rk4_next`."""
     x, m, t = ps.atoms.positions, ps.atoms.masses, ps.time
     vel = lambda x, m: _nonlinear_vel(x, m, ps.pot, ps.law)  # noqa: E731
+    a_inf = velocity_sup_bound(ps.pot, ps.law)
+    unit = 1.0 / (ps.pot.rate * a_inf)
+    units = (STEP * unit, TOL * unit, 4.0 * a_inf * TOL * unit)  # the step, the time and the length tolerance
     v = nxt = None  # the speeds at x and the next committed point, once known
     for s in times:
         while x.size > 1:  # a lone particle is stationary
             if nxt is None:
                 v = vel(x, m) if v is None else v
-                nxt = _rk4_next(x, m, v, vel, t)
+                nxt = _rk4_next(x, m, v, vel, t, *units)
             if nxt[0] > s:  # kept for the sample time that passes it
                 break
             t_prev, n_prev = t, x.size

@@ -20,7 +20,7 @@ import warnings
 
 from aggr1d.cli import main as cli_main
 from aggr1d.config import ConfigError, SimConfig
-from aggr1d.particles import MAX_STEP
+from aggr1d.particles import STEP
 from aggr1d.potentials import velocity_sup_bound
 
 SEED = 14
@@ -136,10 +136,11 @@ def _cap_run_length(command, doc):
         return doc
     lo, hi = cfg.domain
     cells = max(cfg.levels) if command == "converge" else cfg.n_cells
-    a_inf = velocity_sup_bound(cfg.make_potential(), cfg.make_law())
+    pot = cfg.make_potential()
+    a_inf = velocity_sup_bound(pot, cfg.make_law())
     steps = cfg.t_end * a_inf * (cells / (hi - lo)) / cfg.gamma  # (hi - lo) * gamma may underflow
-    if command != "simulate" and cfg.make_potential().amp != 0.0:
-        steps = max(steps, cfg.t_end / MAX_STEP * GRID_STEPS / RK4_STEPS)
+    if command != "simulate" and pot.amp != 0.0:  # RK4 steps of STEP time units 1/(rate*a_inf)
+        steps = max(steps, cfg.t_end * pot.rate * a_inf / STEP * GRID_STEPS / RK4_STEPS)
     if not steps > GRID_STEPS:
         return doc
     shrink = GRID_STEPS / steps

@@ -42,6 +42,7 @@ from rescaling import rescaling
 from step_reference import DIAGNOSTIC_COLUMNS, reference_run
 from step_reference import gradients as reference_gradients
 from step_reference import nu as reference_nu
+from test_acceptance import WIDE_EXP  # CI's wide-exp config: the exponential sums span several blocks
 
 ABS_HALF = make_builtin_potential("abs_half")
 EXP_POINTY = make_builtin_potential("exp_pointy")
@@ -734,18 +735,6 @@ def test_run_preset1_steps_at_lip_bound():
     _, diag = run(st, pot, law, cfg.gamma, cfg.schedule())
     assert diag.step_index[-1] == 650
     assert max(diag.max_abs_a) <= velocity_sup_bound(pot, law) + 1e-12
-
-
-# CI's wide-exp config: the exponential sums span several blocks
-WIDE_EXP = {
-    "label": "wide-exp",
-    "potential": {"name": "exp_pointy"},
-    "velocity_law": {"name": "atan", "k": 50.0, "scale": 0.6366197723675814},
-    "domain": [-700.0, 700.0],
-    "n_cells": 1400,
-    "t_end": 2.0,
-    "initial": {"kind": "bumps", "bumps": [{"amplitude": 1.0, "center": c, "width": 5.0} for c in (-400.0, 0.0, 400.0)]},
-}
 
 
 @pytest.mark.parametrize(

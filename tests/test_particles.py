@@ -13,13 +13,14 @@ from aggr1d.config import SimConfig, example_preset
 from aggr1d.experiments import _particle_system
 from aggr1d.measure import DiscreteMeasure, wasserstein1
 from aggr1d.particles import ParticleSystem, advance_to, trajectory
-from aggr1d.potentials import make_builtin_potential, make_velocity_law
+from aggr1d.potentials import make_builtin_potential, make_velocity_law, velocity_sup_bound
 from direct_sums import interaction_energy, pairwise_speeds, wtilde_sums
 from isotonic_reference import isotonic_projection
 from mean_speed_reference import atan_a, atan_antideriv, identity_antideriv
 from particle_views import velocities
 from potential_reference import closed_form
 from rescaling import rescaling
+from test_acceptance import WIDE_EXP
 
 ABS_HALF = make_builtin_potential("abs_half")
 EXP_POINTY = make_builtin_potential("exp_pointy")
@@ -31,6 +32,11 @@ ANTIDERIV = {IDENTITY.name: identity_antideriv, ATAN.name: lambda x: atan_antide
 
 def system(x, m, pot=ABS_HALF, law=IDENTITY):
     return ParticleSystem(DiscreteMeasure(x, m), time=0.0, pot=pot, law=law)
+
+
+def time_unit(pot, law):
+    """The RK4 path's time unit 1/(rate*a_inf)."""
+    return 1.0 / (pot.rate * velocity_sup_bound(pot, law))
 
 
 def test_linear_velocities_two_body():
@@ -155,7 +161,7 @@ def test_atoms_5e13_apart_merge_in_the_engine(pot, law):
     assert len(merges) == 1 and merges[0].snapshot.n_atoms == 2 and t1.atoms.n_atoms == 2
     x = ps.atoms.positions
     if pot.amp > 0.0:
-        # the RK4 path merges a pair within CONTACT_TOL where it stands, before any step
+        # the RK4 path merges a pair within its length tolerance where it stands, before any step
         assert merges[0].time == 0.0 and t0.atoms.n_atoms == 2
     else:
         # the exact path merges the pair at its contact time gap / closing speed
@@ -188,8 +194,8 @@ def test_stalled_contact_search_aborts(monkeypatch):
 
 def test_contact_search_returns_once_the_bracket_closes(monkeypatch):
     # constant speeds: the gap 0.3 - t closes at t = 0.3, but the RK4 gap at the
-    # iterate does not read 0 exactly here, so with rate = 0 the search can only end
-    # when its bracket closes to BISECT_TOL, on the iterate's nonzero gap
+    # iterate does not read 0 exactly here, so with closing = 0 the search can only end
+    # when its bracket closes to tol, on the iterate's nonzero gap
     x, m, v = np.array([0.0, 0.3]), np.array([0.5, 0.5]), np.array([0.7, -0.3])
 
     def vel(y, m):
@@ -199,8 +205,9 @@ def test_contact_search_returns_once_the_bracket_closes(monkeypatch):
     calls = []
     rk4 = particles._rk4
     monkeypatch.setattr(particles, "_rk4", lambda *args: calls.append(args[2]) or rk4(*args))
-    t, y = particles._locate_contact(x, m, v, vel, 0.5, g_end, 0.1, 0.0)
-    assert abs(t - 0.3) <= particles.BISECT_TOL
+    tol = particles.TOL
+    t, y = particles._locate_contact(x, m, v, vel, 0.5, g_end, 0.1, 0.0, tol)
+    assert abs(t - 0.3) <= tol
     assert np.min(np.diff(y)) != 0.0  # the zero-gap exit cannot have returned
     assert calls[-1] == t and len(calls) == 3
 
@@ -256,14 +263,11 @@ def test_kink_only_matches_isotonic_projection(preset, n):
         assert wasserstein1(ps.atoms, DiscreteMeasure(x, m)) <= 1e-14
 
 
-@pytest.mark.parametrize("symmetry", ["time", "space"])
-@pytest.mark.parametrize("preset", [2, 3])
-def test_kink_only_path_is_exactly_covariant_under_power_of_two_rescaling(preset, symmetry):
-    # the exact event oracle with its labels at lam*x, sampled at tau*t: the
-    # same atoms at every sample time, bit for bit, with no floor
-    cfg = example_preset(preset)
+def assert_covariant(cfg, n, symmetry):
+    # the oracle with its n labels at lam*x, sampled at tau*t: the same atoms
+    # at every sample time, bit for bit, with no floor
     law, scaled, lam, tau = rescaling(cfg, symmetry)
-    atoms = _particle_system(cfg, 256).atoms
+    atoms = _particle_system(cfg, n).atoms
     want = [ps.atoms for ps in trajectory(ParticleSystem(atoms, 0.0, cfg.make_potential(), law), cfg.schedule())]
     moved = ParticleSystem(DiscreteMeasure(lam * atoms.positions, atoms.masses), 0.0, scaled, law)
     got = [ps.atoms for ps in trajectory(moved, [tau * t for t in cfg.schedule()])]
@@ -271,6 +275,37 @@ def test_kink_only_path_is_exactly_covariant_under_power_of_two_rescaling(preset
     for g, w in zip(got, want):
         assert (g.positions / lam).tobytes() == w.positions.tobytes()
         assert g.masses.tobytes() == w.masses.tobytes()
+
+
+@pytest.mark.parametrize("symmetry", ["time", "space"])
+@pytest.mark.parametrize("preset", [2, 3])
+def test_kink_only_path_is_exactly_covariant_under_power_of_two_rescaling(preset, symmetry):
+    assert_covariant(example_preset(preset), 256, symmetry)
+
+
+@pytest.mark.parametrize("symmetry", ["time", "space"])
+@pytest.mark.parametrize("case, n", [(1, 256), ("wide-exp", 64)], ids=["1", "wide-exp"])
+def test_rk4_path_is_exactly_covariant_under_power_of_two_rescaling(case, n, symmetry):
+    # the RK4 path steps and stops in time units 1/(rate*a_inf), which scale
+    # by lam and 1/mu exactly.  With absolute step and tolerances, W1/lam read
+    # up to 3.62e-7 (space) and 1.35e-10 (time) on preset 1, 1.54e-10 and
+    # 1.3e-13 on wide-exp
+    assert_covariant(SimConfig.from_dict(WIDE_EXP) if case == "wide-exp" else example_preset(case), n, symmetry)
+
+
+def test_rk4_step_is_converged():
+    # halving the step moves preset 1's 64-label oracle by at most 7.9e-10 in
+    # W1 (measured); its step and time tolerance are at most 0.01 and 1e-12
+    cfg = example_preset(1)
+    unit = time_unit(cfg.make_potential(), cfg.make_law())
+    assert particles.STEP * unit <= 0.01 and particles.TOL * unit <= 1e-12
+    ps0 = _particle_system(cfg, 64)
+    want = list(trajectory(ps0, cfg.schedule()))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(particles, "STEP", 0.5 * particles.STEP)
+        got = list(trajectory(ps0, cfg.schedule()))
+    for g, w in zip(got, want, strict=True):
+        assert wasserstein1(g.atoms, w.atoms) <= 1e-9, f"t = {w.time}"
 
 
 def test_single_particle_never_moves():
@@ -311,7 +346,8 @@ def test_two_contacts_inside_one_rk4_step():
     times = (1.003, 1.007)
     d = [math.log1p(t / 4.0) for t in times]
     x = [-400.0 - 0.5 * d[0], -400.0 + 0.5 * d[0], 400.0 - 0.5 * d[1], 400.0 + 0.5 * d[1]]
-    assert times[1] - times[0] < particles.MAX_STEP
+    h = particles.STEP * time_unit(EXP_POINTY, IDENTITY)
+    assert [math.floor(t / h) for t in times] == [round(1.0 / h)] * 2
     log = []
     ps = advance_to(system(x, [0.25] * 4, pot=EXP_POINTY), 1.1, log)
     merges = [ev for ev in log if ev.kind == "merge"]
@@ -322,7 +358,7 @@ def test_two_contacts_inside_one_rk4_step():
 
 def test_contact_search_iteration_cap_aborts(monkeypatch, tmp_path):
     # a tolerance no search can meet; at 0 an exact zero gap in floating point would still stop it
-    monkeypatch.setattr(particles, "BISECT_TOL", -1.0)
+    monkeypatch.setattr(particles, "TOL", -1.0)
     atoms = [[-0.25, 0.5], [0.25, 0.5]]
     with pytest.raises(RuntimeError, match="did not converge"):
         advance_to(system(*zip(*atoms), pot=EXP_POINTY), 5.0)
@@ -484,7 +520,7 @@ def test_state_at_t_does_not_depend_on_other_sample_times(preset, n):
 
 
 def test_rk4_takes_one_side_step_per_sample_time(monkeypatch):
-    # steps of MAX_STEP count from the last contact and never land on a sample time:
+    # full steps count from the last contact and never land on a sample time:
     # a sample time with particles still moving costs one side step, and no step is taken twice
     cfg = example_preset(1)
     ps0 = _particle_system(cfg, 64)
@@ -497,7 +533,7 @@ def test_rk4_takes_one_side_step_per_sample_time(monkeypatch):
     states = list(trajectory(ps0, cfg.schedule()))
     assert final.atoms.n_atoms == 1 and np.array_equal(states[-1].atoms.positions, final.atoms.positions)
     assert len(lengths) == alone + sum(1 for ps in states if ps.atoms.n_atoms > 1 and ps.time > 0.0)
-    assert max(lengths) == particles.MAX_STEP
+    assert max(lengths) == particles.STEP * time_unit(cfg.make_potential(), cfg.make_law())
 
 
 def test_trajectory_rejects_times_out_of_order():
@@ -528,12 +564,19 @@ def test_trajectory_checks_its_times_before_iteration():
         trajectory(ps, [math.nan])
 
 
-def test_rk4_step_whose_stages_overflow_is_halved():
-    # speeds near 1e6 close a gap of 0.012 within 1e-8: a full step's stages pass the
-    # contact by about 1e4, where the exponential sums overflow, so the step is halved
+def test_rk4_step_whose_stages_overflow_is_halved(monkeypatch):
+    # speeds near 1e6 close a gap of 0.012 within 1e-8.  A step moves no particle
+    # more than STEP/rate, so at unit mass no stage passes a contact far; a step of
+    # 2^14 time units (0.012) passes it by about 1e4, where the exponential sums
+    # overflow, so the step is halved
     fast = make_velocity_law("atan", k=0.636, scale=4.4e6)
     ps = system([-4.4333, -4.4209], [0.5, 0.5], pot=EXP_POINTY, law=fast)
+    monkeypatch.setattr(particles, "STEP", 2.0**14)
+    lengths = []
+    rk4 = particles._rk4
+    monkeypatch.setattr(particles, "_rk4", lambda x, m, h, vel, k1: lengths.append(h) or rk4(x, m, h, vel, k1))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = advance_to(ps, 0.02)
     assert out.atoms.n_atoms == 1 and out.atoms.positions[0] == pytest.approx(-4.4271, abs=1e-3)
+    assert lengths[0] == 2.0**14 * time_unit(EXP_POINTY, fast) and lengths[1] == 0.5 * lengths[0]
